@@ -330,12 +330,11 @@ def _stiffness_designs(
     """
     block = reduced_dict.evaluate(points)
     chi = diffusion_basis.evaluate(points).values  # (n_t, m)
-    m = points.shape[0]
-    designs = np.empty((chi.shape[0], reduced_dict.size, reduced_dict.size))
+    n, m, p = block.gradients.shape
+    g = block.gradients.reshape(n, m * p)
+    designs = np.empty((chi.shape[0], n, n))
     for t in range(chi.shape[0]):
-        designs[t] = -0.5 / m * np.einsum(
-            "l,ilp,jlp->ij", chi[t], block.gradients, block.gradients
-        )
+        designs[t] = -0.5 / m * ((g * np.repeat(chi[t], p)) @ g.T)
     return designs, block
 
 

@@ -15,6 +15,10 @@ Conventions
 * Polynomial-type dictionaries order their terms by total degree first
   (constant term first) and lexicographically descending within a degree,
   so for d = 2: 1, x1, x2, x1^2, x1*x2, x2^2, ...
+* :meth:`Dictionary.generator_action` returns the values together with the
+  generator action b . grad psi + 1/2 a : hess psi at each point; the
+  tensor bases form it from univariate factors without storing gradients
+  or Hessians.
 * Radial kernels are unnormalized, exp(-||x - c||^2 / (2 sigma^2)).
 """
 
@@ -85,6 +89,28 @@ def _check_points(points, dimension: int) -> np.ndarray:
     return x
 
 
+def _action_coefficients(drift, diffusion, shape):
+    """Drift (m, d) and optional diffusion (m, d, d) arrays for points of `shape`."""
+    m, d = shape
+    b = np.asarray(drift, dtype=np.float64)
+    if b.shape != (m, d):
+        raise InputError(f"expected drift of shape {(m, d)}, got {b.shape}")
+    if diffusion is None:
+        return b, None
+    a = np.asarray(diffusion, dtype=np.float64)
+    if a.shape != (m, d, d):
+        raise InputError(f"expected diffusion of shape {(m, d, d)}, got {a.shape}")
+    return b, a
+
+
+def _contract_generator(gradients, hessians, drift, diffusion) -> np.ndarray:
+    """b . grad psi (+ 1/2 a : hess psi) from stored derivative arrays, shape (n, m)."""
+    dpsi = np.einsum("li,kli->kl", drift, gradients)
+    if diffusion is not None:
+        dpsi = dpsi + 0.5 * np.einsum("lij,klij->kl", diffusion, hessians)
+    return dpsi
+
+
 def _graded_exponents(dimension: int, max_degree: int) -> np.ndarray:
     """Exponent tuples sorted by total degree, descending lex within a degree."""
 
@@ -110,6 +136,32 @@ class Dictionary:
 
     def evaluate(self, points, with_hessians: bool = False) -> EvaluationBlock:
         raise NotImplementedError
+
+    def generator_action(self, points, drift, diffusion=None):
+        """Values and generator action of every basis function at the points.
+
+        Parameters
+        ----------
+        points : (m, d) array_like
+        drift : (m, d) array_like
+            Drift b(x_l) at each point.
+        diffusion : (m, d, d) array_like, optional
+            Diffusion a(x_l); without it the action is first order.
+
+        Returns
+        -------
+        values : (n, m) ndarray
+            ``values[k, l] = psi_k(x_l)``, as from :meth:`evaluate`.
+        dpsi : (n, m) ndarray
+            ``dpsi[k, l] = b(x_l) . grad psi_k(x_l) + 1/2 a(x_l) : hess psi_k(x_l)``.
+
+        This default evaluates the points with Hessians and contracts them;
+        subclasses may form the action without storing any derivative array.
+        """
+        x = _check_points(points, self.dimension)
+        b, a = _action_coefficients(drift, diffusion, x.shape)
+        block = self.evaluate(x, with_hessians=a is not None)
+        return block.values, _contract_generator(block.gradients, block.hessians, b, a)
 
     def labels(self) -> list[str]:
         raise NotImplementedError
@@ -175,35 +227,50 @@ class _SeparableBasis(Dictionary):
         """
         raise NotImplementedError
 
-    def evaluate(self, points, with_hessians: bool = False) -> EvaluationBlock:
-        x = _check_points(points, self.dimension)
+    def _factors(self, x: np.ndarray, order: int):
+        """Per-dimension factors of the basis, one sub-chunk of points at a time.
+
+        Yields ``(sl, tables, T, D1, L, R)`` for consecutive slices ``sl`` of
+        the points: ``tables`` from :meth:`_tables`, ``T[j]`` and ``D1[j]`` the
+        (n, chunk) univariate factor of every basis function in dimension j
+        and its derivative, and ``L[j]`` / ``R[j]`` the products of the
+        factors before / after j, so that psi = L[j] * T[j] * R[j] for every
+        j.  Sub-chunks bound each (d, n, chunk) work array to about 2e6
+        elements; the arrays are overwritten by the next sub-chunk.
+        """
         m = x.shape[0]
         n, d = self.size, self.dimension
         E = self.exponents
-        values = np.empty((n, m))
-        gradients = np.empty((n, m, d))
-        hessians = np.empty((n, m, d, d)) if with_hessians else None
-
-        # chunk over points to bound the (d, n, chunk) work arrays
         chunk = max(16, min(m, int(2_000_000 / max(1, n * d))))
+        # one set of arrays for all sub-chunks: the caller still holds the
+        # previous sub-chunk's arrays while the next one is built
+        work = np.empty((4, d, n, min(chunk, m)))
         for start in range(0, m, chunk):
             sl = slice(start, min(start + chunk, m))
-            tables = self._tables(x[sl], order=2 if with_hessians else 1)
-            mc = x[sl].shape[0]
-            T = np.empty((d, n, mc))
-            D1 = np.empty((d, n, mc))
+            tables = self._tables(x[sl], order)
+            T, D1, L, R = work[:, :, :, : sl.stop - sl.start]
             for j in range(d):
                 T[j] = tables[j][0][E[:, j], :]
                 D1[j] = tables[j][1][E[:, j], :]
             # prefix/suffix products over dimensions
-            L = np.empty((d, n, mc))
-            R = np.empty((d, n, mc))
             L[0] = 1.0
             for j in range(1, d):
                 L[j] = L[j - 1] * T[j - 1]
             R[d - 1] = 1.0
             for j in range(d - 2, -1, -1):
                 R[j] = R[j + 1] * T[j + 1]
+            yield sl, tables, T, D1, L, R
+
+    def evaluate(self, points, with_hessians: bool = False) -> EvaluationBlock:
+        x = _check_points(points, self.dimension)
+        m = x.shape[0]
+        n, d = self.size, self.dimension
+        values = np.empty((n, m))
+        gradients = np.empty((n, m, d))
+        hessians = np.empty((n, m, d, d)) if with_hessians else None
+
+        E = self.exponents
+        for sl, tables, T, D1, L, R in self._factors(x, 2 if with_hessians else 1):
             values[:, sl] = L[d - 1] * T[d - 1]
             for j in range(d):
                 gradients[:, sl, j] = D1[j] * L[j] * R[j]
@@ -211,13 +278,52 @@ class _SeparableBasis(Dictionary):
                 for j in range(d):
                     D2j = tables[j][2][E[:, j], :]
                     hessians[:, sl, j, j] = D2j * L[j] * R[j]
-                    mid = np.ones((n, mc))
+                    mid = np.ones(T.shape[1:])
                     for k in range(j + 1, d):
                         cross = D1[j] * D1[k] * L[j] * mid * R[k]
                         hessians[:, sl, j, k] = cross
                         hessians[:, sl, k, j] = cross
                         mid = mid * T[k]
         return EvaluationBlock(values, gradients, hessians)
+
+    def generator_action(self, points, drift, diffusion=None):
+        x = _check_points(points, self.dimension)
+        b, a = _action_coefficients(drift, diffusion, x.shape)
+        m = x.shape[0]
+        n, d = self.size, self.dimension
+        E = self.exponents
+        values = np.empty((n, m))
+        dpsi = np.zeros((n, m))
+
+        # d/dx_j psi = D1[j] L[j] R[j], and for j < k the mixed derivative is
+        # D1[j] L[j] (T[j+1] ... T[k-1]) D1[k] R[k].  The degree-0 factor is
+        # constant, so only rows with e_j > 0 (and e_k > 0) are nonzero.
+        rows = [np.flatnonzero(E[:, j]) for j in range(d)]
+        pairs = []
+        if a is not None:
+            for j in range(d):
+                for k in range(j + 1, d):
+                    r = rows[j][E[rows[j], k] > 0]
+                    if r.size:
+                        pairs.append((j, k, r))
+        for sl, tables, T, D1, L, R in self._factors(x, 1 if a is None else 2):
+            values[:, sl] = L[d - 1] * T[d - 1]
+            acc = dpsi[:, sl]
+            bs = b[sl]
+            half = None if a is None else 0.5 * a[sl]
+            for j, r in enumerate(rows):
+                coef = bs[:, j] * D1[j, r]
+                if half is not None:
+                    coef += half[:, j, j] * tables[j][2][E[r, j], :]
+                coef *= L[j, r] * R[j, r]
+                acc[r] += coef
+            for j, k, r in pairs:
+                term = (half[:, j, k] + half[:, k, j]) * D1[j, r] * L[j, r]
+                for i in range(j + 1, k):
+                    term *= T[i, r]
+                term *= D1[k, r] * R[k, r]
+                acc[r] += term
+        return values, dpsi
 
 
 class Monomials(_SeparableBasis):

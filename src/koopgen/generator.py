@@ -1,19 +1,29 @@
 """Galerkin estimation of the Koopman generator from drift/diffusion data.
 
-Given a dictionary psi and a sample set, the estimator forms
+Given a dictionary psi and a sample set, the estimator needs at every data
+point the values psi_k(x_l) and the generator action
 
     dpsi_k(x_l) = b(x_l) . grad psi_k(x_l) [ + 1/2 a(x_l) : hess psi_k(x_l) ]
 
 and solves the least-squares problem dPsi ~ M Psi for the matrix M. The
 coefficient-space generator is L = M^T: for f = c^T psi, the estimate of the
-generator applied to f has coefficients L c. The Gram matrices
+generator applied to f has coefficients L c.
 
-    A_hat = (1/m) dPsi Psi^T,   G_hat = (1/m) Psi Psi^T
+One chunk walker feeds (psi, dpsi) for each CHUNK consecutive samples into
+one streaming fit, so memory is O(n^2 + n * CHUNK * d) whatever the sample
+count; no (n, m) value matrix or (n, m, d, d) Hessian tensor is stored.
+Per chunk the fit
 
-are accumulated alongside in fixed-size chunks (deterministic summation
-order) and stored on the estimate; M itself is computed from the SVD
-least-squares form M = dPsi Psi^+, which is algebraically identical to
-A_hat G_hat^+ but avoids squaring the condition number.
+* accumulates the Gram matrices A_hat = (1/m) dPsi Psi^T and
+  G_hat = (1/m) Psi Psi^T in a fixed chunk order, so reruns are bitwise
+  identical, and
+* updates the triangular factor R of the stacked matrix [Psi^T | dPsi^T]
+  by a QR factorization of R on top of the chunk (sequential TSQR).
+
+With R = [[R11, R12], [0, R22]], M^T = R11^+ R12, taken through an SVD of
+R11 with a relative singular-value cutoff. This is the least-squares
+solution M = dPsi Psi^+ and, unlike A_hat G_hat^+, does not square the
+condition number.
 
 A reversible-system shortcut builds A_hat from first derivatives only,
 A_hat = -(1/2m) sum_l (grad Psi sigma)(grad Psi sigma)^T, which is symmetric
@@ -29,7 +39,12 @@ from typing import Optional
 import numpy as np
 from scipy import linalg
 
-from .dictionaries import Dictionary, EvaluationBlock, dictionary_from_spec
+from .dictionaries import (
+    Dictionary,
+    EvaluationBlock,
+    _contract_generator,
+    dictionary_from_spec,
+)
 from .errors import InputError, LogBranchError
 from .models import SampleSet
 
@@ -95,22 +110,61 @@ def _solve_m(psi: np.ndarray, dpsi: np.ndarray, svd_cutoff: float):
     return sol.T, int(rank)
 
 
-def _finish(
-    psi, dpsi, dictionary, sample_count, svd_cutoff, kind
-) -> GeneratorEstimate:
-    A, G = _chunked_gram(dpsi, psi)
-    M, rank = _solve_m(psi, dpsi, svd_cutoff)
-    deficient = rank < psi.shape[0]
+def _walk(dictionary, sample, block, *, diffusion=None, sigma=None):
+    """Yield (psi, dpsi) for consecutive CHUNK-point slices of the sample.
+
+    dpsi is the generator action b . grad psi, plus 1/2 a : hess psi when
+    `diffusion` is given; with `sigma` it is instead grad psi . sigma laid
+    out as an (n, chunk * s) matrix.  Without a `block` each slice is
+    evaluated afresh; with one, the block's slice is contracted.
+    """
+    m = sample.count
+    for start in range(0, m, CHUNK):
+        sl = slice(start, min(start + CHUNK, m))
+        if sigma is not None:
+            if block is None:
+                blk = dictionary.evaluate(sample.points[sl])
+                psi, grads = blk.values, blk.gradients
+            else:
+                psi, grads = block.values[:, sl], block.gradients[:, sl]
+            W = np.einsum("kli,lis->kls", grads, sigma[sl])
+            yield psi, W.reshape(W.shape[0], -1)
+            continue
+        drift = sample.drift_samples[sl]
+        a = None if diffusion is None else diffusion[sl]
+        if block is None:
+            yield dictionary.generator_action(sample.points[sl], drift, a)
+        else:
+            hess = None if a is None else block.hessians[:, sl]
+            yield block.values[:, sl], _contract_generator(
+                block.gradients[:, sl], hess, drift, a
+            )
+
+
+def _fit(chunks, n, dictionary, sample_count, svd_cutoff, kind) -> GeneratorEstimate:
+    """Streaming least-squares fit of dPsi ~ M Psi over (psi, dpsi) chunks."""
+    A = np.zeros((n, n))
+    G = np.zeros((n, n))
+    R = np.zeros((0, 2 * n))
+    for psi, dpsi in chunks:
+        A += dpsi @ psi.T
+        G += psi @ psi.T
+        R = np.linalg.qr(np.vstack([R, np.hstack([psi.T, dpsi.T])]), mode="r")
+    # Psi^T = Q R11 and dPsi^T = Q R12 + (orthogonal rest), so M^T = R11^+ R12
+    U, s, Vt = np.linalg.svd(R[:n, :n], full_matrices=False)
+    rank = int(np.count_nonzero(s > svd_cutoff * s[0])) if s.size else 0
+    M = (Vt[:rank].T @ ((U[:, :rank].T @ R[:n, n:]) / s[:rank, None])).T
+    deficient = rank < n
     if deficient:
         warnings.warn(
-            f"dictionary value matrix is rank deficient ({rank} < {psi.shape[0]}); "
+            f"dictionary value matrix is rank deficient ({rank} < {n}); "
             "estimate restricted to the resolved subspace",
             stacklevel=3,
         )
     return GeneratorEstimate(
         M=M,
-        A_hat=A,
-        G_hat=G,
+        A_hat=A / sample_count,
+        G_hat=G / sample_count,
         rank=rank,
         svd_cutoff=svd_cutoff,
         dictionary=dictionary,
@@ -120,26 +174,24 @@ def _finish(
     )
 
 
-def _block_for(dictionary, sample, with_hessians, block):
+def _basis_size(dictionary, sample, block, with_hessians=False) -> int:
+    """Number of basis functions, after checking a given block against the sample."""
     if block is None:
-        return dictionary.evaluate(sample.points, with_hessians=with_hessians)
+        return dictionary.size
     if block.values.shape[1] != sample.count:
         raise InputError("evaluation block does not match the sample set")
     if with_hessians and block.hessians is None:
         raise InputError("evaluation block lacks Hessians")
-    return block
+    return block.size
 
 
 def apply_generator_values(block: EvaluationBlock, sample: SampleSet) -> np.ndarray:
     """dpsi_k(x_l) for all k, l: drift term plus (if present) diffusion term."""
-    dpsi = np.einsum("li,kli->kl", sample.drift_samples, block.gradients)
-    if sample.diffusion_samples is not None:
-        if block.hessians is None:
-            raise InputError("diffusion samples present but the block has no Hessians")
-        dpsi = dpsi + 0.5 * np.einsum(
-            "lij,klij->kl", sample.diffusion_samples, block.hessians
-        )
-    return dpsi
+    if sample.diffusion_samples is not None and block.hessians is None:
+        raise InputError("diffusion samples present but the block has no Hessians")
+    return _contract_generator(
+        block.gradients, block.hessians, sample.drift_samples, sample.diffusion_samples
+    )
 
 
 def gedmd_deterministic(
@@ -155,9 +207,9 @@ def gedmd_deterministic(
     derivatives. Any diffusion data on the sample set is ignored here; use
     :func:`gedmd_stochastic` to include it.
     """
-    blk = _block_for(dictionary, sample, False, block)
-    dpsi = np.einsum("li,kli->kl", sample.drift_samples, blk.gradients)
-    return _finish(blk.values, dpsi, dictionary, sample.count, svd_cutoff, "deterministic")
+    n = _basis_size(dictionary, sample, block)
+    chunks = _walk(dictionary, sample, block)
+    return _fit(chunks, n, dictionary, sample.count, svd_cutoff, "deterministic")
 
 
 def gedmd_stochastic(
@@ -170,9 +222,9 @@ def gedmd_stochastic(
     """Generator estimate for an SDE: dpsi = b . grad psi + 1/2 a : hess psi."""
     if sample.diffusion_samples is None:
         raise InputError("gedmd_stochastic needs diffusion samples; got none")
-    blk = _block_for(dictionary, sample, True, block)
-    dpsi = apply_generator_values(blk, sample)
-    return _finish(blk.values, dpsi, dictionary, sample.count, svd_cutoff, "stochastic")
+    n = _basis_size(dictionary, sample, block, with_hessians=True)
+    chunks = _walk(dictionary, sample, block, diffusion=sample.diffusion_samples)
+    return _fit(chunks, n, dictionary, sample.count, svd_cutoff, "stochastic")
 
 
 def gedmd_reversible(
@@ -190,15 +242,13 @@ def gedmd_reversible(
     """
     if sample.sigma_samples is None:
         raise InputError("gedmd_reversible needs sigma samples on the sample set")
-    blk = _block_for(dictionary, sample, False, block)
-    n, m = blk.values.shape
+    n = _basis_size(dictionary, sample, block)
+    m = sample.count
     A = np.zeros((n, n))
     G = np.zeros((n, n))
-    for start in range(0, m, CHUNK):
-        sl = slice(start, min(start + CHUNK, m))
-        W = np.einsum("kli,lis->kls", blk.gradients[:, sl, :], sample.sigma_samples[sl])
-        A += np.einsum("kls,jls->kj", W, W)
-        G += blk.values[:, sl] @ blk.values[:, sl].T
+    for psi, W in _walk(dictionary, sample, block, sigma=sample.sigma_samples):
+        A += W @ W.T
+        G += psi @ psi.T
     A /= -2.0 * m
     G /= m
     sol, _, rank, _ = np.linalg.lstsq(G, A.T, rcond=svd_cutoff)

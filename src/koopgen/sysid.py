@@ -15,12 +15,7 @@ import numpy as np
 
 from .dictionaries import Dictionary, Monomials, evaluate
 from .errors import ClosureError, IdentificationError, InputError, UnsupportedDictionaryError
-from .generator import (
-    DEFAULT_SVD_CUTOFF,
-    GeneratorEstimate,
-    _chunked_gram,
-    apply_generator_values,
-)
+from .generator import DEFAULT_SVD_CUTOFF, GeneratorEstimate, _chunked_gram
 from .models import SampleSet
 
 __all__ = [
@@ -322,13 +317,14 @@ def threshold_generator(
     least-squares solve.  With ``delta=0`` this equals the standard estimate.
     """
     stochastic = sample.diffusion_samples is not None
-    block = dictionary.evaluate(sample.points, with_hessians=stochastic)
-    dpsi = apply_generator_values(block, sample)
-    coeffs, _ = hard_threshold(
-        block.values.T, dpsi.T, delta, iterations=iterations, rcond=svd_cutoff
+    values, dpsi = dictionary.generator_action(
+        sample.points, sample.drift_samples, sample.diffusion_samples
     )
-    A, G = _chunked_gram(dpsi, block.values)
-    s = np.linalg.svd(block.values, compute_uv=False)
+    coeffs, _ = hard_threshold(
+        values.T, dpsi.T, delta, iterations=iterations, rcond=svd_cutoff
+    )
+    A, G = _chunked_gram(dpsi, values)
+    s = np.linalg.svd(values, compute_uv=False)
     rank = int(np.count_nonzero(s > svd_cutoff * s[0])) if s.size else 0
     kind = ("stochastic" if stochastic else "deterministic") + "+threshold"
     return GeneratorEstimate(
@@ -434,16 +430,18 @@ def identify(
         )
         histories.append(hist_a)
 
-    def _rms(data: SampleSet) -> float:
-        feats = dictionary.evaluate(data.points).values.T
+    def _rms(data: SampleSet, feats: np.ndarray) -> float:
         errs = [np.ravel(feats @ drift_coeffs - data.drift_samples)]
         if with_diffusion:
             errs.append(np.ravel(feats @ diffusion_coeffs - _diffusion_targets(data, feats)))
         stacked = np.concatenate(errs)
         return float(np.sqrt(np.mean(stacked**2)))
 
-    residuals = {"training": _rms(sample)}
-    residuals["validation"] = _rms(validation) if validation is not None else None
+    residuals = {"training": _rms(sample, features)}
+    residuals["validation"] = None
+    if validation is not None:
+        held_out = dictionary.evaluate(validation.points).values.T
+        residuals["validation"] = _rms(validation, held_out)
     return IdentifiedModel(
         dictionary=dictionary,
         drift_coeffs=drift_coeffs,

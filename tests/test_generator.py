@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from koopgen.dictionaries import GaussianBasis, Monomials
+from koopgen import generator
+from koopgen.dictionaries import GaussianBasis, LegendreBasis, Monomials
 from koopgen.errors import InputError, LogBranchError
 from koopgen.generator import (
+    CHUNK,
     GeneratorEstimate,
+    apply_generator_values,
     edmd_with_log,
     estimate_from_dict,
     estimate_to_dict,
@@ -16,6 +21,7 @@ from koopgen.generator import (
 from koopgen.models import (
     SampleSet,
     analytic_ou_generator,
+    double_well_2d,
     exact_sample_set,
     ornstein_uhlenbeck,
     ou_invariant_density,
@@ -185,3 +191,126 @@ def test_assembly_reproducible_bitwise():
     b = gedmd_stochastic(Monomials(1, 10), s)
     assert np.array_equal(a.M, b.M)
     assert np.array_equal(a.A_hat, b.A_hat)
+
+
+def _random_coefficients(rng, m, d):
+    drift = rng.standard_normal((m, d))
+    S = rng.standard_normal((m, d, d))
+    return drift, S @ np.transpose(S, (0, 2, 1))
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [
+        Monomials(2, 5),
+        Monomials(4, 8),
+        LegendreBasis(5, [[-2.0, 2.0]] * 2),
+        LegendreBasis(8, [[-2.0, 2.0]] * 4),
+        GaussianBasis(sample_uniform([[-1.0, 1.0]] * 3, 12, seed=4), 0.8),
+    ],
+    ids=["monomials-d2", "monomials-d4", "legendre-d2", "legendre-d4", "gaussians"],
+)
+def test_generator_action_matches_hessian_contraction(basis):
+    # at d = 4 the 495-function bases split the 1500 points into two internal sub-chunks
+    rng = np.random.Generator(np.random.Philox(17))
+    points = rng.uniform(-1.5, 1.5, (1500, basis.dimension))
+    drift, diffusion = _random_coefficients(rng, 1500, basis.dimension)
+    block = basis.evaluate(points, with_hessians=True)
+    for sample in (
+        SampleSet(points=points, drift_samples=drift),
+        SampleSet(points=points, drift_samples=drift, diffusion_samples=diffusion),
+    ):
+        values, dpsi = basis.generator_action(points, drift, sample.diffusion_samples)
+        expected = apply_generator_values(block, sample)
+        assert np.array_equal(values, block.values)
+        assert np.linalg.norm(dpsi - expected) <= 1e-13 * np.linalg.norm(expected)
+
+
+def test_generator_action_rejects_mismatched_coefficients():
+    basis = Monomials(2, 3)
+    points = np.zeros((5, 2))
+    with pytest.raises(InputError):
+        basis.generator_action(points, np.zeros((5, 3)))
+    with pytest.raises(InputError):
+        basis.generator_action(points, np.zeros((5, 2)), np.zeros((4, 2, 2)))
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    m=st.integers(CHUNK + 1, 3 * CHUNK).filter(lambda m: m % CHUNK != 0),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_streaming_fit_matches_dense_lstsq_under_permutation(m, seed):
+    # the double-well drift is cubic, so dPsi leaves the span and the residual is nonzero
+    rng = np.random.Generator(np.random.Philox(seed))
+    basis = Monomials(2, 3)
+    points = rng.uniform(-1.5, 1.5, (m, 2))
+    sample = exact_sample_set(double_well_2d(), points)
+    block = basis.evaluate(points, with_hessians=True)
+    dpsi = apply_generator_values(block, sample)
+    reference = np.linalg.lstsq(block.values.T, dpsi.T, rcond=1e-10)[0].T
+    perm = rng.permutation(m)
+    shuffled = SampleSet(
+        points=sample.points[perm],
+        drift_samples=sample.drift_samples[perm],
+        diffusion_samples=sample.diffusion_samples[perm],
+    )
+    for s in (sample, shuffled):
+        M = gedmd_stochastic(basis, s).M
+        assert np.linalg.norm(M - reference) <= 1e-12 * np.linalg.norm(reference)
+
+
+@pytest.mark.parametrize("chunk", [97, 500, CHUNK])
+def test_streaming_fit_is_chunk_size_invariant(monkeypatch, chunk):
+    monkeypatch.setattr(generator, "CHUNK", chunk)
+    basis = Monomials(2, 3)
+    points = sample_uniform([[-1.5, 1.5]] * 2, 2100, seed=19)
+    sample = exact_sample_set(double_well_2d(), points)
+    block = basis.evaluate(points, with_hessians=True)
+    dpsi = apply_generator_values(block, sample)
+    reference = np.linalg.lstsq(block.values.T, dpsi.T, rcond=1e-10)[0].T
+    est = gedmd_stochastic(basis, sample)
+    assert np.linalg.norm(est.M - reference) <= 1e-12 * np.linalg.norm(reference)
+    G = block.values @ block.values.T / sample.count
+    assert np.linalg.norm(est.G_hat - G) <= 1e-12 * np.linalg.norm(G)
+
+
+def test_stochastic_fit_builds_no_hessian_tensor(monkeypatch):
+    # 10-D Ornstein-Uhlenbeck process, dX = -diag(alpha) X dt + B dW, on Monomials(10, 3)
+    d = 10
+    basis = Monomials(d, 3)
+    evaluate = Monomials.evaluate
+
+    def no_hessians(self, points, with_hessians=False):
+        if with_hessians:
+            raise AssertionError("evaluate called with with_hessians=True")
+        return evaluate(self, points, with_hessians)
+
+    monkeypatch.setattr(Monomials, "evaluate", no_hessians)
+    alpha = np.linspace(0.5, 2.0, d)
+    B = np.eye(d) + 0.3 * np.eye(d, k=-1)
+    a = B @ B.T
+    points = sample_uniform([[-1.0, 1.0]] * d, 5000, seed=23)
+    sample = SampleSet(
+        points=points,
+        drift_samples=-points * alpha,
+        diffusion_samples=np.broadcast_to(a, (5000, d, d)),
+    )
+    est = gedmd_stochastic(basis, sample)
+
+    # L x^e = -(alpha . e) x^e + sum_j a_jj e_j (e_j - 1) / 2 x^(e - 2 e_j)
+    #         + sum_{j<k} a_jk e_j e_k x^(e - e_j - e_k)
+    expected = np.zeros((basis.size, basis.size))
+    for row, e in enumerate(basis.exponents):
+        expected[row, row] = -alpha @ e
+        for j in range(d):
+            for k in range(j, d):
+                lowered = e.copy()
+                lowered[j] -= 1
+                lowered[k] -= 1
+                if lowered.min() < 0:
+                    continue
+                weight = 0.5 * e[j] * (e[j] - 1) if j == k else e[j] * e[k]
+                expected[row, basis.index_of(lowered)] += a[j, k] * weight
+    assert est.rank == basis.size
+    assert np.linalg.norm(est.M - expected) <= 1e-10 * np.linalg.norm(expected)
