@@ -25,7 +25,6 @@ from .control import (
     fit_surrogates,
     mpc,
     predict,
-    schedule_input,
     schedule_trajectory,
     sto_objective_and_gradient,
     switching_time_optimize,
@@ -36,7 +35,6 @@ from .dictionaries import (
     LegendreBasis,
     Monomials,
     PeriodicGaussianBasis,
-    evaluate,
 )
 from .errors import (
     ClosureError,
@@ -113,7 +111,6 @@ __all__ = [
     "LegendreBasis",
     "GaussianBasis",
     "PeriodicGaussianBasis",
-    "evaluate",
     # models and sampling
     "SdeModel",
     "SampleSet",
@@ -170,7 +167,6 @@ __all__ = [
     "SwitchingSchedule",
     "sto_objective_and_gradient",
     "switching_time_optimize",
-    "schedule_input",
     "schedule_trajectory",
     "ControlledOUPlant",
     "BurgersPlant",

@@ -404,20 +404,15 @@ def _run_control_switching(config, out: Path, seed: int):
         alpha=_number(config, "control.alpha", 0.0, minimum=0.0),
         reference_derivative=derivative,
     )
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        schedule = control.switching_time_optimize(
-            problem,
-            _integer(config, "control.passes", minimum=1),
-            x0=x0,
-            max_iter=_integer(config, "control.max_iter", 300, minimum=1),
-        )
+    schedule = control.switching_time_optimize(
+        problem,
+        _integer(config, "control.passes", minimum=1),
+        x0=x0,
+        max_iter=_integer(config, "control.max_iter", 300, minimum=1),
+    )
     io.write_schedule_json(out / "schedule.json", schedule)
-    dt = _number(config, "control.h", 0.05, minimum=1e-9)
     z0 = family.lift(x0[np.newaxis, :])[0]
-    times, trajectory = control.schedule_trajectory(family, schedule, z0, dt)
+    times, trajectory = control.schedule_trajectory(family, schedule, z0, problem.h)
     readout = trajectory @ family.readout.T
     rows = [
         [times[k]] + list(readout[k]) + list(np.atleast_1d(reference(times[k])))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.optimize
 
-from .dictionaries import Dictionary, EvaluationBlock, evaluate
+from .dictionaries import Dictionary
 from .errors import InputError, NumericalError
 from .generator import (
     DEFAULT_SVD_CUTOFF,
@@ -218,7 +218,7 @@ class ForceMatchResult:
     def force_on(self, grid) -> np.ndarray:
         """Mean force g at 1D grid points (shape (m,))."""
         grid = np.asarray(grid, dtype=float)
-        values = evaluate(self.basis, grid[:, np.newaxis]).values
+        values = self.basis.evaluate(grid[:, np.newaxis]).values
         return values.T @ self.gradient_coeffs
 
     def potential_on(self, grid) -> np.ndarray:
@@ -306,7 +306,7 @@ def force_matching(
         potential_gradient = potential_gradient.potential_gradient
     targets, kept = local_mean_force(cg_map, potential_gradient, sample.points)
     z = cg_map(sample.points[kept])
-    features = evaluate(reduced_basis, z).values.T
+    features = reduced_basis.evaluate(z).values.T
     coeffs, *_ = np.linalg.lstsq(features, targets[:, 0], rcond=svd_cutoff)
     rms = float(np.sqrt(np.mean((features @ coeffs - targets[:, 0]) ** 2)))
     return ForceMatchResult(
@@ -323,7 +323,7 @@ def force_matching(
 
 def _stiffness_designs(
     reduced_dict: Dictionary, diffusion_basis: Dictionary, points
-) -> tuple[np.ndarray, EvaluationBlock]:
+) -> np.ndarray:
     """Per-parameter matrices A_t with A(theta) = sum_t theta_t A_t.
 
     A_t[i, j] = -1/2 mean_l chi_t(z_l) grad psi_i(z_l) . grad psi_j(z_l).
@@ -335,7 +335,7 @@ def _stiffness_designs(
     designs = np.empty((chi.shape[0], n, n))
     for t in range(chi.shape[0]):
         designs[t] = -0.5 / m * ((g * np.repeat(chi[t], p)) @ g.T)
-    return designs, block
+    return designs
 
 
 def fit_diffusion(
@@ -358,7 +358,7 @@ def fit_diffusion(
     -------
     theta : (n_t,) ndarray
     """
-    designs, _ = _stiffness_designs(reduced_dict, diffusion_basis, sample.points)
+    designs = _stiffness_designs(reduced_dict, diffusion_basis, sample.points)
     D = designs.reshape(designs.shape[0], -1).T  # (n^2, n_t)
     target = np.asarray(galerkin_A_hat, dtype=float).ravel()
     if positivity:
@@ -374,7 +374,7 @@ def fit_diffusion(
 def diffusion_field(diffusion_basis: Dictionary, theta, grid) -> np.ndarray:
     """Evaluate a(z) = theta . chi(z) on a 1D grid."""
     grid = np.asarray(grid, dtype=float)
-    values = evaluate(diffusion_basis, grid[:, np.newaxis]).values
+    values = diffusion_basis.evaluate(grid[:, np.newaxis]).values
     return values.T @ np.asarray(theta, dtype=float)
 
 
@@ -387,7 +387,7 @@ def drift_from_potential(
     """
     grid = np.asarray(grid, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    block = evaluate(diffusion_basis, grid[:, np.newaxis])
+    block = diffusion_basis.evaluate(grid[:, np.newaxis])
     a = block.values.T @ theta
     da = block.gradients[:, :, 0].T @ theta
     return 0.5 * a * force.force_on(grid) + 0.5 * da
@@ -446,13 +446,11 @@ def build_reduced_model(
     Runs the reversible reduced estimator, force matching, and the diffusion
     fit, and packages the results.
     """
-    est = coarse_gedmd(
-        cg_map, reduced_basis, sample, reversible=True, svd_cutoff=svd_cutoff
-    )
+    rsample = reduced_sample(cg_map, sample)
+    est = gedmd_reversible(reduced_basis, rsample, svd_cutoff=svd_cutoff)
     force = force_matching(
         sample, potential_gradient, cg_map, reduced_basis, svd_cutoff=svd_cutoff
     )
-    rsample = reduced_sample(cg_map, sample)
     theta = fit_diffusion(
         est.A_hat, reduced_basis, rsample, diffusion_basis, positivity=positivity
     )
@@ -496,7 +494,7 @@ def cross_validate_bases(
     bounds = np.linspace(0, m, folds + 1, dtype=int)
     scores = []
     for basis in candidates:
-        values = evaluate(basis, points).values.T  # (m, n)
+        values = basis.evaluate(points).values.T  # (m, n)
         total = 0.0
         for f in range(folds):
             val = perm[bounds[f] : bounds[f + 1]]

@@ -21,7 +21,6 @@ from .dictionaries import Dictionary, evaluate
 from .errors import ConfigError, InputError, StabilityError
 from .generator import (
     DEFAULT_SVD_CUTOFF,
-    GeneratorEstimate,
     gedmd_deterministic,
     gedmd_stochastic,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "SwitchingSchedule",
     "sto_objective_and_gradient",
     "switching_time_optimize",
-    "schedule_input",
     "schedule_trajectory",
     "ControlledOUPlant",
     "BurgersPlant",
@@ -298,14 +296,14 @@ def mpc(problem: ControlProblem, plant, x0, *, seed=None) -> MpcResult:
         applied[k] = u
         r_next = np.atleast_1d(problem.reference(t + problem.h))
         refs.append(r_next)
-        y = fam.lift(states) @ fam.readout.T
-        err = y - r_next
+        lifted = fam.lift(states)
+        err = lifted @ fam.readout.T - r_next
         stage[k] = np.einsum("lr,lr->l", err, err) + problem.alpha * u**2
         if getattr(plant, "stochastic", False):
             flat = window.reshape(-1, window.shape[-1])
             z = fam.lift(flat).reshape(R, window.shape[1], fam.size).mean(axis=1)
         else:
-            z = fam.lift(states)
+            z = lifted
     if not batched:
         traj = traj[:, 0]
         applied = applied[:, 0]
@@ -554,11 +552,45 @@ def switching_time_optimize(
     )
 
 
-def schedule_input(schedule: SwitchingSchedule, t: float) -> int:
-    """Input index active at time t under a switching schedule."""
-    b = schedule.boundaries()
-    j = int(np.searchsorted(b, t, side="right") - 1)
-    return schedule.input_index(min(max(j, 0), schedule.p))
+def _switched_grid(schedule: SwitchingSchedule, dt: float):
+    """Sampling grid of a schedule, with every grid step split at switch times.
+
+    The grid is t0, t0+dt, ..., te; the horizon must be a whole number of
+    steps to a relative tolerance of 1e-9.  Switch times falling inside a
+    sampling step are honored exactly, so sub-grid switching is not
+    quantized away; the last segment runs to the end of its grid step.
+
+    Returns
+    -------
+    times : (steps + 1,) ndarray
+    pieces : list of ``steps`` lists of (input index, duration)
+        The constant-input sub-intervals making up each grid step, in order.
+    """
+    t0, te = schedule.horizon
+    if not dt > 0:
+        raise InputError("dt must be positive")
+    ratio = (te - t0) / dt
+    steps = int(round(ratio))
+    if abs(ratio - steps) > 1e-9 * ratio:
+        raise InputError(
+            f"dt={dt} does not divide the horizon {schedule.horizon} into whole steps"
+        )
+    times = t0 + np.arange(steps + 1) * dt
+    bounds = schedule.boundaries()
+    pieces = []
+    seg = 0
+    t = t0
+    for target in times[1:]:
+        step = []
+        while t < target - 1e-12:
+            while seg < schedule.p and bounds[seg + 1] <= t + 1e-12:
+                seg += 1
+            stop = target if seg == schedule.p else min(target, bounds[seg + 1])
+            step.append((schedule.input_index(seg), stop - t))
+            t = stop
+        pieces.append(step)
+        t = target
+    return times, pieces
 
 
 def schedule_trajectory(
@@ -566,32 +598,19 @@ def schedule_trajectory(
 ):
     """Lifted open-loop trajectory under a switching schedule.
 
-    Sampled on the uniform grid t0, t0+dt, ...; switch times falling inside
-    a sampling step are honored exactly by splitting the step at every
-    boundary, so sub-grid switching is not quantized away.
+    Sampled on the uniform grid t0, t0+dt, ..., te, with switch times inside
+    a sampling step honored exactly; ``dt`` must divide the horizon.
 
     Returns (times, trajectory (steps+1, n)).
     """
-    t0, te = schedule.horizon
-    bounds = schedule.boundaries()
-    steps = int(round((te - t0) / dt))
-    times = t0 + np.arange(steps + 1) * dt
-    out = np.empty((steps + 1, family.size))
+    times, pieces = _switched_grid(schedule, dt)
+    out = np.empty((times.shape[0], family.size))
     z = np.asarray(z0, dtype=float).copy()
     out[0] = z
-    seg = 0
-    t = t0
-    for k in range(steps):
-        target = times[k + 1]
-        while t < target - 1e-12:
-            while seg < schedule.p and bounds[seg + 1] <= t + 1e-12:
-                seg += 1
-            stop = min(target, bounds[seg + 1])
-            if stop > t:
-                z = family.propagator(schedule.input_index(seg), stop - t) @ z
-                t = stop
-        out[k + 1] = z
-        t = target
+    for k, step in enumerate(pieces, 1):
+        for index, span in step:
+            z = family.propagator(index, span) @ z
+        out[k] = z
     return times, out
 
 
@@ -663,36 +682,23 @@ class ControlledOUPlant:
         each sub-interval, splitting steps at the switch times, so neither
         the integrator nor input quantization biases the paths.
 
-        Returns an (steps + 1, realizations) array of states.
+        ``dt`` must divide the horizon.  Returns an (steps + 1, realizations)
+        array of states.
         """
-        t0, te = schedule.horizon
-        bounds = schedule.boundaries()
-        steps = int(round((te - t0) / dt))
-        times = t0 + np.arange(steps + 1) * dt
+        times, pieces = _switched_grid(schedule, dt)
         rng = _rng(seed)
         x = np.full(realizations, float(x0))
-        out = np.empty((steps + 1, realizations))
+        out = np.empty((times.shape[0], realizations))
         out[0] = x
-        seg = 0
-        t = t0
-        for k in range(steps):
-            target = times[k + 1]
-            while t < target - 1e-12:
-                while seg < schedule.p and bounds[seg + 1] <= t + 1e-12:
-                    seg += 1
-                stop = min(target, bounds[seg + 1])
-                if stop > t:
-                    u = inputs[schedule.input_index(seg)]
-                    decay = np.exp(-self.alpha * (stop - t))
-                    x = u + (x - u) * decay
-                    if self.noise:
-                        std = np.sqrt(
-                            (1.0 - decay**2) / (self.alpha * self.beta)
-                        )
-                        x = x + std * rng.standard_normal(realizations)
-                    t = stop
-            out[k + 1] = x
-            t = target
+        for k, step in enumerate(pieces, 1):
+            for index, span in step:
+                u = inputs[index]
+                decay = np.exp(-self.alpha * span)
+                x = u + (x - u) * decay
+                if self.noise:
+                    std = np.sqrt((1.0 - decay**2) / (self.alpha * self.beta))
+                    x = x + std * rng.standard_normal(realizations)
+            out[k] = x
         return out
 
 

@@ -24,7 +24,6 @@ Conventions
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +37,6 @@ __all__ = [
     "LegendreBasis",
     "GaussianBasis",
     "PeriodicGaussianBasis",
-    "full_state_selector",
     "evaluate",
     "dictionary_from_spec",
 ]
@@ -385,10 +383,6 @@ class Monomials(_SeparableBasis):
             B[self._index[tuple(e)], j] = 1.0
         return B
 
-    def coordinate_coefficients(self) -> np.ndarray:
-        """Coefficients of the coordinate functions; equals the selector."""
-        return self.full_state_selector()
-
     def multiply_by_coordinate(self, coeffs: np.ndarray, j: int, tol: float = 1e-12):
         """Coefficients of x_j * f where f has dictionary coefficients `coeffs`.
 
@@ -617,11 +611,6 @@ class PeriodicGaussianBasis(Dictionary):
             "bandwidth": self.bandwidth,
             "period": self.period,
         }
-
-
-def full_state_selector(dictionary: Dictionary) -> np.ndarray:
-    """Selector B with g(x) = B^T psi(x) = x; see Dictionary.full_state_selector."""
-    return dictionary.full_state_selector()
 
 
 def evaluate(dictionary: Dictionary, points, with_hessians: bool = False) -> EvaluationBlock:

@@ -153,7 +153,7 @@ def write_reduced_model_csv(path, model, grid) -> Path:
 # control artifacts
 
 
-def write_control_csv(path, result, reference=None) -> Path:
+def write_control_csv(path, result) -> Path:
     """Closed-loop record: one row per control step.
 
     Columns: step start time, plant state at the step start (ensemble mean

@@ -260,7 +260,7 @@ def duffing_oscillator(alpha: float = -1.1, beta: float = 1.1, eps: float = 0.05
     )
 
 
-def _lemon_terms(x, k):
+def _lemon_terms(x):
     r = np.hypot(x[:, 0], x[:, 1])
     phi = np.arctan2(x[:, 1], x[:, 0])
     return r, phi
@@ -275,11 +275,11 @@ def lemon_slice(k: int = 4, beta: float = 1.0) -> SdeModel:
     """
 
     def potential(x):
-        r, phi = _lemon_terms(x, k)
+        r, phi = _lemon_terms(x)
         return np.cos(k * phi) + 1.0 / np.cos(0.5 * phi) + 10.0 * (r - 1.0) ** 2 + 1.0 / r
 
     def potential_gradient(x):
-        r, phi = _lemon_terms(x, k)
+        r, phi = _lemon_terms(x)
         dV_dr = 20.0 * (r - 1.0) - 1.0 / r**2
         sec = 1.0 / np.cos(0.5 * phi)
         dV_dphi = -k * np.sin(k * phi) + 0.5 * sec * np.tan(0.5 * phi)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dictionaries import Dictionary, evaluate
+from .dictionaries import Dictionary
 from .errors import InputError, NumericalError
 from .generator import GeneratorEstimate
 
@@ -197,7 +197,7 @@ def eigenfunction_values(
         dictionary = dec.dictionary
     if dictionary is None:
         raise InputError("no dictionary available to evaluate eigenfunctions")
-    block = evaluate(dictionary, points)
+    block = dictionary.evaluate(points)
     return (dec.eigenvectors.T @ block.values).T
 
 
@@ -290,7 +290,7 @@ def reconstruct_drift(
     -------
     (m, d) ndarray
     """
-    block = evaluate(dictionary, points)
+    block = dictionary.evaluate(points)
     phi = modes.eigenvectors.T @ block.values  # (n, m)
     out = modes.modes @ (modes.eigenvalues[:, np.newaxis] * phi)
     return out.real.T

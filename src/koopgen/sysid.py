@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dictionaries import Dictionary, Monomials, evaluate
+from .dictionaries import Dictionary, Monomials
 from .errors import ClosureError, IdentificationError, InputError, UnsupportedDictionaryError
 from .generator import DEFAULT_SVD_CUTOFF, GeneratorEstimate, _chunked_gram
 from .models import SampleSet
@@ -79,7 +79,7 @@ class IdentifiedModel:
 
     def drift_at(self, points) -> np.ndarray:
         """Evaluate the identified drift, shape (m, d)."""
-        values = evaluate(self.dictionary, points).values
+        values = self.dictionary.evaluate(points).values
         return values.T @ self.drift_coeffs
 
     def diffusion_at(self, points) -> np.ndarray:
@@ -87,14 +87,6 @@ class IdentifiedModel:
         if self.diffusion_coeffs is None:
             raise InputError("model was identified without diffusion")
         return diffusion_values(self.dictionary, self.diffusion_coeffs, points)
-
-    def factor_at(self, points, *, indefinite_tol: float = 1e-6) -> np.ndarray:
-        """Lower-triangular diffusion factor per point, shape (m, d, d)."""
-        if self.diffusion_coeffs is None:
-            raise InputError("model was identified without diffusion")
-        return diffusion_factor(
-            self.dictionary, self.diffusion_coeffs, points, indefinite_tol=indefinite_tol
-        )
 
     def to_dict(self, term_tol: float = 0.0) -> dict:
         """JSON-serializable per-function term lists."""
@@ -129,7 +121,7 @@ def diffusion_values(dictionary: Dictionary, diffusion_coeffs, points) -> np.nda
             f"expected {len(pairs)} diffusion columns for dimension {d}, "
             f"got {coeffs.shape[1]}"
         )
-    values = evaluate(dictionary, points).values  # (n, m)
+    values = dictionary.evaluate(points).values  # (n, m)
     flat = coeffs.T @ values  # (p, m)
     m = values.shape[1]
     a = np.zeros((m, d, d))

@@ -300,6 +300,17 @@ class TestRunKinds:
         rms = np.sqrt(np.mean((data[:, 1] - data[:, 2]) ** 2))
         assert rms < 0.6
 
+    def test_switching_warns_and_records_nonconvergence(self, tmp_path, capsys):
+        config = json.loads(json.dumps(cli.bundled_configs()["ou_switching"]))
+        config["control"].update(passes=4, max_iter=1)
+        path = write_config(tmp_path, "short_sto.json", config)
+        out = tmp_path / "out"
+        with pytest.warns(UserWarning, match="did not converge"):
+            assert run_cli(["run", path, "--out", str(out)]) == 0
+        capsys.readouterr()
+        schedule = json.loads((out / "schedule.json").read_text("utf-8"))
+        assert schedule["converged"] is False
+
     def test_switching_rejects_piecewise_reference(self, tmp_path, capsys):
         config = json.loads(json.dumps(cli.bundled_configs()["ou_switching"]))
         config["reference"] = {"type": "piecewise", "times": [2.0], "values": [0.0, 1.0]}

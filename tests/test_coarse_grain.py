@@ -200,7 +200,7 @@ class TestLemonSlicePipeline:
         theta = cg.fit_diffusion(
             lemon["est"].A_hat, lemon["basis"], lemon["rsample"], dbasis
         )
-        designs, _ = cg._stiffness_designs(
+        designs = cg._stiffness_designs(
             lemon["basis"], dbasis, lemon["rsample"].points
         )
         A_theta = np.einsum("t,tij->ij", theta, designs)
@@ -208,6 +208,26 @@ class TestLemonSlicePipeline:
         ts_est = spectral.decompose(lemon["est"]).timescales[1:4]
         ts_fit = spectral.decompose(M_theta.T).timescales[1:4]
         assert np.all(np.abs(ts_fit - ts_est) / ts_est < 0.10)
+
+    def test_build_reduced_model_equals_hand_assembled_pipeline(self):
+        model = models.lemon_slice(k=4, beta=1.0)
+        sample = models.exact_sample_set(
+            model, models.lemon_slice_invariant_points(3000, seed=7)
+        )
+        pmap = cg.polar_angle_map()
+        basis = LegendreBasis(8, [[-np.pi, np.pi]])
+        dbasis = GaussianBasis(np.linspace(-2.8, 2.8, 9)[:, None], 0.8)
+        reduced = cg.build_reduced_model(pmap, basis, sample, model, dbasis)
+        est = cg.coarse_gedmd(pmap, basis, sample, reversible=True)
+        force = cg.force_matching(sample, model, pmap, basis)
+        theta = cg.fit_diffusion(est.A_hat, basis, cg.reduced_sample(pmap, sample), dbasis)
+        for name in ("M", "A_hat", "G_hat"):
+            assert np.array_equal(getattr(reduced.estimate, name), getattr(est, name))
+        assert np.array_equal(reduced.galerkin_A, est.A_hat)
+        assert np.array_equal(reduced.galerkin_G, est.G_hat)
+        assert np.array_equal(reduced.force.gradient_coeffs, force.gradient_coeffs)
+        assert reduced.force.residual_rms == force.residual_rms
+        assert np.array_equal(reduced.theta, theta)
 
     def test_galerkin_gram_shared_code_path(self, lemon):
         values = lemon["basis"].evaluate(lemon["rsample"].points).values

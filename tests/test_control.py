@@ -356,6 +356,36 @@ class TestSwitchingTime:
         )
         np.testing.assert_allclose(Z[-1], direct, rtol=1e-12, atol=1e-14)
 
+    @pytest.mark.parametrize("dt", [0.35, 0.3])
+    def test_walker_rejects_dt_not_dividing_horizon(self, ou_setup, dt):
+        _, family = ou_setup
+        schedule = SwitchingSchedule(
+            times=np.array([0.0, 0.5]), horizon=(0.0, 1.0), n_inputs=2
+        )
+        z0 = family.lift(np.array([[0.0]]))[0]
+        with pytest.raises(InputError, match="whole steps"):
+            schedule_trajectory(family, schedule, z0, dt)
+        with pytest.raises(InputError, match="whole steps"):
+            ControlledOUPlant().simulate_switched(
+                0.0, family.inputs, schedule, dt, 3, seed=1
+            )
+
+    def test_walker_completes_near_dividing_dt(self, ou_setup):
+        # 20 / dt rounds up to 400 steps, whose grid ends 2e-10 past the horizon
+        _, family = ou_setup
+        schedule = SwitchingSchedule(
+            times=np.array([0.0, 7.3, 13.1]), horizon=(0.0, 20.0), n_inputs=2
+        )
+        dt = 0.05 * (1 + 1e-11)
+        z0 = family.lift(np.array([[0.0]]))[0]
+        times, Z = schedule_trajectory(family, schedule, z0, dt)
+        assert times.shape == (401,)
+        assert Z.shape == (401, family.size)
+        paths = ControlledOUPlant().simulate_switched(
+            0.0, family.inputs, schedule, dt, 3, seed=1
+        )
+        assert paths.shape == (401, 3)
+
 
 class TestPlants:
     def test_burgers_energy_decays_uncontrolled(self):
@@ -405,6 +435,19 @@ class TestPlants:
         var_exact = 0.5 * (1.0 - np.exp(-2.0 * t))
         assert abs(paths[-1].mean() - mean_exact) < 0.02
         assert abs(paths[-1].var() - var_exact) < 0.03
+
+    def test_ou_switched_deterministic_handles_subgrid_switches(self):
+        # two switches inside one sampling step must both be honored
+        plant = ControlledOUPlant(alpha=1.3, noise=False)
+        schedule = SwitchingSchedule(
+            times=np.array([0.0, 0.52, 0.58]), horizon=(0.0, 1.0), n_inputs=2
+        )
+        inputs = [2.0, -1.0]
+        paths = plant.simulate_switched(0.5, inputs, schedule, 0.5, 2, seed=0)
+        x = 0.5
+        for u, span in ((2.0, 0.52), (-1.0, 0.06), (2.0, 0.42)):
+            x = u + (x - u) * np.exp(-1.3 * span)
+        np.testing.assert_allclose(paths[-1], [x, x], rtol=1e-12, atol=1e-14)
 
     def test_ou_deterministic_sample_set(self):
         plant = ControlledOUPlant(noise=False)

@@ -11,7 +11,6 @@ from koopgen.dictionaries import (
     PeriodicGaussianBasis,
     dictionary_from_spec,
     evaluate,
-    full_state_selector,
 )
 from koopgen.errors import DomainError, InputError, UnsupportedDictionaryError
 
@@ -76,7 +75,7 @@ def test_periodic_wrap_equivalence():
 
 def test_full_state_selector_monomials():
     mono = Monomials(3, 2)
-    B = full_state_selector(mono)
+    B = mono.full_state_selector()
     assert B.shape == (mono.size, 3)
     assert np.all(B.sum(axis=0) == 1.0)
     x = np.random.Generator(np.random.Philox(1)).uniform(-1, 1, (20, 3))
@@ -86,9 +85,9 @@ def test_full_state_selector_monomials():
 
 def test_full_state_selector_unsupported():
     with pytest.raises(UnsupportedDictionaryError):
-        full_state_selector(Monomials(2, 0))
+        Monomials(2, 0).full_state_selector()
     with pytest.raises(UnsupportedDictionaryError):
-        full_state_selector(GaussianBasis([[0.0, 0.0]], 1.0))
+        GaussianBasis([[0.0, 0.0]], 1.0).full_state_selector()
 
 
 def test_legendre_coordinate_coefficients():
