@@ -404,6 +404,7 @@ def _run_control_switching(config, out: Path, seed: int):
         alpha=_number(config, "control.alpha", 0.0, minimum=0.0),
         reference_derivative=derivative,
     )
+    control.whole_steps(problem.horizon, problem.h)  # fail before any artifact
     schedule = control.switching_time_optimize(
         problem,
         _integer(config, "control.passes", minimum=1),

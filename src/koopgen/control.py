@@ -37,6 +37,7 @@ __all__ = [
     "sto_objective_and_gradient",
     "switching_time_optimize",
     "schedule_trajectory",
+    "whole_steps",
     "ControlledOUPlant",
     "BurgersPlant",
 ]
@@ -132,14 +133,14 @@ def fit_surrogates(
 def predict(family: SurrogateFamily, index: int, z0, T: float, dt: float):
     """Evolve the lifted state under one input by matrix exponentials.
 
+    ``dt`` must divide ``T`` (see ``whole_steps``).
+
     Returns
     -------
     times : (steps + 1,) ndarray
     trajectory : (steps + 1, n) ndarray
     """
-    if dt <= 0:
-        raise InputError("dt must be positive")
-    steps = int(round(T / dt))
+    steps = whole_steps((0.0, T), dt)
     E = family.propagator(index, dt)
     out = np.empty((steps + 1, family.size))
     out[0] = np.asarray(z0, dtype=float)
@@ -247,7 +248,7 @@ def mpc(problem: ControlProblem, plant, x0, *, seed=None) -> MpcResult:
     the plant, and the lifted state is re-initialized from the plant: for
     stochastic plants as the dictionary average over the sub-states of the
     last step (the recent window of length h), for deterministic plants from
-    the current state.
+    the current state.  ``problem.h`` must divide the horizon.
 
     Parameters
     ----------
@@ -272,8 +273,8 @@ def mpc(problem: ControlProblem, plant, x0, *, seed=None) -> MpcResult:
     batched = x0.ndim == 2
     states = x0 if batched else x0[np.newaxis, :]
     R = states.shape[0]
-    t0, te = problem.horizon
-    steps = int(round((te - t0) / problem.h))
+    t0 = problem.horizon[0]
+    steps = whole_steps(problem.horizon, problem.h)
     rng = _rng(seed)
 
     first_inputs = np.array(
@@ -327,7 +328,8 @@ class SwitchingSchedule:
 
     ``times[0]`` is the horizon start; segment j runs over
     [times[j], times[j+1]] (the last segment ends at the horizon end) and
-    uses input index j mod n_c.
+    uses input index j mod n_c.  ``iterations`` counts the optimizer's
+    gradient iterations.
     """
 
     times: np.ndarray
@@ -335,6 +337,7 @@ class SwitchingSchedule:
     n_inputs: int
     objective: float | None = None
     converged: bool = True
+    iterations: int = 0
 
     @property
     def p(self) -> int:
@@ -358,21 +361,22 @@ class SwitchingSchedule:
         return [float(t) for t in self.times]
 
 
-def _trapezoid_weights(k: int) -> np.ndarray:
-    w = np.ones(k + 1)
-    w[0] = w[-1] = 0.5
-    return w
-
-
 def sto_objective_and_gradient(
     problem: ControlProblem, z0, tau, *, sub_intervals: int = 4
 ):
     """Tracking objective of a switching schedule and its exact gradient.
 
     The integral of ||C z(t) - r(t)||^2 over the horizon is discretized by
-    the trapezoid rule on ``sub_intervals`` panels per segment; the gradient
-    with respect to the free switch times tau_1..tau_p is the exact
-    derivative of that discretization, computed with forward sensitivities.
+    the trapezoid rule on K = ``sub_intervals`` panels per segment; the
+    gradient with respect to the free switch times tau_1..tau_p is the exact
+    derivative of that discretization (Stellato, Ober-Bloebaum & Goulart,
+    IEEE TAC 2017).  One stacked ``expm`` gives every panel propagator
+    F_j = expm(M_j delta_j / K), batched products give the node states of
+    all segments, and the reference and its derivative are evaluated once
+    per distinct node time.  One reverse adjoint sweep
+    a_j = (delta_j / K) v_j + (F_j^K)^T a_{j+1}, with v_j = sum_k
+    (F_j^k)^T c_{j,k} the node cotangents pulled back to the segment start,
+    carries the gradient through the states.
     Requires ``problem.reference_derivative``.
 
     Parameters
@@ -396,60 +400,48 @@ def sto_objective_and_gradient(
     tau = np.asarray(tau, dtype=float)
     p = tau.shape[0]
     K = int(sub_intervals)
-    w = _trapezoid_weights(K)
+    w = np.r_[0.5, np.ones(K - 1), 0.5]  # trapezoid weights
+    frac = np.arange(K + 1) / K
     bounds = np.concatenate([[t0], tau, [te]])
-    z = np.asarray(z0, dtype=float).copy()
-    S = np.zeros((z.shape[0], p))  # sensitivities dz/dtau_l at segment starts
-    J = 0.0
-    grad = np.zeros(p)
+    delta = np.diff(bounds)
+    h = delta / K
+    which = np.arange(p + 1) % fam.n_inputs
+    M = fam.matrices[which]
+    cost = problem.alpha * np.asarray(fam.inputs)[which] ** 2
+    F = scipy.linalg.expm(M * h[:, None, None])
+    E = np.linalg.matrix_power(F, K)
+    X = np.empty((p + 1, K + 1, fam.size))  # node states z_{j,k} = F_j^k z_j
+    z = np.asarray(z0, dtype=float)
     for j in range(p + 1):
-        left, right = bounds[j], bounds[j + 1]
-        li, ri = j - 1, j  # free-variable indices of the boundaries (-1/p = fixed)
-        delta = right - left
-        M = fam.matrices[j % fam.n_inputs]
-        u = fam.inputs[j % fam.n_inputs]
-        F = scipy.linalg.expm(M * (delta / K))
-        zk = z
-        g_sum = 0.0  # sum of w_k g_k
-        bnd_l = 0.0
-        bnd_r = 0.0
-        cotangents = []
-        for k in range(K + 1):
-            if k > 0:
-                zk = F @ zk
-            frac = k / K
-            t_k = left + frac * delta
-            err = C @ zk - np.atleast_1d(problem.reference(t_k))
-            g_sum += w[k] * (err @ err)
-            ce = 2.0 * w[k] * (C.T @ err)
-            cotangents.append(ce)
-            mz = ce @ (M @ zk)
-            rdot = 2.0 * w[k] * (err @ np.atleast_1d(problem.reference_derivative(t_k)))
-            bnd_l += -frac * mz - (1.0 - frac) * rdot
-            bnd_r += frac * mz - frac * rdot
-        # state channel v = sum_k (F^T)^k c_k, assembled Horner-style
-        v = cotangents[-1]
-        for ce in reversed(cotangents[:-1]):
-            v = F.T @ v + ce
-        J += (delta / K) * g_sum + problem.alpha * u**2 * delta
-        if li >= 0:
-            grad[li] += -(1.0 / K) * g_sum + (delta / K) * bnd_l
-            grad[li] += -problem.alpha * u**2
-        if ri < p:
-            grad[ri] += (1.0 / K) * g_sum + (delta / K) * bnd_r
-            grad[ri] += problem.alpha * u**2
-        if p:
-            grad += (delta / K) * (S.T @ v)
-        # advance the segment: z_{j+1} = F^K z_j and sensitivity update
-        E = np.linalg.matrix_power(F, K)
-        z_next = E @ z
-        S = E @ S
-        if li >= 0:
-            S[:, li] += -(M @ z_next)
-        if ri < p:
-            S[:, ri] += M @ z_next
-        z = z_next
-    return float(J), grad
+        X[j, 0] = z
+        z = E[j] @ z
+    for k in range(K):
+        X[:, k + 1] = np.einsum("jab,jb->ja", F, X[:, k])
+    times = np.append((bounds[:-1, None] + frac[:K] * delta[:, None]).ravel(), te)
+    node = np.arange(p + 1)[:, None] * K + np.arange(K + 1)
+    ref, rdot = (
+        np.reshape([f(t) for t in times], (times.size, -1))[node]
+        for f in (problem.reference, problem.reference_derivative)
+    )
+    err = X @ C.T - ref
+    g_sum = np.einsum("jkr,jkr,k->j", err, err, w)
+    c = 2.0 * w[:, None] * (err @ C)  # node cotangents
+    MX = np.einsum("jab,jkb->jka", M, X)
+    mz = np.einsum("jka,jka->jk", c, MX)
+    rd = 2.0 * w * np.einsum("jkr,jkr->jk", err, rdot)
+    left = -g_sum / K + h * (-mz @ frac - rd @ (1.0 - frac)) - cost
+    right = g_sum / K + h * (mz @ frac - rd @ frac) + cost
+    v = c[:, K]  # Horner over k, all segments at once
+    for k in range(K - 1, -1, -1):
+        v = np.einsum("jba,jb->ja", F, v) + c[:, k]
+    # adjoint sweep; z_j moves by -/+ M_{j-1} z_j with segment j-1's start/end
+    shift = np.zeros(p + 1)
+    a = np.zeros_like(z)
+    for j in range(p, 0, -1):
+        a = h[j] * v[j] + E[j].T @ a
+        shift[j - 1] = a @ MX[j - 1, K]
+    grad = right[:p] + left[1:] - np.diff(shift)
+    return float(h @ g_sum + cost @ delta), grad
 
 
 def _project_schedule(tau: np.ndarray, t0: float, te: float) -> np.ndarray:
@@ -509,7 +501,8 @@ def switching_time_optimize(
     best = (J, tau.copy())
     step = 0.1 * (te - t0) / (n_free * max(np.abs(g).max(), 1e-12))
     converged = False
-    for _ in range(max_iter):
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
         improved = False
         s = step
         for _ in range(40):
@@ -549,16 +542,31 @@ def switching_time_optimize(
         n_inputs=problem.surrogates.n_inputs,
         objective=J_best,
         converged=converged,
+        iterations=iterations,
     )
+
+
+def whole_steps(horizon, dt: float) -> int:
+    """Steps of length dt spanning the horizon (t0, te); InputError unless
+    dt is positive and divides it to a relative tolerance of 1e-9."""
+    if not dt > 0:
+        raise InputError("dt must be positive")
+    ratio = (horizon[1] - horizon[0]) / dt
+    steps = int(round(ratio))
+    if abs(ratio - steps) > 1e-9 * ratio:
+        raise InputError(
+            f"dt={dt} does not divide the horizon {tuple(horizon)} into whole steps"
+        )
+    return steps
 
 
 def _switched_grid(schedule: SwitchingSchedule, dt: float):
     """Sampling grid of a schedule, with every grid step split at switch times.
 
-    The grid is t0, t0+dt, ..., te; the horizon must be a whole number of
-    steps to a relative tolerance of 1e-9.  Switch times falling inside a
-    sampling step are honored exactly, so sub-grid switching is not
-    quantized away; the last segment runs to the end of its grid step.
+    The grid is t0, t0+dt, ..., te (see ``whole_steps``).  Switch times
+    falling inside a sampling step are honored exactly, so sub-grid
+    switching is not quantized away; the last segment runs to the end of
+    its grid step.
 
     Returns
     -------
@@ -566,16 +574,8 @@ def _switched_grid(schedule: SwitchingSchedule, dt: float):
     pieces : list of ``steps`` lists of (input index, duration)
         The constant-input sub-intervals making up each grid step, in order.
     """
-    t0, te = schedule.horizon
-    if not dt > 0:
-        raise InputError("dt must be positive")
-    ratio = (te - t0) / dt
-    steps = int(round(ratio))
-    if abs(ratio - steps) > 1e-9 * ratio:
-        raise InputError(
-            f"dt={dt} does not divide the horizon {schedule.horizon} into whole steps"
-        )
-    times = t0 + np.arange(steps + 1) * dt
+    t0 = schedule.horizon[0]
+    times = t0 + np.arange(whole_steps(schedule.horizon, dt) + 1) * dt
     bounds = schedule.boundaries()
     pieces = []
     seg = 0

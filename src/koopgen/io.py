@@ -189,13 +189,14 @@ def write_control_csv(path, result) -> Path:
 
 
 def write_schedule_json(path, schedule) -> Path:
-    """Switching schedule: times, horizon, objective, convergence flag."""
+    """Switching schedule: times, horizon, objective, convergence, iterations."""
     payload = {
         "switch_times": schedule.to_list(),
         "horizon": [float(schedule.horizon[0]), float(schedule.horizon[1])],
         "n_inputs": int(schedule.n_inputs),
         "objective": None if schedule.objective is None else float(schedule.objective),
         "converged": bool(schedule.converged),
+        "iterations": int(schedule.iterations),
     }
     return write_json(path, payload)
 

@@ -311,6 +311,15 @@ class TestRunKinds:
         schedule = json.loads((out / "schedule.json").read_text("utf-8"))
         assert schedule["converged"] is False
 
+    def test_switching_rejects_step_not_dividing_horizon(self, tmp_path, capsys):
+        config = json.loads(json.dumps(cli.bundled_configs()["ou_switching"]))
+        config["control"].update(h=0.3, passes=2, max_iter=1)
+        path = write_config(tmp_path, "bad_step.json", config)
+        out = tmp_path / "out"
+        assert run_cli(["run", path, "--out", str(out)]) == 1
+        assert "whole steps" in capsys.readouterr().err
+        assert not (out / "schedule.json").exists()
+
     def test_switching_rejects_piecewise_reference(self, tmp_path, capsys):
         config = json.loads(json.dumps(cli.bundled_configs()["ou_switching"]))
         config["reference"] = {"type": "piecewise", "times": [2.0], "values": [0.0, 1.0]}

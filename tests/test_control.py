@@ -4,6 +4,9 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koopgen.control import (
     BurgersPlant,
@@ -132,6 +135,10 @@ class TestPredict:
         with pytest.raises(InputError, match="dt"):
             predict(family, 0, np.zeros(3), 1.0, 0.0)
 
+    def test_dt_must_divide_duration(self):
+        with pytest.raises(InputError, match="whole steps"):
+            predict(_toy_family(), 0, np.zeros(3), 1.0, 0.3)
+
 
 class TestMpc:
     def test_holds_equilibrium_input(self, ou_setup):
@@ -218,6 +225,15 @@ class TestMpc:
         assert result.inputs.shape == (10,)
         assert result.stage_costs.shape == (10,)
         assert np.all(result.stage_costs >= 0.0)
+
+    def test_step_must_divide_horizon(self, ou_setup):
+        _, family = ou_setup
+        problem = ControlProblem(
+            surrogates=family, reference=lambda t: np.array([0.0]),
+            horizon=(0.0, 1.0), h=0.3, q=1,
+        )
+        with pytest.raises(InputError, match="whole steps"):
+            mpc(problem, ControlledOUPlant(noise=False), np.array([0.0]))
 
     def test_config_validation(self, ou_setup):
         _, family = ou_setup
@@ -385,6 +401,90 @@ class TestSwitchingTime:
             0.0, family.inputs, schedule, dt, 3, seed=1
         )
         assert paths.shape == (401, 3)
+
+
+@pytest.fixture(scope="module")
+def sto_families(ou_setup):
+    """The two-input OU family and a three-input one, keyed by input count."""
+    plant = ControlledOUPlant(alpha=1.0, beta=2.0)
+    inputs = [-3.0, 0.5, 4.0]
+    samples = [
+        plant.sample_set(u, [[-2.0, 2.0]], 150, seed=31 + i)
+        for i, u in enumerate(inputs)
+    ]
+    return {2: ou_setup[1], 3: fit_surrogates(Monomials(1, 8), inputs, samples)}
+
+
+def _per_node_objective(problem, z0, tau, K=4):
+    """Trapezoid tracking objective with one expm per sub-step."""
+    fam = problem.surrogates
+    bounds = np.concatenate([[problem.horizon[0]], tau, [problem.horizon[1]]])
+    z = np.asarray(z0, dtype=float)
+    J = 0.0
+    for j in range(bounds.size - 1):
+        left, delta = bounds[j], bounds[j + 1] - bounds[j]
+        M, u = fam.matrices[j % fam.n_inputs], fam.inputs[j % fam.n_inputs]
+        for k in range(K + 1):
+            if k > 0:
+                z = scipy.linalg.expm(M * (delta / K)) @ z
+            err = fam.readout @ z - problem.reference(left + k / K * delta)
+            J += (0.5 if k in (0, K) else 1.0) * (delta / K) * (err @ err)
+        J += problem.alpha * u**2 * delta
+    return J
+
+
+# switch times on a coarse grid (endpoints included) collide often; the first
+# drawn time is repeated, so every schedule has a zero-length segment
+_coincident_schedules = st.lists(
+    st.one_of(st.sampled_from([0.0, 1.0, 2.5, 4.0, 6.0, 8.0]), st.floats(0.0, 8.0)),
+    min_size=1, max_size=10,
+).map(lambda xs: np.sort(xs + xs[:1]))
+
+
+class TestSwitchingTimeProperties:
+    @pytest.mark.parametrize("n_inputs", [2, 3])
+    @settings(max_examples=15, deadline=None)
+    @given(tau=_coincident_schedules, alpha=st.sampled_from([0.0, 0.5]))
+    def test_gradient_matches_central_differences(self, sto_families, n_inputs, tau, alpha):
+        family = sto_families[n_inputs]
+        problem = _tanh_problem(family, alpha=alpha)
+        z0 = family.lift(np.array([[-1.0]]))[0]
+        _, grad = sto_objective_and_gradient(problem, z0, tau)
+        eps = 1e-6
+        fd = np.empty_like(tau)
+        for l in range(tau.size):
+            plus, minus = tau.copy(), tau.copy()
+            plus[l] += eps
+            minus[l] -= eps
+            fd[l] = (
+                sto_objective_and_gradient(problem, z0, plus)[0]
+                - sto_objective_and_gradient(problem, z0, minus)[0]
+            ) / (2.0 * eps)
+        assert np.abs(grad - fd).max() <= 1e-5 * max(np.abs(fd).max(), 1e-12)
+
+    @pytest.mark.parametrize("n_inputs", [2, 3])
+    @settings(max_examples=15, deadline=None)
+    @given(tau=_coincident_schedules, alpha=st.sampled_from([0.0, 0.5]))
+    def test_objective_matches_per_node_evaluation(self, sto_families, n_inputs, tau, alpha):
+        family = sto_families[n_inputs]
+        problem = _tanh_problem(family, alpha=alpha)
+        z0 = family.lift(np.array([[-1.0]]))[0]
+        J, _ = sto_objective_and_gradient(problem, z0, tau)
+        assert J == pytest.approx(_per_node_objective(problem, z0, tau), rel=1e-10)
+
+    def test_schedule_records_iterations(self, ou_setup):
+        _, family = ou_setup
+        problem = _tanh_problem(family)
+        with pytest.warns(UserWarning, match="did not converge"):
+            capped = switching_time_optimize(problem, 4, x0=np.array([0.0]), max_iter=3)
+        assert (capped.converged, capped.iterations) == (False, 3)
+        problem = ControlProblem(
+            surrogates=family, reference=lambda t: np.array([-5.0]),
+            horizon=(0.0, 4.0), h=0.05,
+            reference_derivative=lambda t: np.array([0.0]),
+        )
+        done = switching_time_optimize(problem, 1, x0=np.array([-5.0]), max_iter=300)
+        assert done.converged and 1 <= done.iterations < 300
 
 
 class TestPlants:
