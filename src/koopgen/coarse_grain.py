@@ -20,7 +20,6 @@ from .errors import InputError, NumericalError
 from .generator import (
     DEFAULT_SVD_CUTOFF,
     GeneratorEstimate,
-    apply_generator_values,
     gedmd_deterministic,
     gedmd_reversible,
     gedmd_stochastic,
@@ -166,13 +165,13 @@ def coarse_dpsi(
 ) -> np.ndarray:
     """Values of the generator applied to psi_k(xi(x)) at each sample point.
 
-    Identical to evaluating the standard generator action on the reduced
-    sample set produced by :func:`reduced_sample` (same code path).
+    Identical to the generator action the estimators use, evaluated on the
+    reduced sample set produced by :func:`reduced_sample` (same code path).
     """
     rsample = reduced_sample(cg_map, sample)
-    with_hessians = rsample.diffusion_samples is not None
-    block = reduced_dict.evaluate(rsample.points, with_hessians=with_hessians)
-    return apply_generator_values(block, rsample)
+    return reduced_dict.generator_action(
+        rsample.points, rsample.drift_samples, rsample.diffusion_samples
+    )[1]
 
 
 def coarse_gedmd(

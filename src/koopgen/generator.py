@@ -9,31 +9,36 @@ and solves the least-squares problem dPsi ~ M Psi for the matrix M. The
 coefficient-space generator is L = M^T: for f = c^T psi, the estimate of the
 generator applied to f has coefficients L c.
 
-One chunk walker feeds (psi, dpsi) for each CHUNK consecutive samples into
-one streaming fit, so memory is O(n^2 + n * CHUNK * d) whatever the sample
-count; no (n, m) value matrix or (n, m, d, d) Hessian tensor is stored.
-Per chunk the fit
+One chunk walker feeds (psi, T) for each CHUNK consecutive samples into one
+streaming fit, where T holds k regression targets per point (dpsi for
+gEDMD, psi at the lagged points for EDMD, the drift for SINDy). Memory is
+O((n + k)^2 + (n + k) * CHUNK * d) whatever the sample count m; no (n, m)
+value matrix or (n, m, d, d) Hessian tensor is stored. Per chunk the fit
 
-* accumulates the Gram matrices A_hat = (1/m) dPsi Psi^T and
-  G_hat = (1/m) Psi Psi^T in a fixed chunk order, so reruns are bitwise
-  identical, and
-* updates the triangular factor R of the stacked matrix [Psi^T | dPsi^T]
-  by a QR factorization of R on top of the chunk (sequential TSQR).
+* accumulates the sums T Psi^T and Psi Psi^T in a fixed chunk order, so
+  reruns are bitwise identical (A_hat and G_hat are these over m), and
+* updates the triangular factor R of the stacked matrix [Psi^T | T^T] by a
+  QR factorization of R on top of the chunk (sequential TSQR).
 
-With R = [[R11, R12], [0, R22]], M^T = R11^+ R12, taken through an SVD of
-R11 with a relative singular-value cutoff. This is the least-squares
-solution M = dPsi Psi^+ and, unlike A_hat G_hat^+, does not square the
-condition number.
+R is the one least-squares statistic: [Psi^T | T^T] = Q R with orthonormal
+Q, so ||[Psi^T | T^T] v|| = ||R v|| for every v. Any fit on a subset of
+columns, and its residual, is therefore exact on the n + k rows of R instead
+of the m rows of the data. With R = [[R11, R12], [0, R22]], the coefficients
+C = R11^+ R12 come from an SVD of R11 with a relative singular-value cutoff;
+for gEDMD M^T = C. This is the least-squares solution M = dPsi Psi^+ and,
+unlike A_hat G_hat^+, does not square the condition number. Hard
+thresholding re-solves on supports of R, and G_hat^+ = m R11^+ R11^+T.
 
 A reversible-system shortcut builds A_hat from first derivatives only,
 A_hat = -(1/2m) sum_l (grad Psi sigma)(grad Psi sigma)^T, which is symmetric
-by construction and never touches Hessians.
+by construction and never touches Hessians; M = A_hat G_hat^+ is taken
+through the same SVD of R11.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -41,7 +46,7 @@ from scipy import linalg
 
 from .dictionaries import (
     Dictionary,
-    EvaluationBlock,
+    _check_points,
     _contract_generator,
     dictionary_from_spec,
 )
@@ -69,8 +74,11 @@ class GeneratorEstimate:
 
     M satisfies dPsi ~ M Psi (value-space); `L` (= M transposed) acts on
     coefficient vectors. A_hat and G_hat are the empirical structure and Gram
-    matrices; `rank` is the numerical rank of the dictionary value matrix at
-    `svd_cutoff` relative tolerance.
+    matrices. `rank` is the numerical rank of the dictionary value matrix Psi
+    at `svd_cutoff` relative tolerance, counted on the singular values of
+    R11 (those of Psi), for every estimator that fits from data, the
+    reversible one included. Only :func:`perron_frobenius_estimate`, which
+    works from the stored matrices, reports the rank of G_hat instead.
     """
 
     M: np.ndarray
@@ -93,67 +101,43 @@ class GeneratorEstimate:
         return self.M.shape[0]
 
 
-def _chunked_gram(dpsi: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    n, m = psi.shape
-    A = np.zeros((n, n))
-    G = np.zeros((n, n))
+def _walk(m, chunk):
+    """Yield chunk(sl) for consecutive CHUNK-point slices sl of m samples."""
     for start in range(0, m, CHUNK):
-        sl = slice(start, min(start + CHUNK, m))
-        A += dpsi[:, sl] @ psi[:, sl].T
-        G += psi[:, sl] @ psi[:, sl].T
-    return A / m, G / m
+        yield chunk(slice(start, min(start + CHUNK, m)))
 
 
-def _solve_m(psi: np.ndarray, dpsi: np.ndarray, svd_cutoff: float):
-    """Least-squares M = dPsi Psi^+ with a relative singular-value cutoff."""
-    sol, _, rank, _ = np.linalg.lstsq(psi.T, dpsi.T, rcond=svd_cutoff)
-    return sol.T, int(rank)
+def _actions(dictionary, sample, diffusion=None):
+    """(psi, dpsi) chunks; dpsi has the 1/2 a : hess psi term when `diffusion` is given."""
+    x, b = sample.points, sample.drift_samples
+    return _walk(
+        sample.count,
+        lambda sl: dictionary.generator_action(
+            x[sl], b[sl], None if diffusion is None else diffusion[sl]
+        ),
+    )
 
 
-def _walk(dictionary, sample, block, *, diffusion=None, sigma=None):
-    """Yield (psi, dpsi) for consecutive CHUNK-point slices of the sample.
+def _fit(chunks, n, k, dictionary, sample_count, svd_cutoff, kind):
+    """Streaming least-squares fit of k targets T ~ C^T Psi over (psi, T) chunks.
 
-    dpsi is the generator action b . grad psi, plus 1/2 a : hess psi when
-    `diffusion` is given; with `sigma` it is instead grad psi . sigma laid
-    out as an (n, chunk * s) matrix.  Without a `block` each slice is
-    evaluated afresh; with one, the block's slice is contracted.
+    Returns the estimate with M = C^T, A_hat = T Psi^T / m and
+    G_hat = Psi Psi^T / m, the triangular factor R of [Psi^T | T^T], and
+    the singular values s and right singular vectors V of R11 kept by the
+    rank rule.
     """
-    m = sample.count
-    for start in range(0, m, CHUNK):
-        sl = slice(start, min(start + CHUNK, m))
-        if sigma is not None:
-            if block is None:
-                blk = dictionary.evaluate(sample.points[sl])
-                psi, grads = blk.values, blk.gradients
-            else:
-                psi, grads = block.values[:, sl], block.gradients[:, sl]
-            W = np.einsum("kli,lis->kls", grads, sigma[sl])
-            yield psi, W.reshape(W.shape[0], -1)
-            continue
-        drift = sample.drift_samples[sl]
-        a = None if diffusion is None else diffusion[sl]
-        if block is None:
-            yield dictionary.generator_action(sample.points[sl], drift, a)
-        else:
-            hess = None if a is None else block.hessians[:, sl]
-            yield block.values[:, sl], _contract_generator(
-                block.gradients[:, sl], hess, drift, a
-            )
-
-
-def _fit(chunks, n, dictionary, sample_count, svd_cutoff, kind) -> GeneratorEstimate:
-    """Streaming least-squares fit of dPsi ~ M Psi over (psi, dpsi) chunks."""
-    A = np.zeros((n, n))
+    A = np.zeros((k, n))
     G = np.zeros((n, n))
-    R = np.zeros((0, 2 * n))
-    for psi, dpsi in chunks:
-        A += dpsi @ psi.T
+    R = np.zeros((0, n + k))
+    for psi, T in chunks:
+        A += T @ psi.T
         G += psi @ psi.T
-        R = np.linalg.qr(np.vstack([R, np.hstack([psi.T, dpsi.T])]), mode="r")
-    # Psi^T = Q R11 and dPsi^T = Q R12 + (orthogonal rest), so M^T = R11^+ R12
+        R = np.linalg.qr(np.vstack([R, np.hstack([psi.T, T.T])]), mode="r")
+    # Psi^T = Q R11 and T^T = Q R12 + (orthogonal rest), so C = R11^+ R12
     U, s, Vt = np.linalg.svd(R[:n, :n], full_matrices=False)
     rank = int(np.count_nonzero(s > svd_cutoff * s[0])) if s.size else 0
-    M = (Vt[:rank].T @ ((U[:, :rank].T @ R[:n, n:]) / s[:rank, None])).T
+    s, V = s[:rank], Vt[:rank].T
+    C = V @ ((U[:, :rank].T @ R[:n, n:]) / s[:, None])
     deficient = rank < n
     if deficient:
         warnings.warn(
@@ -161,8 +145,8 @@ def _fit(chunks, n, dictionary, sample_count, svd_cutoff, kind) -> GeneratorEsti
             "estimate restricted to the resolved subspace",
             stacklevel=3,
         )
-    return GeneratorEstimate(
-        M=M,
+    est = GeneratorEstimate(
+        M=C.T,
         A_hat=A / sample_count,
         G_hat=G / sample_count,
         rank=rank,
@@ -172,20 +156,10 @@ def _fit(chunks, n, dictionary, sample_count, svd_cutoff, kind) -> GeneratorEsti
         kind=kind,
         rank_deficient=deficient,
     )
+    return est, R, s, V
 
 
-def _basis_size(dictionary, sample, block, with_hessians=False) -> int:
-    """Number of basis functions, after checking a given block against the sample."""
-    if block is None:
-        return dictionary.size
-    if block.values.shape[1] != sample.count:
-        raise InputError("evaluation block does not match the sample set")
-    if with_hessians and block.hessians is None:
-        raise InputError("evaluation block lacks Hessians")
-    return block.size
-
-
-def apply_generator_values(block: EvaluationBlock, sample: SampleSet) -> np.ndarray:
+def apply_generator_values(block, sample: SampleSet) -> np.ndarray:
     """dpsi_k(x_l) for all k, l: drift term plus (if present) diffusion term."""
     if sample.diffusion_samples is not None and block.hessians is None:
         raise InputError("diffusion samples present but the block has no Hessians")
@@ -198,7 +172,6 @@ def gedmd_deterministic(
     dictionary: Dictionary,
     sample: SampleSet,
     *,
-    block: EvaluationBlock | None = None,
     svd_cutoff: float = DEFAULT_SVD_CUTOFF,
 ) -> GeneratorEstimate:
     """Generator estimate for an ODE: dpsi = b . grad psi.
@@ -207,66 +180,57 @@ def gedmd_deterministic(
     derivatives. Any diffusion data on the sample set is ignored here; use
     :func:`gedmd_stochastic` to include it.
     """
-    n = _basis_size(dictionary, sample, block)
-    chunks = _walk(dictionary, sample, block)
-    return _fit(chunks, n, dictionary, sample.count, svd_cutoff, "deterministic")
+    n = dictionary.size
+    chunks = _actions(dictionary, sample)
+    return _fit(chunks, n, n, dictionary, sample.count, svd_cutoff, "deterministic")[0]
 
 
 def gedmd_stochastic(
     dictionary: Dictionary,
     sample: SampleSet,
     *,
-    block: EvaluationBlock | None = None,
     svd_cutoff: float = DEFAULT_SVD_CUTOFF,
 ) -> GeneratorEstimate:
     """Generator estimate for an SDE: dpsi = b . grad psi + 1/2 a : hess psi."""
     if sample.diffusion_samples is None:
         raise InputError("gedmd_stochastic needs diffusion samples; got none")
-    n = _basis_size(dictionary, sample, block, with_hessians=True)
-    chunks = _walk(dictionary, sample, block, diffusion=sample.diffusion_samples)
-    return _fit(chunks, n, dictionary, sample.count, svd_cutoff, "stochastic")
+    n = dictionary.size
+    chunks = _actions(dictionary, sample, sample.diffusion_samples)
+    return _fit(chunks, n, n, dictionary, sample.count, svd_cutoff, "stochastic")[0]
 
 
 def gedmd_reversible(
     dictionary: Dictionary,
     sample: SampleSet,
     *,
-    block: EvaluationBlock | None = None,
     svd_cutoff: float = DEFAULT_SVD_CUTOFF,
 ) -> GeneratorEstimate:
     """Reversible-system estimate using first derivatives only.
 
     A_hat = -(1/2m) sum_l (grad Psi(x_l) sigma(x_l)) (grad Psi(x_l) sigma(x_l))^T
     requires points distributed according to the invariant measure and sigma
-    values on the sample set; the result is symmetric by construction.
+    values on the sample set; A_hat is symmetric by construction. The fit
+    streams Psi alone (no targets), and M = A_hat G_hat^+ is taken through
+    the SVD of its R factor, G_hat^+ = m V S^-2 V^T. The cutoff and rank are
+    therefore those of Psi, as for the other estimators, not of G_hat,
+    whose condition number is the square of Psi's.
     """
     if sample.sigma_samples is None:
         raise InputError("gedmd_reversible needs sigma samples on the sample set")
-    n = _basis_size(dictionary, sample, block)
-    m = sample.count
+    x, sigma = sample.points, sample.sigma_samples
+    n, m = dictionary.size, sample.count
     A = np.zeros((n, n))
-    G = np.zeros((n, n))
-    for psi, W in _walk(dictionary, sample, block, sigma=sample.sigma_samples):
-        A += W @ W.T
-        G += psi @ psi.T
-    A /= -2.0 * m
-    G /= m
-    sol, _, rank, _ = np.linalg.lstsq(G, A.T, rcond=svd_cutoff)
-    M = sol.T
-    deficient = rank < n
-    if deficient:
-        warnings.warn(f"Gram matrix is rank deficient ({rank} < {n})", stacklevel=2)
-    return GeneratorEstimate(
-        M=M,
-        A_hat=A,
-        G_hat=G,
-        rank=int(rank),
-        svd_cutoff=svd_cutoff,
-        dictionary=dictionary,
-        sample_count=m,
-        kind="reversible",
-        rank_deficient=deficient,
-    )
+
+    def chunk(sl):
+        # A_hat's sum rides along with the walk that feeds the fit
+        blk = dictionary.evaluate(x[sl])
+        W = np.einsum("kli,lis->kls", blk.gradients, sigma[sl]).reshape(n, -1)
+        A[:] += W @ W.T
+        return blk.values, blk.values[:0]
+
+    est, _, s, V = _fit(_walk(m, chunk), n, 0, dictionary, m, svd_cutoff, "reversible")
+    A_hat = A / (-2.0 * m)
+    return replace(est, M=m * (A_hat @ (V / s**2)) @ V.T, A_hat=A_hat)
 
 
 def perron_frobenius_estimate(est: GeneratorEstimate) -> GeneratorEstimate:
@@ -301,17 +265,23 @@ def edmd_with_log(
 ) -> GeneratorEstimate:
     """Finite-time EDMD estimate K_hat plus (1/lag) times its principal matrix log.
 
-    Fails with LogBranchError when K_hat has an eigenvalue on the closed
-    negative real axis, where the principal logarithm is not defined.
+    K_hat = Psi(Y) Psi(X)^+ is the streamed fit with the lagged values as
+    targets (k = n), so A_hat = Psi(Y) Psi(X)^T / m and `rank` is that of
+    Psi(X). Fails with LogBranchError when K_hat has an eigenvalue on the
+    closed negative real axis, where the principal logarithm is not defined.
     """
     if lag <= 0:
         raise InputError("lag must be positive")
-    px = dictionary.evaluate(points).values
-    py = dictionary.evaluate(lagged_points).values
-    if px.shape != py.shape:
+    x = _check_points(points, dictionary.dimension)
+    y = _check_points(lagged_points, dictionary.dimension)
+    if x.shape != y.shape:
         raise InputError("points and lagged_points must have equal counts")
-    K, rank = _solve_m(px, py, svd_cutoff)
-    eigs = np.linalg.eigvals(K)
+    n, m = dictionary.size, x.shape[0]
+    chunks = _walk(
+        m, lambda sl: (dictionary.evaluate(x[sl]).values, dictionary.evaluate(y[sl]).values)
+    )
+    est = _fit(chunks, n, n, dictionary, m, svd_cutoff, "edmd-log")[0]
+    eigs = np.linalg.eigvals(est.M)
     scale = max(np.max(np.abs(eigs)), 1.0)
     on_branch_cut = (np.abs(eigs) <= branch_tol * scale) | (
         (eigs.real < 0) & (np.abs(eigs.imag) <= branch_tol * scale)
@@ -323,24 +293,13 @@ def edmd_with_log(
             "axis; the principal logarithm is undefined (shorten the lag or change "
             "the dictionary)"
         )
-    Lm = linalg.logm(K) / lag
+    Lm = linalg.logm(est.M) / lag
     if np.iscomplexobj(Lm):
         imag = np.max(np.abs(Lm.imag))
         if imag > 1e-8 * max(np.max(np.abs(Lm.real)), 1.0):
             warnings.warn(f"matrix log has imaginary residue {imag:.2e}", stacklevel=2)
         Lm = Lm.real
-    m = px.shape[1]
-    return GeneratorEstimate(
-        M=Lm,
-        A_hat=py @ px.T / m,
-        G_hat=px @ px.T / m,
-        rank=rank,
-        svd_cutoff=svd_cutoff,
-        dictionary=dictionary,
-        sample_count=m,
-        kind="edmd-log",
-        rank_deficient=rank < px.shape[0],
-    )
+    return replace(est, M=Lm)
 
 
 def estimate_to_dict(est: GeneratorEstimate) -> dict:

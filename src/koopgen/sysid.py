@@ -9,13 +9,13 @@ hard thresholding of the regression problems.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .dictionaries import Dictionary, Monomials
 from .errors import ClosureError, IdentificationError, InputError, UnsupportedDictionaryError
-from .generator import DEFAULT_SVD_CUTOFF, GeneratorEstimate, _chunked_gram
+from .generator import DEFAULT_SVD_CUTOFF, GeneratorEstimate, _actions, _fit, _walk
 from .models import SampleSet
 
 __all__ = [
@@ -236,7 +236,9 @@ def hard_threshold(
     Parameters
     ----------
     features : (m, n) ndarray
-        Design matrix (basis values at the data points).
+        Design matrix (basis values at the data points), or any matrix with
+        the same column inner products together with `targets`, such as the
+        R factor columns of a streamed fit.
     targets : (m,) or (m, k) ndarray
     delta : float
         Coefficients with magnitude below this are removed.
@@ -307,29 +309,19 @@ def threshold_generator(
     Each row of M (the coefficients of the generator applied to one basis
     function) is fitted by iterative hard thresholding instead of a plain
     least-squares solve.  With ``delta=0`` this equals the standard estimate.
+    The fit streams the sample once; thresholding then works on the
+    (2n, 2n) R factor of [Psi^T | dPsi^T], which poses every support's
+    least-squares problem exactly, so memory does not grow with the sample.
     """
     stochastic = sample.diffusion_samples is not None
-    values, dpsi = dictionary.generator_action(
-        sample.points, sample.drift_samples, sample.diffusion_samples
-    )
-    coeffs, _ = hard_threshold(
-        values.T, dpsi.T, delta, iterations=iterations, rcond=svd_cutoff
-    )
-    A, G = _chunked_gram(dpsi, values)
-    s = np.linalg.svd(values, compute_uv=False)
-    rank = int(np.count_nonzero(s > svd_cutoff * s[0])) if s.size else 0
     kind = ("stochastic" if stochastic else "deterministic") + "+threshold"
-    return GeneratorEstimate(
-        M=coeffs.T,
-        A_hat=A,
-        G_hat=G,
-        rank=rank,
-        svd_cutoff=svd_cutoff,
-        dictionary=dictionary,
-        sample_count=sample.count,
-        kind=kind,
-        rank_deficient=rank < dictionary.size,
+    n = dictionary.size
+    chunks = _actions(dictionary, sample, sample.diffusion_samples)
+    est, R, _, _ = _fit(chunks, n, n, dictionary, sample.count, svd_cutoff, kind)
+    coeffs, _ = hard_threshold(
+        R[:, :n], R[:, n:], delta, iterations=iterations, rcond=svd_cutoff
     )
+    return replace(est, M=coeffs.T)
 
 
 def sindy_coefficients(
@@ -343,10 +335,13 @@ def sindy_coefficients(
     Solves min ||Psi^T C - b_data|| and returns C^T of shape (d, n); the
     predictions agree with reading the drift off a deterministic generator
     estimate through the coordinate selector (same least-squares problem).
+    It is the streamed fit with the drift as its d targets, under the same
+    cutoff, rank rule and rank-deficiency warning as the estimators.
     """
-    block = dictionary.evaluate(sample.points)
-    sol = np.linalg.lstsq(block.values.T, sample.drift_samples, rcond=svd_cutoff)[0]
-    return sol.T
+    x, b = sample.points, sample.drift_samples
+    chunks = _walk(sample.count, lambda sl: (dictionary.evaluate(x[sl]).values, b[sl].T))
+    n, d = dictionary.size, b.shape[1]
+    return _fit(chunks, n, d, dictionary, sample.count, svd_cutoff, "sindy")[0].M
 
 
 def _merge_histories(histories: list[list]) -> list:

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import linalg
 
-from koopgen import generator
+from koopgen import generator, sysid
 from koopgen.dictionaries import GaussianBasis, LegendreBasis, Monomials
 from koopgen.errors import InputError, LogBranchError
 from koopgen.generator import (
@@ -78,15 +81,6 @@ def test_stochastic_requires_diffusion():
         gedmd_stochastic(Monomials(1, 3), s)
 
 
-def test_block_reuse_matches_internal_evaluation():
-    mono = Monomials(1, 8)
-    s = ou_sample(m=200, seed=9)
-    blk = mono.evaluate(s.points, with_hessians=True)
-    a = gedmd_stochastic(mono, s)
-    b = gedmd_stochastic(mono, s, block=blk)
-    assert np.array_equal(a.M, b.M)
-
-
 def test_reversible_estimator_symmetry_and_spectrum():
     # points drawn from the OU invariant law N(0, 1/(alpha beta))
     rng = np.random.Generator(np.random.Philox(3))
@@ -97,6 +91,19 @@ def test_reversible_estimator_symmetry_and_spectrum():
     ev = np.sort(np.linalg.eigvals(est.L).real)[::-1]
     for i, target in enumerate([0.0, -1.0, -2.0, -3.0]):
         assert abs(ev[i] - target) <= 0.05 * max(abs(target), 1.0)
+
+
+def test_reversible_rank_is_that_of_the_value_matrix():
+    # cond(Psi) is about 1.5e5, so cond(G_hat) about 2e10 sits at the 1e-10 cutoff
+    rng = np.random.Generator(np.random.Philox(3))
+    pts = rng.normal(0.0, 0.5, (20000, 1))
+    s = exact_sample_set(ornstein_uhlenbeck(1.0, 4.0), pts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = gedmd_reversible(Monomials(1, 14), s)
+    assert est.rank == 15
+    assert not est.rank_deficient
+    assert est.rank == gedmd_stochastic(Monomials(1, 14), s).rank
 
 
 def test_reversible_requires_sigma_samples():
@@ -235,6 +242,35 @@ def test_generator_action_rejects_mismatched_coefficients():
         basis.generator_action(points, np.zeros((5, 2)), np.zeros((4, 2, 2)))
 
 
+def _streamed_and_dense(basis, sample, lag=0.01):
+    """(streamed, dense reference) pairs for every fit served by the R factor."""
+    m = sample.count
+    block = basis.evaluate(sample.points, with_hessians=True)
+    values = block.values
+    dpsi = apply_generator_values(block, sample)
+    M = np.linalg.lstsq(values.T, dpsi.T, rcond=1e-10)[0].T
+    G = values @ values.T / m
+    # one explicit Euler step: the cubic drift takes psi(y) out of the span
+    lagged = sample.points + lag * sample.drift_samples
+    K = np.linalg.lstsq(values.T, basis.evaluate(lagged).values.T, rcond=1e-10)[0].T
+    # quartic drift targets leave the cubic span, so the regression has a residual
+    quartic = SampleSet(points=sample.points, drift_samples=sample.drift_samples * sample.points)
+    B = np.linalg.lstsq(values.T, quartic.drift_samples, rcond=1e-10)[0].T
+    W = np.einsum("kli,lis->kls", block.gradients, sample.sigma_samples).reshape(len(G), -1)
+    P = np.linalg.pinv(values.T, rcond=1e-10)  # G^+ = m P P^T
+    stochastic = gedmd_stochastic(basis, sample)
+    reversible = gedmd_reversible(basis, sample)
+    return [
+        (stochastic.M, M),
+        (stochastic.G_hat, G),
+        (sysid.threshold_generator(basis, sample, 0.0).M, M),
+        (sysid.sindy_coefficients(basis, quartic), B),
+        (edmd_with_log(sample.points, lagged, basis, lag).M, linalg.logm(K).real / lag),
+        (reversible.G_hat, G),
+        (reversible.M, (-W @ W.T / (2 * m)) @ (m * P @ P.T)),
+    ]
+
+
 @settings(max_examples=12, deadline=None)
 @given(
     m=st.integers(CHUNK + 1, 3 * CHUNK).filter(lambda m: m % CHUNK != 0),
@@ -246,18 +282,17 @@ def test_streaming_fit_matches_dense_lstsq_under_permutation(m, seed):
     basis = Monomials(2, 3)
     points = rng.uniform(-1.5, 1.5, (m, 2))
     sample = exact_sample_set(double_well_2d(), points)
-    block = basis.evaluate(points, with_hessians=True)
-    dpsi = apply_generator_values(block, sample)
-    reference = np.linalg.lstsq(block.values.T, dpsi.T, rcond=1e-10)[0].T
     perm = rng.permutation(m)
     shuffled = SampleSet(
         points=sample.points[perm],
         drift_samples=sample.drift_samples[perm],
         diffusion_samples=sample.diffusion_samples[perm],
+        sigma_samples=sample.sigma_samples[perm],
     )
-    for s in (sample, shuffled):
-        M = gedmd_stochastic(basis, s).M
-        assert np.linalg.norm(M - reference) <= 1e-12 * np.linalg.norm(reference)
+    pairs = zip(_streamed_and_dense(basis, sample), _streamed_and_dense(basis, shuffled))
+    for (got, want), (got_shuffled, _) in pairs:
+        for fit in (got, got_shuffled):
+            assert np.linalg.norm(fit - want) <= 1e-12 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("chunk", [97, 500, CHUNK])
@@ -266,13 +301,8 @@ def test_streaming_fit_is_chunk_size_invariant(monkeypatch, chunk):
     basis = Monomials(2, 3)
     points = sample_uniform([[-1.5, 1.5]] * 2, 2100, seed=19)
     sample = exact_sample_set(double_well_2d(), points)
-    block = basis.evaluate(points, with_hessians=True)
-    dpsi = apply_generator_values(block, sample)
-    reference = np.linalg.lstsq(block.values.T, dpsi.T, rcond=1e-10)[0].T
-    est = gedmd_stochastic(basis, sample)
-    assert np.linalg.norm(est.M - reference) <= 1e-12 * np.linalg.norm(reference)
-    G = block.values @ block.values.T / sample.count
-    assert np.linalg.norm(est.G_hat - G) <= 1e-12 * np.linalg.norm(G)
+    for got, want in _streamed_and_dense(basis, sample):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_stochastic_fit_builds_no_hessian_tensor(monkeypatch):
