@@ -237,6 +237,9 @@ def _sequence_costs(problem: ControlProblem, z: np.ndarray, t: float) -> np.ndar
             descend(depth + 1, z_next, acc + stage)
 
     descend(0, z, np.zeros(z.shape[0]))
+    # descend refers to itself through its closure; dropping the name breaks
+    # that cycle, so what it holds is freed now, not at a later full collection
+    del descend
     return costs
 
 
@@ -735,8 +738,9 @@ class BurgersPlant:
 
     def rhs(self, y: np.ndarray, u) -> np.ndarray:
         """Semi-discretized right-hand side; vectorized over (R, nodes)."""
-        up = np.roll(y, -1, axis=-1)
-        dn = np.roll(y, 1, axis=-1)
+        # periodic neighbours y[i + 1] and y[i - 1]
+        up = np.concatenate((y[..., 1:], y[..., :1]), axis=-1)
+        dn = np.concatenate((y[..., -1:], y[..., :-1]), axis=-1)
         lap = (up - 2.0 * y + dn) / self.spacing**2
         adv = y * (up - dn) / (2.0 * self.spacing)
         force = np.multiply.outer(np.asarray(u, dtype=float), self.chi) if np.ndim(u) else u * self.chi

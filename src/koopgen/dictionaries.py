@@ -16,14 +16,15 @@ Conventions
   (constant term first) and lexicographically descending within a degree,
   so for d = 2: 1, x1, x2, x1^2, x1*x2, x2^2, ...
 * :meth:`Dictionary.generator_action` returns the values together with the
-  generator action b . grad psi + 1/2 a : hess psi at each point; the
-  tensor bases form it from univariate factors without storing gradients
-  or Hessians.
+  generator action b . grad psi + 1/2 a : hess psi at each point.  Tensor
+  bases walk a graded product plan, psi_e = psi_parent * f(x_w), and form
+  the action by the carre-du-champ identity, without Hessians.
 * Radial kernels are unnormalized, exp(-||x - c||^2 / (2 sigma^2)).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,21 +110,24 @@ def _contract_generator(gradients, hessians, drift, diffusion) -> np.ndarray:
     return dpsi
 
 
+# Elements per work array of the tensor bases' sub-chunks of points (512 KB):
+# the temporaries stay in cache and are reused by the allocator instead of
+# being faulted in afresh on every call.
+_WORK_ELEMENTS = 65536
+
+
 def _graded_exponents(dimension: int, max_degree: int) -> np.ndarray:
     """Exponent tuples sorted by total degree, descending lex within a degree."""
-
-    def compositions(total, parts):
-        if parts == 1:
-            yield (total,)
-            return
-        for head in range(total, -1, -1):
-            for rest in compositions(total - head, parts - 1):
-                yield (head,) + rest
-
-    rows = []
-    for degree in range(max_degree + 1):
-        rows.extend(compositions(degree, dimension))
-    return np.array(rows, dtype=np.intp)
+    # a degree-k monomial is a k-multiset of coordinates; multisets in
+    # ascending lex order give exponent tuples in descending lex order
+    return np.array(
+        [
+            np.bincount(np.array(c, dtype=np.intp), minlength=dimension)
+            for k in range(max_degree + 1)
+            for c in itertools.combinations_with_replacement(range(dimension), k)
+        ],
+        dtype=np.intp,
+    )
 
 
 class Dictionary:
@@ -192,7 +196,18 @@ class Dictionary:
 
 
 class _SeparableBasis(Dictionary):
-    """Tensor basis psi_e(x) = prod_j f_{e_j}(x_j) over graded exponents."""
+    """Tensor basis psi_e(x) = prod_j f_{e_j}(x_j) over graded exponents.
+
+    A graded product plan evaluates it: each non-constant e has the parent
+    p, e with its last nonzero coordinate w set to 0, so psi_e = psi_p * phi
+    with phi = f_{e_w}(x_w) (factors multiply left to right), and each level
+    of exponents with equally many nonzero coordinates is one gather-multiply
+    from the level below.  Gradients follow d_i psi_e = phi d_i psi_p +
+    delta_iw psi_p phi', and the generator action the carre-du-champ identity
+    L(fg) = f Lg + g Lf + grad f . a grad g, which needs no Hessians:
+    L psi_e = phi L psi_p + psi_p L phi + phi' (a_sym grad psi_p)_w with
+    L phi = b_w phi' + 1/2 a_ww phi''.
+    """
 
     def __init__(self, dimension: int, max_degree: int):
         if dimension < 1:
@@ -201,9 +216,24 @@ class _SeparableBasis(Dictionary):
             raise InputError("max_degree must be >= 0")
         self.dimension = int(dimension)
         self.max_degree = int(max_degree)
-        self.exponents = _graded_exponents(self.dimension, self.max_degree)
-        self.size = self.exponents.shape[0]
-        self._index = {tuple(e): i for i, e in enumerate(self.exponents)}
+        self.exponents = E = _graded_exponents(self.dimension, self.max_degree)
+        self.size = n = E.shape[0]
+        self._index = {tuple(e): i for i, e in enumerate(E)}
+        # per level: rows, their parents, the coordinate w each adds, the
+        # row of f_{e_w}(x_w) in the stacked tables of _tables, and the
+        # parents' nonzero coordinates (rows, level - 1)
+        nonzero = E != 0
+        level = nonzero.sum(axis=1)
+        last = self.dimension - 1 - np.argmax(nonzero[:, ::-1], axis=1)
+        base = E.copy()
+        base[np.arange(n), last] = 0
+        parent = np.array([self._index[tuple(p)] for p in base], dtype=np.intp)
+        factor = last * (self.max_degree + 1) + E[np.arange(n), last]
+        self._plan = []
+        for k in range(1, level.max() + 1):
+            rows = np.flatnonzero(level == k)
+            support = np.nonzero(base[rows])[1].reshape(rows.size, k - 1)
+            self._plan.append((rows, parent[rows], factor[rows], last[rows], support))
 
     @property
     def constant_index(self) -> int:
@@ -217,110 +247,86 @@ class _SeparableBasis(Dictionary):
         except KeyError:
             raise KeyError(f"exponent {key} not in basis (max_degree={self.max_degree})")
 
-    def _tables(self, x: np.ndarray, order: int):
-        """Univariate values/derivatives per dimension.
-
-        Returns a list over dimensions; entry j is a tuple of arrays of shape
-        (max_degree + 1, m) holding f_k(x_j) and derivatives up to `order`.
-        """
+    def _tables(self, x: np.ndarray, order: int) -> np.ndarray:
+        """Univariate factors, shape (order + 1, d, max_degree + 1, m):
+        ``tables[r, j, k]`` is the r-th derivative of f_k at coordinate j."""
         raise NotImplementedError
 
-    def _factors(self, x: np.ndarray, order: int):
-        """Per-dimension factors of the basis, one sub-chunk of points at a time.
-
-        Yields ``(sl, tables, T, D1, L, R)`` for consecutive slices ``sl`` of
-        the points: ``tables`` from :meth:`_tables`, ``T[j]`` and ``D1[j]`` the
-        (n, chunk) univariate factor of every basis function in dimension j
-        and its derivative, and ``L[j]`` / ``R[j]`` the products of the
-        factors before / after j, so that psi = L[j] * T[j] * R[j] for every
-        j.  Sub-chunks bound each (d, n, chunk) work array to about 2e6
-        elements; the arrays are overwritten by the next sub-chunk.
-        """
-        m = x.shape[0]
-        n, d = self.size, self.dimension
-        E = self.exponents
-        chunk = max(16, min(m, int(2_000_000 / max(1, n * d))))
-        # one set of arrays for all sub-chunks: the caller still holds the
-        # previous sub-chunk's arrays while the next one is built
-        work = np.empty((4, d, n, min(chunk, m)))
-        for start in range(0, m, chunk):
-            sl = slice(start, min(start + chunk, m))
-            tables = self._tables(x[sl], order)
-            T, D1, L, R = work[:, :, :, : sl.stop - sl.start]
-            for j in range(d):
-                T[j] = tables[j][0][E[:, j], :]
-                D1[j] = tables[j][1][E[:, j], :]
-            # prefix/suffix products over dimensions
-            L[0] = 1.0
-            for j in range(1, d):
-                L[j] = L[j - 1] * T[j - 1]
-            R[d - 1] = 1.0
-            for j in range(d - 2, -1, -1):
-                R[j] = R[j + 1] * T[j + 1]
-            yield sl, tables, T, D1, L, R
+    def _walk(self, tables, values, gradients=None, hessians=None, action=None) -> None:
+        """Fill values (n, m) and any of gradients (n', m, d), Hessians
+        (n, m, d, d) and ``action = (dpsi, L phi stacked like the tables,
+        a_sym (d, d, m) or None)`` level by level along the plan.  Derivative
+        arrays and dpsi are zero in row 0; gradients cover the first n' rows,
+        a prefix of each level as its rows ascend."""
+        tables = tables.reshape(len(tables), -1, values.shape[1])
+        values[0] = 1.0
+        if action is not None:
+            dpsi, lphi, asym = action
+        for rows, parents, factor, w, support in self._plan:
+            phi = tables[0][factor]
+            psi = values[parents]
+            if action is not None:
+                term = phi * dpsi[parents]
+                term += psi * lphi[factor]
+                if asym is not None and support.shape[1]:
+                    # (a_sym grad psi_p)_w over the parent's nonzero coordinates
+                    coupling = 0.0
+                    for i in support.T:
+                        coupling += asym[i, w] * gradients[parents, :, i]
+                    term += coupling * tables[1][factor]
+                dpsi[rows] = term
+            if gradients is not None:
+                g = np.searchsorted(rows, len(gradients))
+                dphi = tables[1][factor[:g]]
+                at = np.arange(g)
+                # psi_p does not depend on x_w: its column and row w are 0
+                grad = gradients[parents[:g]]
+                if hessians is not None:
+                    hess = hessians[parents]
+                    hess *= phi[:, :, None, None]
+                    hess[at, :, w, :] = hess[at, :, :, w] = grad * dphi[:, :, None]
+                    hess[at, :, w, w] = psi * tables[2][factor]
+                    hessians[rows] = hess
+                grad *= phi[:g, :, None]
+                grad[at, :, w[:g]] = psi[:g] * dphi
+                gradients[rows[:g]] = grad
+            psi *= phi
+            values[rows] = psi
 
     def evaluate(self, points, with_hessians: bool = False) -> EvaluationBlock:
         x = _check_points(points, self.dimension)
-        m = x.shape[0]
-        n, d = self.size, self.dimension
+        n, (m, d) = self.size, x.shape
         values = np.empty((n, m))
-        gradients = np.empty((n, m, d))
-        hessians = np.empty((n, m, d, d)) if with_hessians else None
-
-        E = self.exponents
-        for sl, tables, T, D1, L, R in self._factors(x, 2 if with_hessians else 1):
-            values[:, sl] = L[d - 1] * T[d - 1]
-            for j in range(d):
-                gradients[:, sl, j] = D1[j] * L[j] * R[j]
-            if with_hessians:
-                for j in range(d):
-                    D2j = tables[j][2][E[:, j], :]
-                    hessians[:, sl, j, j] = D2j * L[j] * R[j]
-                    mid = np.ones(T.shape[1:])
-                    for k in range(j + 1, d):
-                        cross = D1[j] * D1[k] * L[j] * mid * R[k]
-                        hessians[:, sl, j, k] = cross
-                        hessians[:, sl, k, j] = cross
-                        mid = mid * T[k]
+        gradients = np.zeros((n, m, d))
+        hessians = np.zeros((n, m, d, d)) if with_hessians else None
+        chunk = max(16, _WORK_ELEMENTS // (n * d * (d if with_hessians else 1)))
+        for sl in (slice(start, start + chunk) for start in range(0, m, chunk)):
+            tables = self._tables(x[sl], 2 if with_hessians else 1)
+            hess = None if hessians is None else hessians[:, sl]
+            self._walk(tables, values[:, sl], gradients[:, sl], hess)
         return EvaluationBlock(values, gradients, hessians)
 
     def generator_action(self, points, drift, diffusion=None):
         x = _check_points(points, self.dimension)
         b, a = _action_coefficients(drift, diffusion, x.shape)
-        m = x.shape[0]
-        n, d = self.size, self.dimension
-        E = self.exponents
+        n, (m, d) = self.size, x.shape
         values = np.empty((n, m))
         dpsi = np.zeros((n, m))
-
-        # d/dx_j psi = D1[j] L[j] R[j], and for j < k the mixed derivative is
-        # D1[j] L[j] (T[j+1] ... T[k-1]) D1[k] R[k].  The degree-0 factor is
-        # constant, so only rows with e_j > 0 (and e_k > 0) are nonzero.
-        rows = [np.flatnonzero(E[:, j]) for j in range(d)]
-        pairs = []
-        if a is not None:
-            for j in range(d):
-                for k in range(j + 1, d):
-                    r = rows[j][E[rows[j], k] > 0]
-                    if r.size:
-                        pairs.append((j, k, r))
-        for sl, tables, T, D1, L, R in self._factors(x, 1 if a is None else 2):
-            values[:, sl] = L[d - 1] * T[d - 1]
-            acc = dpsi[:, sl]
-            bs = b[sl]
-            half = None if a is None else 0.5 * a[sl]
-            for j, r in enumerate(rows):
-                coef = bs[:, j] * D1[j, r]
-                if half is not None:
-                    coef += half[:, j, j] * tables[j][2][E[r, j], :]
-                coef *= L[j, r] * R[j, r]
-                acc[r] += coef
-            for j, k, r in pairs:
-                term = (half[:, j, k] + half[:, k, j]) * D1[j, r] * L[j, r]
-                for i in range(j + 1, k):
-                    term *= T[i, r]
-                term *= D1[k, r] * R[k, r]
-                acc[r] += term
+        # only the diffusion term needs gradients, and only those of parents:
+        # rows below the top degree, which come first
+        low = max(1, np.searchsorted(self.exponents.sum(axis=1), self.max_degree))
+        chunk = max(16, _WORK_ELEMENTS // (n if a is None else low * d))
+        for sl in (slice(start, start + chunk) for start in range(0, m, chunk)):
+            tables = self._tables(x[sl], 1 if a is None else 2)
+            # L phi = b_w phi' + 1/2 a_ww phi'' for every univariate factor
+            lphi = tables[1] * b[sl].T[:, None, :]
+            grads = asym = None
+            if a is not None:
+                lphi += tables[2] * (0.5 * np.diagonal(a[sl], axis1=1, axis2=2).T)[:, None, :]
+                asym = np.moveaxis(0.5 * (a[sl] + np.swapaxes(a[sl], 1, 2)), 0, -1).copy()
+                grads = np.zeros((low, tables.shape[-1], d))
+            lphi = lphi.reshape(-1, tables.shape[-1])
+            self._walk(tables, values[:, sl], grads, action=(dpsi[:, sl], lphi, asym))
         return values, dpsi
 
 
@@ -331,22 +337,14 @@ class Monomials(_SeparableBasis):
     first. ``index_of((2, 1))`` locates x1^2 * x2, etc.
     """
 
-    def _tables(self, x: np.ndarray, order: int):
-        K = self.max_degree
-        tables = []
-        k = np.arange(K + 1)
-        for j in range(self.dimension):
-            pw = np.power(x[:, j][None, :], k[:, None])  # (K+1, m)
-            d1 = np.zeros_like(pw)
-            if K >= 1:
-                d1[1:] = k[1:, None] * pw[:-1]
-            if order >= 2:
-                d2 = np.zeros_like(pw)
-                if K >= 2:
-                    d2[2:] = (k[2:] * (k[2:] - 1))[:, None] * pw[:-2]
-                tables.append((pw, d1, d2))
-            else:
-                tables.append((pw, d1))
+    def _tables(self, x: np.ndarray, order: int) -> np.ndarray:
+        tables = np.zeros((order + 1, self.dimension, self.max_degree + 1, x.shape[0]))
+        tables[0, :, 0] = 1.0
+        # running products x^k = x^(k-1) x; (x^k)^(r) = k (x^(k-1))^(r-1)
+        for k in range(1, self.max_degree + 1):
+            np.multiply(tables[0, :, k - 1], x.T, out=tables[0, :, k])
+            for r in range(1, order + 1):
+                np.multiply(k, tables[r - 1, :, k - 1], out=tables[r, :, k])
         return tables
 
     def labels(self) -> list[str]:
@@ -462,20 +460,19 @@ class LegendreBasis(_SeparableBasis):
         self._m0 = 0.5 * (dom[:, 0] + dom[:, 1])
         self._m1 = 0.5 * (dom[:, 1] - dom[:, 0])
 
-    def _tables(self, x: np.ndarray, order: int):
-        tables = []
+    def _tables(self, x: np.ndarray, order: int) -> np.ndarray:
+        tables = np.empty((order + 1, self.dimension, self.max_degree + 1, x.shape[0]))
         for j in range(self.dimension):
             t = (x[:, j] - self._m0[j]) / self._m1[j]
             if np.any(np.abs(t) > 1.0 + 1e-9):
                 raise DomainError(
                     f"points outside Legendre domain {tuple(self.domain[j])} in coordinate {j + 1}"
                 )
-            tabs = _legendre_tables(np.clip(t, -1.0, 1.0), self.max_degree, order)
+            tables[:, j] = _legendre_tables(np.clip(t, -1.0, 1.0), self.max_degree, order)
+            # chain rule for x = m0 + m1 * t: the r-th derivative gains (1 / m1)^r
             s = 1.0 / self._m1[j]
-            if order >= 2:
-                tables.append((tabs[0], tabs[1] * s, tabs[2] * s * s))
-            else:
-                tables.append((tabs[0], tabs[1] * s))
+            for r in range(1, order + 1):
+                tables[r:, j] *= s
         return tables
 
     def labels(self) -> list[str]:

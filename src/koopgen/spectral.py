@@ -31,6 +31,10 @@ __all__ = [
 #: when picking the trailing coefficient for the mode convention.
 SIGNIFICANT_ENTRY_TOL = 1e-8
 
+# eigenvalues closer than this, relative to the largest eigenvalue magnitude,
+# are tied for sorting
+_TIE_RTOL = 1e-12
+
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
@@ -106,16 +110,21 @@ def _normalize_columns(vectors: np.ndarray) -> np.ndarray:
 
 def _sort_eigenpairs(values: np.ndarray, vectors: np.ndarray):
     """Descending real part; ties by ascending imaginary part, then by
-    lexicographic order of the (normalized) eigenvector entries."""
+    lexicographic order of the (normalized) eigenvector entries.
+
+    Consecutive eigenvalues within _TIE_RTOL of the largest magnitude of the
+    first of them count as tied, so a double zero computed as +-1e-15 is
+    ordered by its eigenvectors and not by rounding noise.
+    """
     order = np.lexsort((values.imag, -values.real))
     values = values[order]
     vectors = vectors[:, order]
-    # refine runs of exactly equal eigenvalues (e.g. a double zero)
+    tol = _TIE_RTOL * np.abs(values).max(initial=0.0)
     i = 0
     n = values.shape[0]
     while i < n:
         j = i + 1
-        while j < n and values[j] == values[i]:
+        while j < n and abs(values[j] - values[i]) <= tol:
             j += 1
         if j - i > 1:
             cols = sorted(
@@ -125,6 +134,7 @@ def _sort_eigenpairs(values: np.ndarray, vectors: np.ndarray):
                     for r in range(vectors.shape[0])
                 ),
             )
+            values[i:j] = values[cols]
             vectors[:, i:j] = vectors[:, cols]
         i = j
     return values, vectors
@@ -142,8 +152,9 @@ def decompose(est) -> SpectralDecomposition:
     Returns
     -------
     SpectralDecomposition
-        Eigenvalues sorted by descending real part, eigenvectors normalized
-        so the largest-magnitude entry of each is real positive 1.
+        Eigenvalues sorted by descending real part, near-ties by eigenvector;
+        eigenvectors normalized so the largest-magnitude entry of each is
+        real positive 1.
 
     Raises
     ------

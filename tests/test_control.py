@@ -1,5 +1,6 @@
 """Tests for per-input surrogates, MPC, and switching-time optimization."""
 
+import gc
 import warnings
 
 import numpy as np
@@ -210,6 +211,22 @@ class TestMpc:
             z, 0.0,
         ).min()
         assert cost_full <= cost_small + 1e-12
+
+    def test_sequence_search_leaves_no_reference_cycle(self, ou_setup):
+        # a cycle would keep the costs array alive until a full collection
+        _, family = ou_setup
+        problem = ControlProblem(
+            surrogates=family, reference=lambda t: np.array([1.0]),
+            horizon=(0.0, 1.0), h=0.1, q=3,
+        )
+        z = family.lift(np.zeros((50, 1)))
+        gc.collect()
+        gc.disable()
+        try:
+            _sequence_costs(problem, z, 0.0)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_result_record_shapes(self, ou_setup):
         _, family = ou_setup
@@ -499,6 +516,16 @@ class TestPlants:
         plant = BurgersPlant()
         _, trajectory = plant.simulate(np.full(25, 0.3), lambda t: 0.0, 1.0)
         assert np.abs(trajectory - 0.3).max() == 0.0
+
+    def test_burgers_rhs_periodic_stencil(self):
+        plant = BurgersPlant()
+        batch = plant.random_states(4, seed=3, amplitude=0.3)
+        for y, u in ((batch, np.linspace(-1.0, 1.0, 4)), (batch[0], 0.7)):
+            up, dn = np.roll(y, -1, axis=-1), np.roll(y, 1, axis=-1)
+            lap = (up - 2.0 * y + dn) / plant.spacing**2
+            adv = y * (up - dn) / (2.0 * plant.spacing)
+            force = np.multiply.outer(u, plant.chi) if np.ndim(u) else u * plant.chi
+            assert np.array_equal(plant.rhs(y, u), plant.nu * lap - adv + force)
 
     def test_burgers_grid_self_convergence(self):
         def field(x):

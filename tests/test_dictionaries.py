@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import legendre
 
 from conftest import fd_gradient, fd_hessian, rel_err
 from koopgen.dictionaries import (
@@ -13,6 +14,8 @@ from koopgen.dictionaries import (
     evaluate,
 )
 from koopgen.errors import DomainError, InputError, UnsupportedDictionaryError
+
+BOX3 = [(-2.0, 3.0), (-1.5, 2.0), (-3.0, 1.5)]
 
 
 def test_monomial_ordering_and_size():
@@ -110,6 +113,8 @@ def test_legendre_coordinate_coefficients():
         lambda: GaussianBasis(np.linspace(-2, 2, 7).reshape(-1, 1), 0.5),
         lambda: GaussianBasis([[0.0, 0.0], [1.0, -1.0], [0.3, 0.2]], 0.8),
         lambda: PeriodicGaussianBasis(np.linspace(-2.8, 2.8, 9), 0.7, 2 * np.pi),
+        lambda: Monomials(5, 3),
+        lambda: LegendreBasis(4, BOX3),
     ],
 )
 def test_derivatives_match_finite_differences(factory, rng):
@@ -118,6 +123,49 @@ def test_derivatives_match_finite_differences(factory, rng):
     blk = basis.evaluate(x, with_hessians=True)
     assert rel_err(fd_gradient(basis, x), blk.gradients) < 1e-6
     assert rel_err(fd_hessian(basis, x), blk.hessians) < 1e-6
+
+
+def _univariate(basis, x):
+    """f(j, k, r): r-th derivative of the k-th univariate factor at coordinate j."""
+    if isinstance(basis, Monomials):
+
+        def f(j, k, r):
+            if k < r:
+                return np.zeros(x.shape[0])
+            return np.prod(np.arange(k - r + 1, k + 1)) * x[:, j] ** (k - r)
+
+    else:
+        lo, hi = basis.domain.T
+
+        def f(j, k, r):
+            t = (2.0 * x[:, j] - lo[j] - hi[j]) / (hi[j] - lo[j])
+            series = legendre.legder(np.eye(k + 1)[k], r)
+            return legendre.legval(t, series) * (2.0 / (hi[j] - lo[j])) ** r
+
+    return f
+
+
+@pytest.mark.parametrize("basis", [Monomials(3, 4), Monomials(5, 3), LegendreBasis(4, BOX3)])
+def test_tensor_bases_match_univariate_products(basis, rng):
+    x = rng.uniform(-1.4, 1.4, (30, basis.dimension))
+    f = _univariate(basis, x)
+    d = basis.dimension
+    blk = basis.evaluate(x, with_hessians=True)
+
+    def product(e, orders):
+        return np.prod([f(j, e[j], orders[j]) for j in range(d)], axis=0)
+
+    values = np.array([product(e, [0] * d) for e in basis.exponents])
+    unit = np.eye(d, dtype=int)
+    gradients = np.array(
+        [[product(e, unit[i]) for i in range(d)] for e in basis.exponents]
+    ).transpose(0, 2, 1)
+    hessians = np.array(
+        [[[product(e, unit[i] + unit[l]) for l in range(d)] for i in range(d)]
+         for e in basis.exponents]
+    ).transpose(0, 3, 1, 2)
+    for got, want in ((blk.values, values), (blk.gradients, gradients), (blk.hessians, hessians)):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_evaluation_is_deterministic(rng):

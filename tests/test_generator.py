@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import linalg
 
 from koopgen import generator, sysid
-from koopgen.dictionaries import GaussianBasis, LegendreBasis, Monomials
+from koopgen.dictionaries import _WORK_ELEMENTS, GaussianBasis, LegendreBasis, Monomials
 from koopgen.errors import InputError, LogBranchError
 from koopgen.generator import (
     CHUNK,
@@ -211,26 +211,61 @@ def _random_coefficients(rng, m, d):
     [
         Monomials(2, 5),
         Monomials(4, 8),
+        Monomials(5, 3),
         LegendreBasis(5, [[-2.0, 2.0]] * 2),
         LegendreBasis(8, [[-2.0, 2.0]] * 4),
+        LegendreBasis(4, [[-2.0, 3.0], [-1.5, 2.0], [-3.0, 1.5]]),
         GaussianBasis(sample_uniform([[-1.0, 1.0]] * 3, 12, seed=4), 0.8),
     ],
-    ids=["monomials-d2", "monomials-d4", "legendre-d2", "legendre-d4", "gaussians"],
+    ids=[
+        "monomials-d2",
+        "monomials-d4",
+        "monomials-d5",
+        "legendre-d2",
+        "legendre-d4",
+        "legendre-d3-box",
+        "gaussians",
+    ],
 )
 def test_generator_action_matches_hessian_contraction(basis):
-    # at d = 4 the 495-function bases split the 1500 points into two internal sub-chunks
+    # the 1500 points span several internal sub-chunks of the tensor bases
     rng = np.random.Generator(np.random.Philox(17))
     points = rng.uniform(-1.5, 1.5, (1500, basis.dimension))
     drift, diffusion = _random_coefficients(rng, 1500, basis.dimension)
+    skew = rng.standard_normal((1500, basis.dimension, basis.dimension))
     block = basis.evaluate(points, with_hessians=True)
-    for sample in (
-        SampleSet(points=points, drift_samples=drift),
-        SampleSet(points=points, drift_samples=drift, diffusion_samples=diffusion),
-    ):
-        values, dpsi = basis.generator_action(points, drift, sample.diffusion_samples)
+    # drift only, a symmetric diffusion, and one whose skew part must drop out
+    for a in (None, diffusion, diffusion + skew):
+        values, dpsi = basis.generator_action(points, drift, a)
+        sample = SampleSet(points=points, drift_samples=drift, diffusion_samples=a)
         expected = apply_generator_values(block, sample)
         assert np.array_equal(values, block.values)
         assert np.linalg.norm(dpsi - expected) <= 1e-13 * np.linalg.norm(expected)
+        if basis.constant_index is not None:
+            assert not dpsi[basis.constant_index].any()  # L 1 = 0 exactly
+
+
+def test_tensor_bases_independent_of_work_chunks():
+    basis = Monomials(4, 6)
+    m = 1000
+    assert m * basis.size > 2 * _WORK_ELEMENTS  # several internal sub-chunks
+    rng = np.random.Generator(np.random.Philox(23))
+    points = rng.uniform(-1.5, 1.5, (m, 4))
+    drift, diffusion = _random_coefficients(rng, m, 4)
+    pieces = (slice(0, 1), slice(1, 450), slice(450, m))
+    whole = basis.evaluate(points, with_hessians=True)
+    parts = [basis.evaluate(points[sl], with_hessians=True) for sl in pieces]
+    for name in ("values", "gradients", "hessians"):
+        joined = np.concatenate([getattr(p, name) for p in parts], axis=1)
+        assert np.array_equal(getattr(whole, name), joined)
+    for a in (None, diffusion):
+        whole = basis.generator_action(points, drift, a)
+        parts = [
+            basis.generator_action(points[sl], drift[sl], None if a is None else a[sl])
+            for sl in pieces
+        ]
+        for k in (0, 1):
+            assert np.array_equal(whole[k], np.concatenate([p[k] for p in parts], axis=1))
 
 
 def test_generator_action_rejects_mismatched_coefficients():

@@ -66,6 +66,14 @@ class TestDecompose:
         assert np.allclose(dec.eigenvectors[:, 0].real, [0.0, 1.0, 0.0])
         assert np.allclose(dec.eigenvectors[:, 1].real, [1.0, 0.0, 0.0])
 
+    def test_near_tie_ordered_like_exact_tie(self):
+        # a double zero split by rounding noise, either way round
+        exact = spectral.decompose(np.diag([0.0, 0.0, -1.0]))
+        for noise in (1e-15, -1e-15):
+            dec = spectral.decompose(np.diag([noise, 0.0, -1.0]))
+            assert np.array_equal(dec.eigenvectors, exact.eigenvectors)
+            assert np.allclose(dec.eigenvalues, exact.eigenvalues, rtol=0, atol=1e-15)
+
     def test_normalization_largest_entry_one(self):
         est, _, _ = slow_manifold_estimate()
         dec = spectral.decompose(est)
