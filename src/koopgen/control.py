@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from .dictionaries import Dictionary, evaluate
 from .errors import ConfigError, InputError, StabilityError
@@ -332,7 +331,8 @@ class SwitchingSchedule:
     ``times[0]`` is the horizon start; segment j runs over
     [times[j], times[j+1]] (the last segment ends at the horizon end) and
     uses input index j mod n_c.  ``iterations`` counts the optimizer's
-    gradient iterations.
+    iterations and ``projected_gradient_norm`` is the stationarity measure
+    at the returned schedule (see ``switching_time_optimize``).
     """
 
     times: np.ndarray
@@ -341,6 +341,7 @@ class SwitchingSchedule:
     objective: float | None = None
     converged: bool = True
     iterations: int = 0
+    projected_gradient_norm: float | None = None
 
     @property
     def p(self) -> int:
@@ -395,6 +396,25 @@ def sto_objective_and_gradient(
     objective : float
     gradient : (p,) ndarray
     """
+    return _sto(problem, z0, tau, int(sub_intervals))[:2]
+
+
+def _sto(problem: ControlProblem, z0, tau, K: int, hessian: bool = False):
+    """Objective, gradient and, with ``hessian``, the exact Hessian of the
+    discretized objective in the segment durations delta_0..delta_p.
+
+    The Hessian treats every duration as free, the horizon end moving with
+    their sum; only its restriction to sum-preserving directions is used,
+    and there it is the Hessian in the switch times (its second differences
+    along both axes give d^2 J / d tau^2).  Each panel propagator commutes
+    with its generator, dF_j / d delta_j = (M_j / K) F_j, so every second
+    derivative of the states is a product of the propagators already at
+    hand: a forward sweep carries the segment-start sensitivities
+    dz_j / d delta_l (l < j), contracted at once with the readout (the
+    first-order terms) and with the adjoint (the state-curvature terms).
+    The reference's second derivative comes from central differences of
+    ``reference_derivative``.
+    """
     if problem.reference_derivative is None:
         raise InputError("switching-time optimization needs reference_derivative")
     fam = problem.surrogates
@@ -402,7 +422,6 @@ def sto_objective_and_gradient(
     t0, te = problem.horizon
     tau = np.asarray(tau, dtype=float)
     p = tau.shape[0]
-    K = int(sub_intervals)
     w = np.r_[0.5, np.ones(K - 1), 0.5]  # trapezoid weights
     frac = np.arange(K + 1) / K
     bounds = np.concatenate([[t0], tau, [te]])
@@ -422,10 +441,11 @@ def sto_objective_and_gradient(
         X[:, k + 1] = np.einsum("jab,jb->ja", F, X[:, k])
     times = np.append((bounds[:-1, None] + frac[:K] * delta[:, None]).ravel(), te)
     node = np.arange(p + 1)[:, None] * K + np.arange(K + 1)
-    ref, rdot = (
-        np.reshape([f(t) for t in times], (times.size, -1))[node]
-        for f in (problem.reference, problem.reference_derivative)
-    )
+
+    def at_nodes(f, shift=0.0):
+        return np.reshape([f(t + shift) for t in times], (times.size, -1))[node]
+
+    ref, rdot = at_nodes(problem.reference), at_nodes(problem.reference_derivative)
     err = X @ C.T - ref
     g_sum = np.einsum("jkr,jkr,k->j", err, err, w)
     c = 2.0 * w[:, None] * (err @ C)  # node cotangents
@@ -437,19 +457,67 @@ def sto_objective_and_gradient(
     v = c[:, K]  # Horner over k, all segments at once
     for k in range(K - 1, -1, -1):
         v = np.einsum("jba,jb->ja", F, v) + c[:, k]
-    # adjoint sweep; z_j moves by -/+ M_{j-1} z_j with segment j-1's start/end
-    shift = np.zeros(p + 1)
-    a = np.zeros_like(z)
+    # adjoint sweep, a[j] = dJ/dz_j (a[p + 1] = 0); z_j moves by -/+ M_{j-1} z_j
+    # with segment j-1's start/end
+    a = np.zeros((p + 2, fam.size))
     for j in range(p, 0, -1):
-        a = h[j] * v[j] + E[j].T @ a
-        shift[j - 1] = a @ MX[j - 1, K]
+        a[j] = h[j] * v[j] + E[j].T @ a[j + 1]
+    shift = np.append(np.einsum("ja,ja->j", a[1 : p + 1], MX[:p, K]), 0.0)
     grad = right[:p] + left[1:] - np.diff(shift)
-    return float(h @ g_sum + cost @ delta), grad
+    J = float(h @ g_sum + cost @ delta)
+    if not hessian:
+        return J, grad
 
-
-def _project_schedule(tau: np.ndarray, t0: float, te: float) -> np.ndarray:
-    iso = scipy.optimize.isotonic_regression(tau).x
-    return np.clip(iso, t0, te)
+    u = c[:, K]  # u_j = sum_k (k/K) (F_j^k)^T c_{j,k}, by Horner as v_j
+    for k in range(K - 1, -1, -1):
+        u = np.einsum("jba,jb->ja", F, u) + frac[k] * c[:, k]
+    n_r = C.shape[0]
+    eta = 1e-5 * (te - t0)
+    rddot = (
+        at_nodes(problem.reference_derivative, eta)
+        - at_nodes(problem.reference_derivative, -eta)
+    ) / (2.0 * eta)
+    # D[j, k, :, l] = d/d delta_l of the node error e_{j,k} = C z_{j,k} - r(t_{j,k})
+    D = np.zeros((p + 1, K + 1, n_r, p + 1))
+    # rows C F_j^k of every node and beta_j = M_j^T (h_j u_j + E_j^T a_{j+1}),
+    # applied in the sweep to the sensitivities dz_j / d delta_l = S[:, l]
+    CF = np.empty((p + 1, K + 1, n_r, fam.size))
+    CF[:, 0] = C
+    for k in range(K):
+        CF[:, k + 1] = CF[:, k] @ F
+    beta = h[:, None] * u + np.einsum("jba,jb->ja", E, a[1:])
+    rows = np.concatenate(
+        [CF.reshape(p + 1, -1, fam.size), np.einsum("jba,jb->ja", M, beta)[:, None]], axis=1
+    )
+    curv = np.zeros((p + 1, p + 1))  # state curvature, l < m part, indexed [m, l]
+    S = np.empty((fam.size, p))
+    for j in range(1, p + 1):
+        S[:, : j - 1] = E[j - 1] @ S[:, : j - 1]
+        S[:, j - 1] = MX[j - 1, K]
+        out = rows[j] @ S[:, :j]
+        D[j, :, :, :j] = out[:-1].reshape(K + 1, n_r, j) - rdot[j, :, :, None]
+        curv[j, :j] = out[-1]
+    diag = np.arange(p + 1)
+    D[diag, :, :, diag] = frac[:, None] * (MX @ C.T - rdot)
+    dG = np.einsum("jkr,k,jkrl->jl", err, 2.0 * w, D)  # dG_j / d delta_l
+    Dm = D.reshape(-1, p + 1)
+    weight = np.repeat((2.0 * h[:, None] * w).ravel(), n_r)
+    MMX = np.einsum("jab,jkb->jka", M, MX)
+    curv_diag = h * np.einsum("jka,jka,k->j", c, MMX, frac**2) + np.einsum(
+        "ja,ja->j", a[1:], MMX[:, K]
+    )
+    # reference curvature: sum over nodes of 2 w_k h_j (e . r'') dt/d delta_l dt/d delta_m,
+    # where dt_{j,k}/d delta_l is 1 for l < j and k/K for l = j
+    rho = 2.0 * w * h[:, None] * np.einsum("jkr,jkr->jk", err, rddot)
+    tail = np.append(np.cumsum(rho.sum(axis=1)[::-1])[::-1][1:], 0.0)
+    upper = np.triu(np.broadcast_to(rho @ frac + tail, (p + 1, p + 1)), 1)
+    H = (
+        (dG + dG.T) / K
+        + Dm.T @ (weight[:, None] * Dm)
+        + curv + curv.T + np.diag(curv_diag)
+        - upper - upper.T - np.diag(rho @ frac**2 + tail)
+    )
+    return J, grad, H
 
 
 def switching_time_optimize(
@@ -464,9 +532,17 @@ def switching_time_optimize(
 ) -> SwitchingSchedule:
     """Optimize the switch times of a cyclic input sequence.
 
-    Projected gradient descent with Barzilai-Borwein steps and backtracking;
-    the projection (isotonic regression, then clipping to the horizon) keeps
-    every iterate a feasible nondecreasing schedule.
+    Projected Newton steps (Bertsekas, SIAM J. Control Optim. 1982) in the
+    segment durations delta >= 0, sum(delta) = horizon length, with the
+    exact Hessian of the discretized objective.  Each iteration eliminates
+    the longest segment, so only the bounds delta >= 0 remain.  Durations
+    within min(projected-gradient norm, 1e-3 mean duration) of zero whose
+    gradient pushes them down are held on the bound, the rest take a Newton
+    step, and an Armijo backtracking search along the projection arc picks
+    the step.
+    Every iterate is a feasible nondecreasing schedule.  The optimizer has
+    converged once its step moves no switch time by more than
+    ``tol * (te - t0)``.
 
     Parameters
     ----------
@@ -476,19 +552,28 @@ def switching_time_optimize(
         Number of passes through the cyclic input sequence; the schedule
         carries ``n_inputs * p`` free switch times.
     initial_schedule : (n_inputs * p,) array_like, optional
-        Defaults to a uniform grid over the horizon.
+        Defaults to a uniform grid over the horizon; otherwise sorted and
+        clipped to the horizon.
     x0 : (d,) array_like
         Plant initial state, lifted through the dictionary.
+
+    Returns
+    -------
+    SwitchingSchedule
+        With the objective, the iterations run and the projected-gradient
+        norm at the returned schedule.
 
     Warns
     -----
     UserWarning
-        If not converged after ``max_iter`` iterations; the best-found
+        If not converged after ``max_iter`` iterations; the last (and best)
         schedule is returned with ``converged=False``.
     """
     if p < 1:
         raise ConfigError("need at least one pass through the input sequence")
     t0, te = problem.horizon
+    span = te - t0
+    K = int(sub_intervals)
     n_free = problem.surrogates.n_inputs * p
     z0 = problem.surrogates.lift(np.asarray(x0, dtype=float)[np.newaxis, :])[0]
     if initial_schedule is None:
@@ -499,38 +584,36 @@ def switching_time_optimize(
             raise InputError(
                 f"initial schedule must have {n_free} switch times, got {tau.shape}"
             )
-        tau = _project_schedule(tau, t0, te)
-    J, g = sto_objective_and_gradient(problem, z0, tau, sub_intervals=sub_intervals)
-    best = (J, tau.copy())
-    step = 0.1 * (te - t0) / (n_free * max(np.abs(g).max(), 1e-12))
+        tau = np.clip(np.sort(tau), t0, te)
+    J, g = sto_objective_and_gradient(problem, z0, tau, sub_intervals=K)
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        improved = False
-        s = step
-        for _ in range(40):
-            cand = _project_schedule(tau - s * g, t0, te)
-            Jc, gc = sto_objective_and_gradient(
-                problem, z0, cand, sub_intervals=sub_intervals
-            )
-            if Jc < J - 1e-10 * abs(J):
-                improved = True
+        _, _, H = _sto(problem, z0, tau, K, hessian=True)
+        y, gy, keep, m = _reduced(tau, g, t0, te)
+        H = H[np.ix_(keep, keep)] - H[keep, m][:, None] - H[m, keep] + H[m, m]
+        pg = np.minimum(y, gy)
+        held = (y <= min(np.linalg.norm(pg), 1e-3 * span / (n_free + 1))) & (gy > 0)
+        free = ~held
+        d = y.copy()  # held durations shrink linearly to zero along the arc
+        d[free] = _newton_direction(H[np.ix_(free, free)], gy[free])
+        for alpha in 0.5 ** np.arange(60.0):
+            trial = np.maximum(y - alpha * d, 0.0)
+            rest = span - trial.sum()  # the eliminated duration
+            if rest < 0.0:
+                continue
+            cand = np.clip(t0 + np.cumsum(np.insert(trial, m, rest))[:-1], t0, te)
+            converged = np.abs(cand - tau).max() <= tol * span
+            if converged:
                 break
-            s *= 0.5
-        if not improved:
-            converged = True
-            break
-        d_tau = cand - tau
-        d_g = gc - g
-        tau, J, g = cand, Jc, gc
-        if J < best[0]:
-            best = (J, tau.copy())
-        denom = d_g @ d_g
-        step = abs(d_tau @ d_g) / denom if denom > 0 else s
-        if not np.isfinite(step) or step <= 0:
-            step = s
-        if np.abs(d_tau).max() <= tol * (te - t0):
-            converged = True
+            Jc, gc = sto_objective_and_gradient(problem, z0, cand, sub_intervals=K)
+            decrease = alpha * gy[free] @ d[free] + gy[held] @ (y - trial)[held]
+            if J - Jc >= 1e-4 * decrease:
+                tau, J, g = cand, Jc, gc
+                break
+        else:
+            converged = True  # no step length lowers J: stationary to rounding
+        if converged:
             break
     if not converged:
         warnings.warn(
@@ -538,15 +621,47 @@ def switching_time_optimize(
             "iterations; returning the best schedule found",
             stacklevel=2,
         )
-    J_best, tau_best = best
+    y, gy, _, _ = _reduced(tau, g, t0, te)
     return SwitchingSchedule(
-        times=np.concatenate([[t0], tau_best]),
+        times=np.concatenate([[t0], tau]),
         horizon=(t0, te),
         n_inputs=problem.surrogates.n_inputs,
-        objective=J_best,
+        objective=J,
         converged=converged,
         iterations=iterations,
+        projected_gradient_norm=float(np.linalg.norm(np.minimum(y, gy))),
     )
+
+
+def _reduced(tau, g, t0, te):
+    """Durations and gradient with the longest segment m eliminated.
+
+    Returns (y, gy, keep, m): the other durations y, dJ/dy (moving delta_l
+    up and delta_m down), the indices of y among all durations, and m.
+    """
+    delta = np.diff(np.concatenate([[t0], tau, [te]]))
+    m = int(np.argmax(delta))
+    keep = np.delete(np.arange(delta.size), m)
+    # dJ/d delta_l is -sum_{i <= l} g_i up to a constant shared by all l
+    s = np.concatenate([[0.0], np.cumsum(g)])
+    return delta[keep], s[m] - s[keep], keep, m
+
+
+def _newton_direction(H: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Solve (H + mu I) d = g, mu = 0 or the first of 1e-8, 1e-7, ... times
+    the largest entry of |H| that makes the matrix positive definite."""
+    scale = np.abs(H).max(initial=0.0) or 1.0
+    mu = 0.0
+    while True:
+        A = H + mu * np.eye(H.shape[0])
+        # numpy's LAPACK is resident already through the estimators; a first
+        # scipy.linalg.cho_factor call would add about 1 MB to the process
+        try:
+            np.linalg.cholesky(A)
+        except np.linalg.LinAlgError:
+            mu = max(10.0 * mu, 1e-8 * scale)
+            continue
+        return np.linalg.solve(A, g)
 
 
 def whole_steps(horizon, dt: float) -> int:
@@ -602,17 +717,30 @@ def schedule_trajectory(
     """Lifted open-loop trajectory under a switching schedule.
 
     Sampled on the uniform grid t0, t0+dt, ..., te, with switch times inside
-    a sampling step honored exactly; ``dt`` must divide the horizon.
+    a sampling step honored exactly; ``dt`` must divide the horizon.  One
+    stacked ``expm`` gives the whole-step propagator of every input and one
+    propagator per piece of the steps that a switch splits.
 
     Returns (times, trajectory (steps+1, n)).
     """
     times, pieces = _switched_grid(schedule, dt)
+    split = [piece for step in pieces if len(step) > 1 for piece in step]
+    index = np.array([i for i, _ in split], dtype=int)
+    spans = np.array([span for _, span in split])
+    P = scipy.linalg.expm(
+        np.concatenate([family.matrices * dt, family.matrices[index] * spans[:, None, None]])
+    )
     out = np.empty((times.shape[0], family.size))
     z = np.asarray(z0, dtype=float).copy()
     out[0] = z
+    row = family.n_inputs
     for k, step in enumerate(pieces, 1):
-        for index, span in step:
-            z = family.propagator(index, span) @ z
+        if len(step) == 1:
+            z = P[step[0][0]] @ z
+        else:
+            for _ in step:
+                z = P[row] @ z
+                row += 1
         out[k] = z
     return times, out
 

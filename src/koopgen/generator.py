@@ -77,8 +77,8 @@ class GeneratorEstimate:
     matrices. `rank` is the numerical rank of the dictionary value matrix Psi
     at `svd_cutoff` relative tolerance, counted on the singular values of
     R11 (those of Psi), for every estimator that fits from data, the
-    reversible one included. Only :func:`perron_frobenius_estimate`, which
-    works from the stored matrices, reports the rank of G_hat instead.
+    reversible one included; :func:`perron_frobenius_estimate` carries over
+    the rank of the estimate it is built from.
     """
 
     M: np.ndarray
@@ -237,15 +237,29 @@ def perron_frobenius_estimate(est: GeneratorEstimate) -> GeneratorEstimate:
     """Adjoint (Perron-Frobenius) generator, M* = A_hat^T G_hat^+.
 
     Built from the stored Gram matrices of a Koopman estimate; the returned
-    object's `L` is the coefficient action on densities.
+    object's `L` is the coefficient action on densities. G_hat^+ keeps the
+    top ``est.rank`` eigenpairs of G_hat, so the adjoint has the rank of the
+    estimate it is built from (that of Psi). G_hat holds the squares of
+    Psi's singular values, so eigenvalues below size * eps times the largest
+    are rounding noise; when the estimate's rank reaches into them, only
+    the eigenpairs above that floor are kept, with a warning.
     """
-    sol, _, rank, _ = np.linalg.lstsq(est.G_hat, est.A_hat, rcond=est.svd_cutoff)
-    # sol = G^+ A, so M* = A^T G^+ = sol^T by symmetry of G
+    lam, V = np.linalg.eigh(est.G_hat)
+    lam, V = lam[::-1], V[:, ::-1]
+    floor = est.size * np.finfo(float).eps * lam[0]
+    rank = min(est.rank, int(np.count_nonzero(lam > floor)))
+    if rank < est.rank:
+        warnings.warn(
+            f"G_hat resolves only {rank} of the estimate's rank {est.rank}; "
+            f"the Perron-Frobenius estimate keeps {rank} eigenpairs",
+            stacklevel=2,
+        )
+    lam, V = lam[:rank], V[:, :rank]
     return GeneratorEstimate(
-        M=sol.T,
+        M=(est.A_hat.T @ V / lam) @ V.T,
         A_hat=est.A_hat,
         G_hat=est.G_hat,
-        rank=int(rank),
+        rank=rank,
         svd_cutoff=est.svd_cutoff,
         dictionary=est.dictionary,
         sample_count=est.sample_count,

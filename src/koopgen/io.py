@@ -189,7 +189,8 @@ def write_control_csv(path, result) -> Path:
 
 
 def write_schedule_json(path, schedule) -> Path:
-    """Switching schedule: times, horizon, objective, convergence, iterations."""
+    """Switching schedule: times, horizon, objective, convergence, iterations
+    and the projected-gradient norm at the schedule."""
     payload = {
         "switch_times": schedule.to_list(),
         "horizon": [float(schedule.horizon[0]), float(schedule.horizon[1])],
@@ -197,6 +198,11 @@ def write_schedule_json(path, schedule) -> Path:
         "objective": None if schedule.objective is None else float(schedule.objective),
         "converged": bool(schedule.converged),
         "iterations": int(schedule.iterations),
+        "projected_gradient_norm": (
+            None
+            if schedule.projected_gradient_norm is None
+            else float(schedule.projected_gradient_norm)
+        ),
     }
     return write_json(path, payload)
 

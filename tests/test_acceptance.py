@@ -321,6 +321,7 @@ def test_criterion_08_ou_control():
     )
     x0 = np.array([-1.0])
     schedule = control.switching_time_optimize(sto_problem, 200, x0=x0, max_iter=600)
+    _check(failures, schedule.converged, "switching-time optimization did not converge")
     times, Z = control.schedule_trajectory(family, schedule, family.lift(x0[None, :])[0], 0.05)
     surrogate = (Z @ family.readout.T)[:, 0]
     target = np.tanh(times - 10.0)

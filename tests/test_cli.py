@@ -1,6 +1,7 @@
 """Command line front end: exit codes, validation messages, artifacts."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -299,6 +300,18 @@ class TestRunKinds:
         data = np.array([l.split(",") for l in lines[1:]], dtype=float)
         rms = np.sqrt(np.mean((data[:, 1] - data[:, 2]) ** 2))
         assert rms < 0.6
+
+    def test_bundled_switching_converges(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            assert run_cli(["run", "ou_switching", "--out", str(out)]) == 0
+        capsys.readouterr()
+        schedule = json.loads((out / "schedule.json").read_text("utf-8"))
+        assert schedule["converged"] is True
+        assert schedule["iterations"] < 150
+        assert schedule["projected_gradient_norm"] < 1e-6
+        assert schedule["objective"] <= 0.172279  # where 150 gradient steps stopped
 
     def test_switching_warns_and_records_nonconvergence(self, tmp_path, capsys):
         config = json.loads(json.dumps(cli.bundled_configs()["ou_switching"]))

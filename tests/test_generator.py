@@ -106,6 +106,32 @@ def test_reversible_rank_is_that_of_the_value_matrix():
     assert est.rank == gedmd_stochastic(Monomials(1, 14), s).rank
 
 
+def test_perron_frobenius_keeps_the_estimate_rank():
+    # the sample of the test above: G_hat's eigenvalues span cond(Psi)^2, about
+    # 2e10, so a cutoff on them at svd_cutoff would drop one
+    rng = np.random.Generator(np.random.Philox(3))
+    s = exact_sample_set(ornstein_uhlenbeck(1.0, 4.0), rng.normal(0.0, 0.5, (20000, 1)))
+    est = gedmd_stochastic(Monomials(1, 14), s)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pf = perron_frobenius_estimate(est)
+    assert (pf.rank, pf.rank_deficient) == (15, False)
+    assert pf.rank == est.rank
+    # full rank: M* = G_hat M^T G_hat^-1, so M* G_hat = G_hat M^T
+    np.testing.assert_allclose(pf.M @ est.G_hat, est.G_hat @ est.M.T, atol=1e-8 * np.abs(est.A_hat).max())
+
+
+def test_perron_frobenius_warns_when_gram_loses_rank():
+    # 30 narrow Gaussians: Psi has full rank, but G_hat's smallest eigenvalues
+    # fall below rounding
+    basis = GaussianBasis(np.linspace(-2, 2, 30).reshape(-1, 1), 0.3)
+    est = gedmd_stochastic(basis, ou_sample(m=3000, seed=21))
+    with pytest.warns(UserWarning, match="resolves only"):
+        pf = perron_frobenius_estimate(est)
+    assert est.rank == 30 and pf.rank < 30 and pf.rank_deficient
+    assert np.all(np.isfinite(pf.M))
+
+
 def test_reversible_requires_sigma_samples():
     pts = sample_uniform([[-1, 1]], 50, seed=0)
     s = SampleSet(points=pts, drift_samples=-pts)
