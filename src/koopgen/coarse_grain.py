@@ -342,16 +342,14 @@ def fit_diffusion(
     reduced_dict: Dictionary,
     sample: SampleSet,
     diffusion_basis: Dictionary,
-    *,
-    positivity: bool = True,
 ) -> np.ndarray:
     """Fit a scalar diffusion field a(z) = sum_t theta_t chi_t(z).
 
     Minimizes the Frobenius error between the sampled stiffness matrix
     ``galerkin_A_hat`` (the reversible estimator's A) and its model
-    A(theta)_ij = -1/2 E[ chi(z) grad psi_i . grad psi_j ].  With
-    ``positivity=True`` the coefficients are constrained nonnegative, which
-    keeps a(z) >= 0 pointwise when every chi_t is nonnegative.
+    A(theta)_ij = -1/2 E[ chi(z) grad psi_i . grad psi_j ].  The coefficients
+    are constrained nonnegative, which keeps a(z) >= 0 pointwise when every
+    chi_t is nonnegative.
 
     Returns
     -------
@@ -360,13 +358,10 @@ def fit_diffusion(
     designs = _stiffness_designs(reduced_dict, diffusion_basis, sample.points)
     D = designs.reshape(designs.shape[0], -1).T  # (n^2, n_t)
     target = np.asarray(galerkin_A_hat, dtype=float).ravel()
-    if positivity:
-        try:
-            theta, _ = scipy.optimize.nnls(D, target)
-        except RuntimeError as exc:
-            raise NumericalError(f"nonnegative least squares failed: {exc}") from exc
-        return theta
-    theta, *_ = np.linalg.lstsq(D, target, rcond=None)
+    try:
+        theta, _ = scipy.optimize.nnls(D, target)
+    except RuntimeError as exc:
+        raise NumericalError(f"nonnegative least squares failed: {exc}") from exc
     return theta
 
 
@@ -437,7 +432,6 @@ def build_reduced_model(
     potential_gradient,
     diffusion_basis: Dictionary,
     *,
-    positivity: bool = True,
     svd_cutoff: float = DEFAULT_SVD_CUTOFF,
 ) -> ReducedModel:
     """Full reversible coarse-graining pipeline on one sample set.
@@ -450,9 +444,7 @@ def build_reduced_model(
     force = force_matching(
         sample, potential_gradient, cg_map, reduced_basis, svd_cutoff=svd_cutoff
     )
-    theta = fit_diffusion(
-        est.A_hat, reduced_basis, rsample, diffusion_basis, positivity=positivity
-    )
+    theta = fit_diffusion(est.A_hat, reduced_basis, rsample, diffusion_basis)
     return ReducedModel(
         force=force,
         theta=theta,

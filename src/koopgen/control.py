@@ -9,7 +9,6 @@ which a fixed cyclic input sequence switches.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass, field
 
@@ -210,36 +209,27 @@ class MpcResult:
 def _sequence_costs(problem: ControlProblem, z: np.ndarray, t: float) -> np.ndarray:
     """Predicted cost of every input sequence of length q from lifted states z.
 
+    The search runs level by level: at depth k the predicted lifted states of
+    all n_c**k partial sequences sit in one (n_c**k, R, n) array, and row
+    s * n_c + i of the next depth extends sequence s by input i.  The last
+    depth holds n_c**q * R * n floats, which ``MAX_MPC_HORIZON`` bounds.
+
     Returns an (n_c**q, R) array; sequences are enumerated in
     itertools.product order over input indices.
     """
     fam = problem.surrogates
     C = fam.readout
     n_c = fam.n_inputs
-    q = problem.q
     E = [fam.propagator(i, problem.h) for i in range(n_c)]
-    refs = [np.atleast_1d(problem.reference(t + (j + 1) * problem.h)) for j in range(q)]
-    # depth-first over the sequence tree, sharing prefix propagations
-    costs = np.empty((n_c**q, z.shape[0]))
-    row = 0
-
-    def descend(depth, z_cur, acc):
-        nonlocal row
-        if depth == q:
-            costs[row] = acc
-            row += 1
-            return
-        for i in range(n_c):
-            z_next = z_cur @ E[i].T
-            err = z_next @ C.T - refs[depth]
-            stage = np.einsum("lr,lr->l", err, err) + problem.alpha * fam.inputs[i] ** 2
-            descend(depth + 1, z_next, acc + stage)
-
-    descend(0, z, np.zeros(z.shape[0]))
-    # descend refers to itself through its closure; dropping the name breaks
-    # that cycle, so what it holds is freed now, not at a later full collection
-    del descend
-    return costs
+    penalty = problem.alpha * np.asarray(fam.inputs) ** 2
+    Z = z[np.newaxis]
+    costs = np.zeros((1, 1, z.shape[0]))
+    for j in range(problem.q):
+        Z = np.stack([Z @ E[i].T for i in range(n_c)], axis=1).reshape(-1, *z.shape)
+        err = Z @ C.T - np.atleast_1d(problem.reference(t + (j + 1) * problem.h))
+        stage = np.einsum("slr,slr->sl", err, err).reshape(-1, n_c, z.shape[0])
+        costs = (costs + (stage + penalty[:, None])).reshape(-1, 1, z.shape[0])
+    return costs[:, 0]
 
 
 def mpc(problem: ControlProblem, plant, x0, *, seed=None) -> MpcResult:
@@ -247,18 +237,19 @@ def mpc(problem: ControlProblem, plant, x0, *, seed=None) -> MpcResult:
 
     At every step of length h the exhaustive search picks the input sequence
     of length q minimizing the predicted cost, the first input is applied to
-    the plant, and the lifted state is re-initialized from the plant: for
-    stochastic plants as the dictionary average over the sub-states of the
-    last step (the recent window of length h), for deterministic plants from
-    the current state.  ``problem.h`` must divide the horizon.
+    the plant, and the lifted state is re-initialized as the dictionary
+    average over the window of sub-states the plant returns for that step;
+    the last of them, the new state, gives the realized stage cost.
+    ``problem.h`` must divide the horizon.
 
     Parameters
     ----------
     problem : ControlProblem
     plant : object
         Needs ``advance(states, u, h, rng) -> (new_states, window)`` with
-        vectorized states (R, d) and window (R, k, d), plus a
-        ``stochastic`` attribute.
+        vectorized states (R, d) and window (R, k, d) ending at the new
+        states: the sub-states of the step (length h) for stochastic plants,
+        the new state alone (k = 1) for deterministic ones.
     x0 : (d,) or (R, d) array_like
         Initial state; a leading axis runs independent closed loops.
     seed : optional
@@ -279,9 +270,6 @@ def mpc(problem: ControlProblem, plant, x0, *, seed=None) -> MpcResult:
     steps = whole_steps(problem.horizon, problem.h)
     rng = _rng(seed)
 
-    first_inputs = np.array(
-        [seq[0] for seq in itertools.product(range(n_c), repeat=problem.q)]
-    )
     traj = np.empty((steps + 1, R, states.shape[1]))
     traj[0] = states
     applied = np.empty((steps, R))
@@ -292,21 +280,17 @@ def mpc(problem: ControlProblem, plant, x0, *, seed=None) -> MpcResult:
     for k in range(steps):
         t = t0 + k * problem.h
         costs = _sequence_costs(problem, z, t)
-        choice = first_inputs[np.argmin(costs, axis=0)]
-        u = inputs_arr[choice]
+        # row s of the costs starts with input s // n_c**(q-1) (product order)
+        u = inputs_arr[np.argmin(costs, axis=0) // n_c ** (problem.q - 1)]
         states, window = plant.advance(states, u, problem.h, rng)
         traj[k + 1] = states
         applied[k] = u
         r_next = np.atleast_1d(problem.reference(t + problem.h))
         refs.append(r_next)
-        lifted = fam.lift(states)
-        err = lifted @ fam.readout.T - r_next
+        lifted = fam.lift(window.reshape(-1, window.shape[-1])).reshape(R, -1, fam.size)
+        err = lifted[:, -1] @ fam.readout.T - r_next
         stage[k] = np.einsum("lr,lr->l", err, err) + problem.alpha * u**2
-        if getattr(plant, "stochastic", False):
-            flat = window.reshape(-1, window.shape[-1])
-            z = fam.lift(flat).reshape(R, window.shape[1], fam.size).mean(axis=1)
-        else:
-            z = lifted
+        z = lifted.mean(axis=1)
     if not batched:
         traj = traj[:, 0]
         applied = applied[:, 0]
@@ -763,16 +747,13 @@ class ControlledOUPlant:
 
     dimension = 1
 
-    @property
-    def stochastic(self) -> bool:
-        return self.noise
-
     def drift(self, x: np.ndarray, u) -> np.ndarray:
         u_col = np.reshape(u, (-1, 1)) if np.ndim(u) else u
         return -self.alpha * (x - u_col)
 
     def advance(self, states, u, h, rng):
-        """Euler-Maruyama sub-steps; returns (new_states, window (R, k, 1))."""
+        """Euler-Maruyama sub-steps; returns (new_states, window (R, k, 1)),
+        the k sub-states of the step, or without noise the new state (k = 1)."""
         x = np.asarray(states, dtype=float)
         nsub = max(1, int(round(h / self.dt)))
         dt = h / nsub
@@ -784,7 +765,7 @@ class ControlledOUPlant:
             if self.noise:
                 x = x + amp * rng.standard_normal(x.shape)
             window[:, k, :] = x
-        return x, window
+        return x, window if self.noise else x[:, np.newaxis, :]
 
     def sample_set(self, u: float, box, m: int, seed) -> SampleSet:
         """Exact training data for the constant-input system."""
@@ -842,8 +823,6 @@ class BurgersPlant:
     width an eighth of the domain.
     """
 
-    stochastic = False
-
     def __init__(self, nu: float = 0.05, nodes: int = 25, dt: float = 0.005):
         self.nu = float(nu)
         self.nodes = int(nodes)
@@ -891,9 +870,10 @@ class BurgersPlant:
         return y, y[:, np.newaxis, :]
 
     def simulate(self, y0, input_fn, T: float, dt: float | None = None):
-        """Trajectory under u = input_fn(t); returns (times, states)."""
+        """Trajectory under u = input_fn(t); returns (times, states).  ``dt``
+        (the plant's step by default) must divide ``T``."""
         dt = self.dt if dt is None else float(dt)
-        steps = int(round(T / dt))
+        steps = whole_steps((0.0, T), dt)
         out = np.empty((steps + 1, self.nodes))
         out[0] = np.asarray(y0, dtype=float)
         for k in range(steps):
@@ -905,20 +885,16 @@ class BurgersPlant:
         """Discrete energy 1/2 sum y^2 dx along a trajectory."""
         return 0.5 * np.sum(np.asarray(y) ** 2, axis=-1) * self.spacing
 
-    def random_states(
-        self, count: int, seed, amplitude: float = 0.1, modes: int | None = None
-    ):
+    def random_states(self, count: int, seed, amplitude: float = 0.1):
         """Smooth random fields: superposed sine/cosine modes, 1/k decay.
 
-        The default mode count spans the whole grid space, so dictionary
-        value matrices over these states have full rank.
+        The nodes // 2 modes span the whole grid space, so dictionary value
+        matrices over these states have full rank.
         """
         rng = _rng(seed)
-        if modes is None:
-            modes = self.nodes // 2
         theta = 2.0 * np.pi * self.grid / self.length
         y = np.zeros((count, self.nodes))
-        for k in range(1, modes + 1):
+        for k in range(1, self.nodes // 2 + 1):
             coeff = amplitude * rng.standard_normal((count, 2)) / k
             y += coeff[:, :1] * np.sin(k * theta) + coeff[:, 1:] * np.cos(k * theta)
         y += amplitude * rng.standard_normal((count, 1)) * 0.5  # mean offsets

@@ -381,7 +381,7 @@ class Monomials(_SeparableBasis):
             B[self._index[tuple(e)], j] = 1.0
         return B
 
-    def multiply_by_coordinate(self, coeffs: np.ndarray, j: int, tol: float = 1e-12):
+    def multiply_by_coordinate(self, coeffs: np.ndarray, j: int):
         """Coefficients of x_j * f where f has dictionary coefficients `coeffs`.
 
         Returns (new_coeffs, dropped) where `dropped` is the largest absolute

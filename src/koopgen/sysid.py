@@ -360,7 +360,6 @@ def identify(
     *,
     delta: float = 0.0,
     iterations: int = 10,
-    with_diffusion: bool | None = None,
     validation: SampleSet | None = None,
     svd_cutoff: float = DEFAULT_SVD_CUTOFF,
 ) -> IdentifiedModel:
@@ -377,10 +376,9 @@ def identify(
     ----------
     dictionary : Dictionary
     sample : SampleSet
+        The diffusion is identified when it carries diffusion data.
     delta : float
         Hard threshold on basis coefficients; 0 disables sparsification.
-    with_diffusion : bool, optional
-        Defaults to whether the sample carries diffusion data.
     validation : SampleSet, optional
         Held-out data for the validation residual.
 
@@ -388,10 +386,7 @@ def identify(
     -------
     IdentifiedModel
     """
-    if with_diffusion is None:
-        with_diffusion = sample.diffusion_samples is not None
-    if with_diffusion and sample.diffusion_samples is None:
-        raise InputError("with_diffusion=True but the sample has no diffusion data")
+    with_diffusion = sample.diffusion_samples is not None
     block = dictionary.evaluate(sample.points)
     features = block.values.T  # (m, n)
     drift_coeffs, hist_b = hard_threshold(

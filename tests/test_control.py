@@ -1,7 +1,7 @@
 """Tests for per-input surrogates, MPC, and switching-time optimization."""
 
 import gc
-import warnings
+import itertools
 
 import numpy as np
 import pytest
@@ -229,6 +229,71 @@ class TestMpc:
         finally:
             gc.enable()
 
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_sequence_costs_match_enumeration(self, q):
+        rng = np.random.default_rng(4)
+        family = SurrogateFamily(
+            inputs=(-1.0, 0.5, 2.0),
+            matrices=0.5 * rng.standard_normal((3, 3, 3)),
+            dictionary=Monomials(1, 2),
+            readout=np.eye(3)[1:],
+        )
+        problem = ControlProblem(
+            surrogates=family, reference=lambda t: np.array([3.0 + t, -2.0]),
+            horizon=(0.0, 1.0), h=0.1, q=q, alpha=0.3,
+        )
+        z = family.lift(rng.uniform(-1.0, 1.0, (4, 1)))
+        costs = _sequence_costs(problem, z, 0.2)
+        expected = []
+        for seq in itertools.product(range(3), repeat=q):
+            phi = np.eye(3)
+            total = np.zeros(4)
+            for j, i in enumerate(seq):
+                phi = scipy.linalg.expm(family.matrices[i] * 0.1) @ phi
+                err = z @ phi.T @ family.readout.T - [3.0 + 0.2 + (j + 1) * 0.1, -2.0]
+                total += np.sum(err**2, axis=1) + 0.3 * family.inputs[i] ** 2
+            expected.append(total)
+        assert costs.shape == (3**q, 4)
+        np.testing.assert_allclose(costs, expected, rtol=1e-14, atol=0.0)
+
+    def test_first_input_follows_product_order(self):
+        rng = np.random.default_rng(8)
+        family = SurrogateFamily(
+            inputs=(-1.0, 0.5, 2.0),
+            matrices=0.5 * rng.standard_normal((3, 3, 3)),
+            dictionary=Monomials(1, 2),
+            readout=np.eye(3)[1:2],
+        )
+        problem = ControlProblem(
+            surrogates=family, reference=lambda t: np.array([0.4]),
+            horizon=(0.0, 0.1), h=0.1, q=3, alpha=0.05,
+        )
+        x0 = np.linspace(-1.0, 1.0, 4)[:, None]
+        best = np.argmin(_sequence_costs(problem, family.lift(x0), 0.0), axis=0)
+        sequences = list(itertools.product(range(3), repeat=3))
+        expected = [family.inputs[sequences[b][0]] for b in best]
+        result = mpc(problem, ControlledOUPlant(noise=False), x0)
+        assert result.inputs[0].tolist() == expected
+
+    def test_lifts_once_per_step(self, ou_setup, monkeypatch):
+        _, family = ou_setup
+        problem = ControlProblem(
+            surrogates=family, reference=lambda t: np.array([1.0]),
+            horizon=(0.0, 0.5), h=0.05, q=2,
+        )
+        original = family.lift
+        calls = []
+
+        def counting(points):
+            calls.append(len(points))
+            return original(points)
+
+        monkeypatch.setattr(family, "lift", counting)
+        for plant in (ControlledOUPlant(noise=False), ControlledOUPlant()):
+            calls.clear()
+            mpc(problem, plant, np.zeros((3, 1)), seed=1)
+            assert len(calls) == 10 + 1
+
     def test_result_record_shapes(self, ou_setup):
         _, family = ou_setup
         plant = ControlledOUPlant(noise=False)
@@ -331,9 +396,8 @@ class TestSwitchingTime:
             return original(prob, z0, tau, **kwargs)
 
         monkeypatch.setattr(control, "sto_objective_and_gradient", recording)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            switching_time_optimize(problem, 5, x0=np.array([0.0]), max_iter=30)
+        schedule = switching_time_optimize(problem, 5, x0=np.array([0.0]), max_iter=30)
+        assert schedule.converged
         assert len(seen) > 2
         for tau in seen:
             assert np.all(np.diff(tau) >= -1e-12)
@@ -573,6 +637,24 @@ class TestPlants:
         rel = np.sqrt(np.mean((y_coarse[-1] - interp) ** 2))
         rel /= np.sqrt(np.mean(interp**2))
         assert rel < 0.05
+
+    def test_burgers_simulate_step_must_divide_duration(self):
+        plant = BurgersPlant()
+        times, trajectory = plant.simulate(np.zeros(25), lambda t: 0.0, 0.1)
+        assert trajectory.shape == (21, 25) and times[-1] == pytest.approx(0.1)
+        for dt in (0.003, 0.006):
+            with pytest.raises(InputError, match="whole steps"):
+                plant.simulate(np.zeros(25), lambda t: 0.0, 0.1, dt=dt)
+
+    def test_ou_advance_window_ends_at_new_state(self):
+        x = np.linspace(-1.0, 1.0, 4)[:, None]
+        rng = np.random.default_rng(2)
+        new, window = ControlledOUPlant(noise=False).advance(x, 0.5, 0.05, rng)
+        assert window.shape == (4, 1, 1)
+        assert np.array_equal(window[:, 0], new)
+        new, window = ControlledOUPlant().advance(x, 0.5, 0.05, rng)
+        assert window.shape == (4, 10, 1)
+        assert np.array_equal(window[:, -1], new)
 
     def test_burgers_stability_guard(self):
         plant = BurgersPlant(dt=0.5)
