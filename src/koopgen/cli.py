@@ -187,10 +187,9 @@ def _build_sample(config, model, seed):
 
 
 def _estimate(config, dictionary, sample):
-    cutoff = _number(config, "solver.svd_cutoff", generator.DEFAULT_SVD_CUTOFF)
     if sample.diffusion_samples is None:
-        return generator.gedmd_deterministic(dictionary, sample, svd_cutoff=cutoff)
-    return generator.gedmd_stochastic(dictionary, sample, svd_cutoff=cutoff)
+        return generator.gedmd_deterministic(dictionary, sample)
+    return generator.gedmd_stochastic(dictionary, sample)
 
 
 def _evaluation_grid(config, prefix: str):

@@ -18,13 +18,16 @@ import scipy.optimize
 from .dictionaries import Dictionary
 from .errors import InputError, NumericalError
 from .generator import (
-    DEFAULT_SVD_CUTOFF,
+    SVD_CUTOFF,
     GeneratorEstimate,
     gedmd_deterministic,
     gedmd_reversible,
     gedmd_stochastic,
 )
 from .models import SampleSet, SdeModel
+
+JACOBIAN_RANK_TOL = 1e-12  # relative eigenvalue of J^T J below which a point is excluded
+CV_FOLDS = 5  # cross-validation folds of cross_validate_bases
 
 __all__ = [
     "CoarseGrainMap",
@@ -180,7 +183,6 @@ def coarse_gedmd(
     sample: SampleSet,
     *,
     reversible: bool = False,
-    svd_cutoff: float = DEFAULT_SVD_CUTOFF,
 ) -> GeneratorEstimate:
     """Generator estimate on the reduced coordinate z = xi(x).
 
@@ -191,10 +193,10 @@ def coarse_gedmd(
     """
     rsample = reduced_sample(cg_map, sample)
     if reversible:
-        return gedmd_reversible(reduced_dict, rsample, svd_cutoff=svd_cutoff)
+        return gedmd_reversible(reduced_dict, rsample)
     if rsample.diffusion_samples is not None:
-        return gedmd_stochastic(reduced_dict, rsample, svd_cutoff=svd_cutoff)
-    return gedmd_deterministic(reduced_dict, rsample, svd_cutoff=svd_cutoff)
+        return gedmd_stochastic(reduced_dict, rsample)
+    return gedmd_deterministic(reduced_dict, rsample)
 
 
 # ---------------------------------------------------------------------------
@@ -229,13 +231,12 @@ class ForceMatchResult:
         return -out
 
 
-def local_mean_force(
-    cg_map: CoarseGrainMap, potential_gradient, points, *, rank_tol: float = 1e-12
-):
+def local_mean_force(cg_map: CoarseGrainMap, potential_gradient, points):
     """Pointwise local mean force f(x) = -grad F . G + div G.
 
     G(x) = grad xi (grad xi^T grad xi)^{-1} is the pseudoinverse field of the
-    map's Jacobian.  Points where the Jacobian loses column rank are excluded.
+    map's Jacobian.  Points where the Jacobian loses column rank (smallest
+    eigenvalue of J^T J at most JACOBIAN_RANK_TOL of the largest) are excluded.
 
     Returns
     -------
@@ -247,7 +248,7 @@ def local_mean_force(
     J = cg_map.jacobian(x)  # (m, d, p)
     gram = np.einsum("lip,liq->lpq", J, J)
     w = np.linalg.eigvalsh(gram)
-    kept = np.nonzero(w[:, 0] > rank_tol * np.maximum(w[:, -1], 1.0))[0]
+    kept = np.nonzero(w[:, 0] > JACOBIAN_RANK_TOL * np.maximum(w[:, -1], 1.0))[0]
     if kept.size < x.shape[0]:
         warnings.warn(
             f"excluded {x.shape[0] - kept.size} samples with rank-deficient "
@@ -277,10 +278,10 @@ def force_matching(
     potential_gradient,
     cg_map: CoarseGrainMap,
     reduced_basis: Dictionary,
-    *,
-    svd_cutoff: float = DEFAULT_SVD_CUTOFF,
 ) -> ForceMatchResult:
     """Fit the mean-force field on the reduced coordinate by least squares.
+
+    The solve cuts singular values at SVD_CUTOFF, like every regression.
 
     Parameters
     ----------
@@ -306,7 +307,7 @@ def force_matching(
     targets, kept = local_mean_force(cg_map, potential_gradient, sample.points)
     z = cg_map(sample.points[kept])
     features = reduced_basis.evaluate(z).values.T
-    coeffs, *_ = np.linalg.lstsq(features, targets[:, 0], rcond=svd_cutoff)
+    coeffs, *_ = np.linalg.lstsq(features, targets[:, 0], rcond=SVD_CUTOFF)
     rms = float(np.sqrt(np.mean((features @ coeffs - targets[:, 0]) ** 2)))
     return ForceMatchResult(
         gradient_coeffs=coeffs,
@@ -431,8 +432,6 @@ def build_reduced_model(
     sample: SampleSet,
     potential_gradient,
     diffusion_basis: Dictionary,
-    *,
-    svd_cutoff: float = DEFAULT_SVD_CUTOFF,
 ) -> ReducedModel:
     """Full reversible coarse-graining pipeline on one sample set.
 
@@ -440,10 +439,8 @@ def build_reduced_model(
     fit, and packages the results.
     """
     rsample = reduced_sample(cg_map, sample)
-    est = gedmd_reversible(reduced_basis, rsample, svd_cutoff=svd_cutoff)
-    force = force_matching(
-        sample, potential_gradient, cg_map, reduced_basis, svd_cutoff=svd_cutoff
-    )
+    est = gedmd_reversible(reduced_basis, rsample)
+    force = force_matching(sample, potential_gradient, cg_map, reduced_basis)
     theta = fit_diffusion(est.A_hat, reduced_basis, rsample, diffusion_basis)
     return ReducedModel(
         force=force,
@@ -457,9 +454,11 @@ def build_reduced_model(
 
 
 def cross_validate_bases(
-    points, targets, candidates: list, *, folds: int = 5, seed: int = 0
+    points, targets, candidates: list, *, seed: int = 0
 ) -> tuple[int, list[float]]:
-    """Pick a basis by K-fold cross-validated regression RMS.
+    """Pick a basis by 5-fold cross-validated regression RMS.
+
+    Each fold's least-squares solve cuts singular values at SVD_CUTOFF.
 
     Parameters
     ----------
@@ -467,7 +466,6 @@ def cross_validate_bases(
     targets : (m,) array_like
     candidates : list of Dictionary
         Typically the same kernel family over a bandwidth grid.
-    folds : int
     seed : int
         Fold assignment is a seeded permutation, so the choice is
         reproducible.
@@ -477,21 +475,28 @@ def cross_validate_bases(
     best : int
         Index of the candidate with the lowest mean validation RMS.
     scores : list of float
+
+    Raises
+    ------
+    InputError
+        If there are fewer points than folds, so some fold would be empty.
     """
     points = np.asarray(points, dtype=float)
     targets = np.asarray(targets, dtype=float)
     m = points.shape[0]
+    if m < CV_FOLDS:
+        raise InputError(f"cross-validation needs at least {CV_FOLDS} points, got {m}")
     perm = np.random.Generator(np.random.Philox(seed)).permutation(m)
-    bounds = np.linspace(0, m, folds + 1, dtype=int)
+    bounds = np.linspace(0, m, CV_FOLDS + 1, dtype=int)
     scores = []
     for basis in candidates:
         values = basis.evaluate(points).values.T  # (m, n)
         total = 0.0
-        for f in range(folds):
+        for f in range(CV_FOLDS):
             val = perm[bounds[f] : bounds[f + 1]]
             train = np.concatenate([perm[: bounds[f]], perm[bounds[f + 1] :]])
-            coeffs, *_ = np.linalg.lstsq(values[train], targets[train], rcond=1e-10)
+            coeffs, *_ = np.linalg.lstsq(values[train], targets[train], rcond=SVD_CUTOFF)
             err = values[val] @ coeffs - targets[val]
             total += float(np.sqrt(np.mean(err**2)))
-        scores.append(total / folds)
+        scores.append(total / CV_FOLDS)
     return int(np.argmin(scores)), scores

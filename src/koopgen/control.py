@@ -17,11 +17,7 @@ import scipy.linalg
 
 from .dictionaries import Dictionary, evaluate
 from .errors import ConfigError, InputError, StabilityError
-from .generator import (
-    DEFAULT_SVD_CUTOFF,
-    gedmd_deterministic,
-    gedmd_stochastic,
-)
+from .generator import gedmd_deterministic, gedmd_stochastic
 from .models import SampleSet, _rng
 
 __all__ = [
@@ -41,6 +37,8 @@ __all__ = [
 ]
 
 MAX_MPC_HORIZON = 6  # exhaustive search grows as n_c**q; keep it exact and cheap
+STO_PANELS = 4  # trapezoid panels K per segment of the switching-time objective
+STO_TOL = 1e-9  # largest switch-time step, per unit horizon, that counts as converged
 
 
 @dataclass
@@ -94,7 +92,6 @@ def fit_surrogates(
     samples,
     *,
     readout: np.ndarray | None = None,
-    svd_cutoff: float = DEFAULT_SVD_CUTOFF,
 ) -> SurrogateFamily:
     """Estimate one generator matrix per admissible input.
 
@@ -114,9 +111,9 @@ def fit_surrogates(
     estimates = []
     for sample in samples:
         if sample.diffusion_samples is not None:
-            estimates.append(gedmd_stochastic(dictionary, sample, svd_cutoff=svd_cutoff))
+            estimates.append(gedmd_stochastic(dictionary, sample))
         else:
-            estimates.append(gedmd_deterministic(dictionary, sample, svd_cutoff=svd_cutoff))
+            estimates.append(gedmd_deterministic(dictionary, sample))
     if readout is None:
         readout = dictionary.full_state_selector().T
     return SurrogateFamily(
@@ -187,6 +184,8 @@ class ControlProblem:
             raise ConfigError("control step h must be positive")
         if self.horizon[1] <= self.horizon[0]:
             raise ConfigError("horizon must have positive length")
+        if self.q < 1:
+            raise ConfigError("prediction horizon q must be at least 1")
         if self.alpha < 0:
             raise ConfigError("input penalty must be >= 0")
 
@@ -349,13 +348,11 @@ class SwitchingSchedule:
         return [float(t) for t in self.times]
 
 
-def sto_objective_and_gradient(
-    problem: ControlProblem, z0, tau, *, sub_intervals: int = 4
-):
+def sto_objective_and_gradient(problem: ControlProblem, z0, tau):
     """Tracking objective of a switching schedule and its exact gradient.
 
     The integral of ||C z(t) - r(t)||^2 over the horizon is discretized by
-    the trapezoid rule on K = ``sub_intervals`` panels per segment; the
+    the trapezoid rule on K = 4 panels per segment (``STO_PANELS``); the
     gradient with respect to the free switch times tau_1..tau_p is the exact
     derivative of that discretization (Stellato, Ober-Bloebaum & Goulart,
     IEEE TAC 2017).  One stacked ``expm`` gives every panel propagator
@@ -380,10 +377,10 @@ def sto_objective_and_gradient(
     objective : float
     gradient : (p,) ndarray
     """
-    return _sto(problem, z0, tau, int(sub_intervals))[:2]
+    return _sto(problem, z0, tau)[:2]
 
 
-def _sto(problem: ControlProblem, z0, tau, K: int, hessian: bool = False):
+def _sto(problem: ControlProblem, z0, tau, hessian: bool = False):
     """Objective, gradient and, with ``hessian``, the exact Hessian of the
     discretized objective in the segment durations delta_0..delta_p.
 
@@ -406,6 +403,7 @@ def _sto(problem: ControlProblem, z0, tau, K: int, hessian: bool = False):
     t0, te = problem.horizon
     tau = np.asarray(tau, dtype=float)
     p = tau.shape[0]
+    K = STO_PANELS
     w = np.r_[0.5, np.ones(K - 1), 0.5]  # trapezoid weights
     frac = np.arange(K + 1) / K
     bounds = np.concatenate([[t0], tau, [te]])
@@ -510,9 +508,7 @@ def switching_time_optimize(
     initial_schedule=None,
     *,
     x0,
-    sub_intervals: int = 4,
     max_iter: int = 300,
-    tol: float = 1e-9,
 ) -> SwitchingSchedule:
     """Optimize the switch times of a cyclic input sequence.
 
@@ -525,8 +521,8 @@ def switching_time_optimize(
     step, and an Armijo backtracking search along the projection arc picks
     the step.
     Every iterate is a feasible nondecreasing schedule.  The optimizer has
-    converged once its step moves no switch time by more than
-    ``tol * (te - t0)``.
+    converged once its step moves no switch time by more than 1e-9 of the
+    horizon (``STO_TOL``).
 
     Parameters
     ----------
@@ -557,7 +553,6 @@ def switching_time_optimize(
         raise ConfigError("need at least one pass through the input sequence")
     t0, te = problem.horizon
     span = te - t0
-    K = int(sub_intervals)
     n_free = problem.surrogates.n_inputs * p
     z0 = problem.surrogates.lift(np.asarray(x0, dtype=float)[np.newaxis, :])[0]
     if initial_schedule is None:
@@ -569,11 +564,11 @@ def switching_time_optimize(
                 f"initial schedule must have {n_free} switch times, got {tau.shape}"
             )
         tau = np.clip(np.sort(tau), t0, te)
-    J, g = sto_objective_and_gradient(problem, z0, tau, sub_intervals=K)
+    J, g = sto_objective_and_gradient(problem, z0, tau)
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        _, _, H = _sto(problem, z0, tau, K, hessian=True)
+        _, _, H = _sto(problem, z0, tau, hessian=True)
         y, gy, keep, m = _reduced(tau, g, t0, te)
         H = H[np.ix_(keep, keep)] - H[keep, m][:, None] - H[m, keep] + H[m, m]
         pg = np.minimum(y, gy)
@@ -587,10 +582,10 @@ def switching_time_optimize(
             if rest < 0.0:
                 continue
             cand = np.clip(t0 + np.cumsum(np.insert(trial, m, rest))[:-1], t0, te)
-            converged = np.abs(cand - tau).max() <= tol * span
+            converged = np.abs(cand - tau).max() <= STO_TOL * span
             if converged:
                 break
-            Jc, gc = sto_objective_and_gradient(problem, z0, cand, sub_intervals=K)
+            Jc, gc = sto_objective_and_gradient(problem, z0, cand)
             decrease = alpha * gy[free] @ d[free] + gy[held] @ (y - trial)[held]
             if J - Jc >= 1e-4 * decrease:
                 tau, J, g = cand, Jc, gc
@@ -746,10 +741,6 @@ class ControlledOUPlant:
     noise: bool = True
 
     dimension = 1
-
-    def drift(self, x: np.ndarray, u) -> np.ndarray:
-        u_col = np.reshape(u, (-1, 1)) if np.ndim(u) else u
-        return -self.alpha * (x - u_col)
 
     def advance(self, states, u, h, rng):
         """Euler-Maruyama sub-steps; returns (new_states, window (R, k, 1)),

@@ -24,7 +24,7 @@ R is the one least-squares statistic: [Psi^T | T^T] = Q R with orthonormal
 Q, so ||[Psi^T | T^T] v|| = ||R v|| for every v. Any fit on a subset of
 columns, and its residual, is therefore exact on the n + k rows of R instead
 of the m rows of the data. With R = [[R11, R12], [0, R22]], the coefficients
-C = R11^+ R12 come from an SVD of R11 with a relative singular-value cutoff;
+C = R11^+ R12 come from an SVD of R11 with the relative cutoff SVD_CUTOFF;
 for gEDMD M^T = C. This is the least-squares solution M = dPsi Psi^+ and,
 unlike A_hat G_hat^+, does not square the condition number. Hard
 thresholding re-solves on supports of R, and G_hat^+ = m R11^+ R11^+T.
@@ -65,7 +65,8 @@ __all__ = [
 ]
 
 CHUNK = 1024  # fixed accumulation chunk, keeps summation order reproducible
-DEFAULT_SVD_CUTOFF = 1e-10
+SVD_CUTOFF = 1e-10  # relative singular-value cutoff of every least-squares fit
+LOG_BRANCH_TOL = 1e-12  # relative distance below which K_hat eigenvalues sit on the log cut
 
 
 @dataclass
@@ -75,7 +76,7 @@ class GeneratorEstimate:
     M satisfies dPsi ~ M Psi (value-space); `L` (= M transposed) acts on
     coefficient vectors. A_hat and G_hat are the empirical structure and Gram
     matrices. `rank` is the numerical rank of the dictionary value matrix Psi
-    at `svd_cutoff` relative tolerance, counted on the singular values of
+    at `SVD_CUTOFF` relative tolerance, counted on the singular values of
     R11 (those of Psi), for every estimator that fits from data, the
     reversible one included; :func:`perron_frobenius_estimate` carries over
     the rank of the estimate it is built from.
@@ -85,11 +86,9 @@ class GeneratorEstimate:
     A_hat: np.ndarray
     G_hat: np.ndarray
     rank: int
-    svd_cutoff: float
     dictionary: Optional[Dictionary]
     sample_count: int
     kind: str = "deterministic"
-    rank_deficient: bool = False
 
     @property
     def L(self) -> np.ndarray:
@@ -99,6 +98,11 @@ class GeneratorEstimate:
     @property
     def size(self) -> int:
         return self.M.shape[0]
+
+    @property
+    def rank_deficient(self) -> bool:
+        """True when the fit resolves fewer directions than the estimate's size."""
+        return self.rank < self.size
 
 
 def _walk(m, chunk):
@@ -118,7 +122,7 @@ def _actions(dictionary, sample, diffusion=None):
     )
 
 
-def _fit(chunks, n, k, dictionary, sample_count, svd_cutoff, kind):
+def _fit(chunks, n, k, dictionary, sample_count, kind):
     """Streaming least-squares fit of k targets T ~ C^T Psi over (psi, T) chunks.
 
     Returns the estimate with M = C^T, A_hat = T Psi^T / m and
@@ -135,11 +139,10 @@ def _fit(chunks, n, k, dictionary, sample_count, svd_cutoff, kind):
         R = np.linalg.qr(np.vstack([R, np.hstack([psi.T, T.T])]), mode="r")
     # Psi^T = Q R11 and T^T = Q R12 + (orthogonal rest), so C = R11^+ R12
     U, s, Vt = np.linalg.svd(R[:n, :n], full_matrices=False)
-    rank = int(np.count_nonzero(s > svd_cutoff * s[0])) if s.size else 0
+    rank = int(np.count_nonzero(s > SVD_CUTOFF * s[0])) if s.size else 0
     s, V = s[:rank], Vt[:rank].T
     C = V @ ((U[:, :rank].T @ R[:n, n:]) / s[:, None])
-    deficient = rank < n
-    if deficient:
+    if rank < n:
         warnings.warn(
             f"dictionary value matrix is rank deficient ({rank} < {n}); "
             "estimate restricted to the resolved subspace",
@@ -150,11 +153,9 @@ def _fit(chunks, n, k, dictionary, sample_count, svd_cutoff, kind):
         A_hat=A / sample_count,
         G_hat=G / sample_count,
         rank=rank,
-        svd_cutoff=svd_cutoff,
         dictionary=dictionary,
         sample_count=sample_count,
         kind=kind,
-        rank_deficient=deficient,
     )
     return est, R, s, V
 
@@ -168,12 +169,7 @@ def apply_generator_values(block, sample: SampleSet) -> np.ndarray:
     )
 
 
-def gedmd_deterministic(
-    dictionary: Dictionary,
-    sample: SampleSet,
-    *,
-    svd_cutoff: float = DEFAULT_SVD_CUTOFF,
-) -> GeneratorEstimate:
+def gedmd_deterministic(dictionary: Dictionary, sample: SampleSet) -> GeneratorEstimate:
     """Generator estimate for an ODE: dpsi = b . grad psi.
 
     `sample.drift_samples` may be exact vector-field values or trajectory
@@ -182,29 +178,19 @@ def gedmd_deterministic(
     """
     n = dictionary.size
     chunks = _actions(dictionary, sample)
-    return _fit(chunks, n, n, dictionary, sample.count, svd_cutoff, "deterministic")[0]
+    return _fit(chunks, n, n, dictionary, sample.count, "deterministic")[0]
 
 
-def gedmd_stochastic(
-    dictionary: Dictionary,
-    sample: SampleSet,
-    *,
-    svd_cutoff: float = DEFAULT_SVD_CUTOFF,
-) -> GeneratorEstimate:
+def gedmd_stochastic(dictionary: Dictionary, sample: SampleSet) -> GeneratorEstimate:
     """Generator estimate for an SDE: dpsi = b . grad psi + 1/2 a : hess psi."""
     if sample.diffusion_samples is None:
         raise InputError("gedmd_stochastic needs diffusion samples; got none")
     n = dictionary.size
     chunks = _actions(dictionary, sample, sample.diffusion_samples)
-    return _fit(chunks, n, n, dictionary, sample.count, svd_cutoff, "stochastic")[0]
+    return _fit(chunks, n, n, dictionary, sample.count, "stochastic")[0]
 
 
-def gedmd_reversible(
-    dictionary: Dictionary,
-    sample: SampleSet,
-    *,
-    svd_cutoff: float = DEFAULT_SVD_CUTOFF,
-) -> GeneratorEstimate:
+def gedmd_reversible(dictionary: Dictionary, sample: SampleSet) -> GeneratorEstimate:
     """Reversible-system estimate using first derivatives only.
 
     A_hat = -(1/2m) sum_l (grad Psi(x_l) sigma(x_l)) (grad Psi(x_l) sigma(x_l))^T
@@ -228,7 +214,7 @@ def gedmd_reversible(
         A[:] += W @ W.T
         return blk.values, blk.values[:0]
 
-    est, _, s, V = _fit(_walk(m, chunk), n, 0, dictionary, m, svd_cutoff, "reversible")
+    est, _, s, V = _fit(_walk(m, chunk), n, 0, dictionary, m, "reversible")
     A_hat = A / (-2.0 * m)
     return replace(est, M=m * (A_hat @ (V / s**2)) @ V.T, A_hat=A_hat)
 
@@ -260,11 +246,9 @@ def perron_frobenius_estimate(est: GeneratorEstimate) -> GeneratorEstimate:
         A_hat=est.A_hat,
         G_hat=est.G_hat,
         rank=rank,
-        svd_cutoff=est.svd_cutoff,
         dictionary=est.dictionary,
         sample_count=est.sample_count,
         kind="perron-frobenius",
-        rank_deficient=rank < est.size,
     )
 
 
@@ -273,9 +257,6 @@ def edmd_with_log(
     lagged_points,
     dictionary: Dictionary,
     lag: float,
-    *,
-    svd_cutoff: float = DEFAULT_SVD_CUTOFF,
-    branch_tol: float = 1e-12,
 ) -> GeneratorEstimate:
     """Finite-time EDMD estimate K_hat plus (1/lag) times its principal matrix log.
 
@@ -294,11 +275,11 @@ def edmd_with_log(
     chunks = _walk(
         m, lambda sl: (dictionary.evaluate(x[sl]).values, dictionary.evaluate(y[sl]).values)
     )
-    est = _fit(chunks, n, n, dictionary, m, svd_cutoff, "edmd-log")[0]
+    est = _fit(chunks, n, n, dictionary, m, "edmd-log")[0]
     eigs = np.linalg.eigvals(est.M)
     scale = max(np.max(np.abs(eigs)), 1.0)
-    on_branch_cut = (np.abs(eigs) <= branch_tol * scale) | (
-        (eigs.real < 0) & (np.abs(eigs.imag) <= branch_tol * scale)
+    on_branch_cut = (np.abs(eigs) <= LOG_BRANCH_TOL * scale) | (
+        (eigs.real < 0) & (np.abs(eigs.imag) <= LOG_BRANCH_TOL * scale)
     )
     if np.any(on_branch_cut):
         bad = eigs[on_branch_cut][0]
@@ -324,7 +305,6 @@ def estimate_to_dict(est: GeneratorEstimate) -> dict:
         "A_hat": est.A_hat.tolist(),
         "G_hat": est.G_hat.tolist(),
         "rank": est.rank,
-        "svd_cutoff": est.svd_cutoff,
         "sample_count": est.sample_count,
         "rank_deficient": bool(est.rank_deficient),
         "dictionary": est.dictionary.spec() if est.dictionary is not None else None,
@@ -338,9 +318,7 @@ def estimate_from_dict(payload: dict) -> GeneratorEstimate:
         A_hat=np.asarray(payload["A_hat"], dtype=np.float64),
         G_hat=np.asarray(payload["G_hat"], dtype=np.float64),
         rank=int(payload["rank"]),
-        svd_cutoff=float(payload["svd_cutoff"]),
         dictionary=dictionary_from_spec(spec) if spec else None,
         sample_count=int(payload["sample_count"]),
         kind=payload.get("kind", "deterministic"),
-        rank_deficient=bool(payload.get("rank_deficient", False)),
     )

@@ -30,6 +30,8 @@ __all__ = [
     "write_manifest",
 ]
 
+TERM_TOL = 1e-10  # identified terms of smaller magnitude are left out of model.json
+
 
 def format_number(value) -> str:
     """Shortest exact decimal form of a float or int."""
@@ -134,9 +136,9 @@ def write_conserved_csv(path, dictionary, vectors) -> Path:
 # identification / coarse-graining artifacts
 
 
-def write_identified_json(path, model, term_tol: float = 1e-10) -> Path:
-    """Identified drift/diffusion term lists as JSON."""
-    return write_json(path, model.to_dict(term_tol))
+def write_identified_json(path, model) -> Path:
+    """Identified drift/diffusion term lists as JSON (terms above TERM_TOL)."""
+    return write_json(path, model.to_dict(TERM_TOL))
 
 
 def write_reduced_model_csv(path, model, grid) -> Path:

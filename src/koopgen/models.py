@@ -45,6 +45,8 @@ __all__ = [
     "lemon_slice_invariant_points",
 ]
 
+FD_STEP = 1e-6  # central-difference width for a sigma Jacobian without a formula
+
 
 def _rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
@@ -470,11 +472,11 @@ def noisy_sample_set(sample: SampleSet, noise_std: float, seed) -> SampleSet:
     )
 
 
-def stratonovich_to_ito(model: SdeModel, fd_step: float = 1e-6) -> SdeModel:
+def stratonovich_to_ito(model: SdeModel) -> SdeModel:
     """Ito form of a Stratonovich SDE: drift gains c_i/2, c_i = sum_jk d(sigma_ik)/dx_j sigma_jk.
 
     Uses the registered analytic sigma Jacobian when available, otherwise
-    central finite differences of width `fd_step`.
+    central finite differences of width ``FD_STEP``.
     """
     if not model.stratonovich:
         raise InputError("model is already in Ito form")
@@ -493,9 +495,9 @@ def stratonovich_to_ito(model: SdeModel, fd_step: float = 1e-6) -> SdeModel:
             for j in range(d):
                 xp = x.copy()
                 xm = x.copy()
-                xp[:, j] += fd_step
-                xm[:, j] -= fd_step
-                J[..., j] = (sigma(xp) - sigma(xm)) / (2.0 * fd_step)
+                xp[:, j] += FD_STEP
+                xm[:, j] -= FD_STEP
+                J[..., j] = (sigma(xp) - sigma(xm)) / (2.0 * FD_STEP)
         return np.einsum("likj,ljk->li", J, S)
 
     def drift(x):

@@ -31,6 +31,9 @@ __all__ = [
 #: when picking the trailing coefficient for the mode convention.
 SIGNIFICANT_ENTRY_TOL = 1e-8
 
+#: modes with 2-norm above this are reported in ``active_indices``.
+MODE_TOL = 1e-8
+
 # eigenvalues closer than this, relative to the largest eigenvalue magnitude,
 # are tied for sorting
 _TIE_RTOL = 1e-12
@@ -85,7 +88,8 @@ class ModeDecomposition:
     is rescaled to the trailing-coefficient convention (last significant
     coefficient of each eigenvector equals 1) and the modes carry the
     inverse factors, so the expansion is unchanged while individual
-    mode values are reported in that convention.
+    mode values are reported in that convention.  ``active_indices`` lists
+    the modes with 2-norm above ``MODE_TOL``.
     """
 
     modes: np.ndarray
@@ -93,7 +97,6 @@ class ModeDecomposition:
     eigenvectors: np.ndarray
     selector: np.ndarray
     active_indices: np.ndarray
-    mode_tolerance: float
 
 
 def _normalize_columns(vectors: np.ndarray) -> np.ndarray:
@@ -231,8 +234,6 @@ def _trailing_rescale(eigenvectors: np.ndarray):
 def koopman_modes(
     dec: SpectralDecomposition,
     selector: np.ndarray | None = None,
-    *,
-    mode_tolerance: float = 1e-8,
 ) -> ModeDecomposition:
     """Koopman modes of the full-state observable g(x) = x.
 
@@ -250,8 +251,6 @@ def koopman_modes(
     selector : (n, d) ndarray, optional
         Selector B with x = B^T psi(x); defaults to the stored dictionary's
         full-state selector.
-    mode_tolerance : float
-        Modes with 2-norm above this are reported in ``active_indices``.
 
     Warns
     -----
@@ -281,14 +280,13 @@ def koopman_modes(
     modes = modes * factors[np.newaxis, :]
     vectors = dec.eigenvectors / factors[np.newaxis, :]
     norms = np.linalg.norm(modes, axis=0)
-    active = np.nonzero(norms > mode_tolerance)[0]
+    active = np.nonzero(norms > MODE_TOL)[0]
     return ModeDecomposition(
         modes=modes,
         eigenvalues=dec.eigenvalues.copy(),
         eigenvectors=vectors,
         selector=selector,
         active_indices=active,
-        mode_tolerance=float(mode_tolerance),
     )
 
 

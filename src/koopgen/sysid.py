@@ -15,8 +15,11 @@ import numpy as np
 
 from .dictionaries import Dictionary, Monomials
 from .errors import ClosureError, IdentificationError, InputError, UnsupportedDictionaryError
-from .generator import DEFAULT_SVD_CUTOFF, GeneratorEstimate, _actions, _fit, _walk
+from .generator import SVD_CUTOFF, GeneratorEstimate, _actions, _fit, _walk
 from .models import SampleSet
+
+CLOSURE_TOL = 1e-8  # relative size of a b_i * x_j coefficient that may leave the basis
+INDEFINITE_TOL = 1e-6  # relative negative eigenvalue of a(x) that is an error
 
 __all__ = [
     "IdentifiedModel",
@@ -131,24 +134,17 @@ def diffusion_values(dictionary: Dictionary, diffusion_coeffs, points) -> np.nda
     return a
 
 
-def identify_drift(est: GeneratorEstimate, selector=None) -> np.ndarray:
+def identify_drift(est: GeneratorEstimate) -> np.ndarray:
     """Drift coefficients: apply the generator matrix to the coordinates.
 
-    Parameters
-    ----------
-    est : GeneratorEstimate
-    selector : (n, d) ndarray, optional
-        Defaults to the dictionary's full-state selector.
+    The coordinates are read through the dictionary's full-state selector.
 
     Returns
     -------
     (n, d) ndarray
         Column i holds the coefficients of b_i(x) = (L x_i)(x) in the basis.
     """
-    if selector is None:
-        selector = est.dictionary.full_state_selector()
-    selector = np.asarray(selector, dtype=float)
-    return est.L @ selector
+    return est.L @ est.dictionary.full_state_selector()
 
 
 def _monomials_or_raise(dictionary) -> Monomials:
@@ -160,26 +156,15 @@ def _monomials_or_raise(dictionary) -> Monomials:
     return dictionary
 
 
-def identify_diffusion(
-    est: GeneratorEstimate,
-    selector=None,
-    drift_coeffs: np.ndarray | None = None,
-    *,
-    closure_tol: float = 1e-8,
-) -> np.ndarray:
+def identify_diffusion(est: GeneratorEstimate) -> np.ndarray:
     """Diffusion coefficients a_ij = L(x_i x_j) - b_i x_j - b_j x_i.
+
+    The drift b is :func:`identify_drift` of the same estimate.
 
     Parameters
     ----------
     est : GeneratorEstimate
         Must use a monomial dictionary containing all coordinate products.
-    selector : optional
-        Forwarded to :func:`identify_drift` when ``drift_coeffs`` is absent.
-    drift_coeffs : (n, d) ndarray, optional
-        Drift representation to subtract; identified from ``est`` if omitted.
-    closure_tol : float
-        Relative size above which a coefficient falling outside the basis
-        when multiplying b_i by a coordinate is an error.
 
     Returns
     -------
@@ -189,12 +174,12 @@ def identify_diffusion(
     Raises
     ------
     ClosureError
-        If x_i x_j or a product b_i x_j leaves the dictionary span; a larger
+        If x_i x_j or a product b_i x_j leaves the dictionary span (drops a
+        coefficient above CLOSURE_TOL relative to the drift); a larger
         maximum degree fixes this.
     """
     basis = _monomials_or_raise(est.dictionary)
-    if drift_coeffs is None:
-        drift_coeffs = identify_drift(est, selector)
+    drift_coeffs = identify_drift(est)
     d = basis.dimension
     scale = max(1.0, np.abs(drift_coeffs).max())
     L = est.L
@@ -213,7 +198,7 @@ def identify_diffusion(
             ) from None
         bixj, drop_i = basis.multiply_by_coordinate(drift_coeffs[:, i], j)
         bjxi, drop_j = basis.multiply_by_coordinate(drift_coeffs[:, j], i)
-        if max(drop_i, drop_j) > closure_tol * scale:
+        if max(drop_i, drop_j) > CLOSURE_TOL * scale:
             raise ClosureError(
                 f"b_{i + 1}*x_{j + 1} leaves the dictionary span "
                 f"(dropped coefficient {max(drop_i, drop_j):.3e}); "
@@ -229,7 +214,6 @@ def hard_threshold(
     delta: float,
     *,
     iterations: int = 10,
-    rcond: float = DEFAULT_SVD_CUTOFF,
 ):
     """Iterative hard thresholding: zero small coefficients, re-solve on support.
 
@@ -245,6 +229,8 @@ def hard_threshold(
     iterations : int
         Number of threshold/re-solve rounds; stops early once every support
         is stable (further rounds are no-ops).
+
+    Every least-squares solve cuts singular values at SVD_CUTOFF.
 
     Returns
     -------
@@ -264,7 +250,7 @@ def hard_threshold(
     T = targets[:, np.newaxis] if single else targets
     n = features.shape[1]
     k = T.shape[1]
-    coeffs = np.linalg.lstsq(features, T, rcond=rcond)[0]
+    coeffs = np.linalg.lstsq(features, T, rcond=SVD_CUTOFF)[0]
     history = [(0, int(np.count_nonzero(coeffs)))]
     supports = [np.ones(n, dtype=bool)] * k
     for it in range(1, iterations + 1):
@@ -284,7 +270,7 @@ def hard_threshold(
                 continue
             if np.array_equal(keep, supports[col]):
                 continue
-            sub = np.linalg.lstsq(features[:, keep], T[:, col], rcond=rcond)[0]
+            sub = np.linalg.lstsq(features[:, keep], T[:, col], rcond=SVD_CUTOFF)[0]
             coeffs[:, col] = 0.0
             coeffs[keep, col] = sub
             supports[col] = keep
@@ -300,15 +286,13 @@ def threshold_generator(
     dictionary: Dictionary,
     sample: SampleSet,
     delta: float,
-    *,
-    iterations: int = 10,
-    svd_cutoff: float = DEFAULT_SVD_CUTOFF,
 ) -> GeneratorEstimate:
     """Generator estimate with hard-thresholded rows.
 
     Each row of M (the coefficients of the generator applied to one basis
-    function) is fitted by iterative hard thresholding instead of a plain
-    least-squares solve.  With ``delta=0`` this equals the standard estimate.
+    function) is fitted by at most ten rounds of iterative hard thresholding
+    instead of a plain least-squares solve.  With ``delta=0`` this equals the
+    standard estimate.
     The fit streams the sample once; thresholding then works on the
     (2n, 2n) R factor of [Psi^T | dPsi^T], which poses every support's
     least-squares problem exactly, so memory does not grow with the sample.
@@ -317,19 +301,12 @@ def threshold_generator(
     kind = ("stochastic" if stochastic else "deterministic") + "+threshold"
     n = dictionary.size
     chunks = _actions(dictionary, sample, sample.diffusion_samples)
-    est, R, _, _ = _fit(chunks, n, n, dictionary, sample.count, svd_cutoff, kind)
-    coeffs, _ = hard_threshold(
-        R[:, :n], R[:, n:], delta, iterations=iterations, rcond=svd_cutoff
-    )
+    est, R, _, _ = _fit(chunks, n, n, dictionary, sample.count, kind)
+    coeffs, _ = hard_threshold(R[:, :n], R[:, n:], delta)
     return replace(est, M=coeffs.T)
 
 
-def sindy_coefficients(
-    dictionary: Dictionary,
-    sample: SampleSet,
-    *,
-    svd_cutoff: float = DEFAULT_SVD_CUTOFF,
-) -> np.ndarray:
+def sindy_coefficients(dictionary: Dictionary, sample: SampleSet) -> np.ndarray:
     """Direct sparse-regression-style fit of the drift onto the basis.
 
     Solves min ||Psi^T C - b_data|| and returns C^T of shape (d, n); the
@@ -341,7 +318,7 @@ def sindy_coefficients(
     x, b = sample.points, sample.drift_samples
     chunks = _walk(sample.count, lambda sl: (dictionary.evaluate(x[sl]).values, b[sl].T))
     n, d = dictionary.size, b.shape[1]
-    return _fit(chunks, n, d, dictionary, sample.count, svd_cutoff, "sindy")[0].M
+    return _fit(chunks, n, d, dictionary, sample.count, "sindy")[0].M
 
 
 def _merge_histories(histories: list[list]) -> list:
@@ -361,7 +338,6 @@ def identify(
     delta: float = 0.0,
     iterations: int = 10,
     validation: SampleSet | None = None,
-    svd_cutoff: float = DEFAULT_SVD_CUTOFF,
 ) -> IdentifiedModel:
     """Identify drift (and diffusion) directly from pointwise data.
 
@@ -390,7 +366,7 @@ def identify(
     block = dictionary.evaluate(sample.points)
     features = block.values.T  # (m, n)
     drift_coeffs, hist_b = hard_threshold(
-        features, sample.drift_samples, delta, iterations=iterations, rcond=svd_cutoff
+        features, sample.drift_samples, delta, iterations=iterations
     )
     histories = [hist_b]
     pairs = upper_triangle_pairs(dictionary.dimension)
@@ -407,9 +383,7 @@ def identify(
 
     if with_diffusion:
         targets = _diffusion_targets(sample, features)
-        diffusion_coeffs, hist_a = hard_threshold(
-            features, targets, delta, iterations=iterations, rcond=svd_cutoff
-        )
+        diffusion_coeffs, hist_a = hard_threshold(features, targets, delta, iterations=iterations)
         histories.append(hist_a)
 
     def _rms(data: SampleSet, feats: np.ndarray) -> float:
@@ -438,8 +412,6 @@ def diffusion_factor(
     dictionary: Dictionary,
     diffusion_coeffs,
     points,
-    *,
-    indefinite_tol: float = 1e-6,
 ) -> np.ndarray:
     """Per-point lower-triangular factor of the identified diffusion.
 
@@ -451,13 +423,13 @@ def diffusion_factor(
     ------
     IdentificationError
         If a(x) is strongly indefinite at some point
-        (min eigenvalue < -indefinite_tol * trace scale).
+        (min eigenvalue < -INDEFINITE_TOL * trace scale).
     """
     a = diffusion_values(dictionary, diffusion_coeffs, points)
     w, U = np.linalg.eigh(a)  # batched; a is symmetric by construction
     scale = np.maximum(np.abs(w).sum(axis=1), np.finfo(float).tiny)
     worst = np.argmin(w[:, 0] / scale)
-    if w[worst, 0] < -indefinite_tol * scale[worst]:
+    if w[worst, 0] < -INDEFINITE_TOL * scale[worst]:
         raise IdentificationError(
             f"identified diffusion is indefinite at point {int(worst)}: "
             f"min eigenvalue {w[worst, 0]:.3e} vs trace scale {scale[worst]:.3e}"

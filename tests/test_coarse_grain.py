@@ -382,3 +382,9 @@ def test_cross_validate_bases_picks_moderate_bandwidth(rng):
     assert best == 1
     repeat, _ = cg.cross_validate_bases(z[:, 0:1], targets, candidates, seed=5)
     assert repeat == best
+
+
+def test_cross_validate_bases_needs_a_point_per_fold():
+    candidates = [Monomials(1, 1), Monomials(1, 2)]
+    with pytest.raises(InputError, match="at least 5 points"):
+        cg.cross_validate_bases(np.zeros((3, 1)), np.zeros(3), candidates)

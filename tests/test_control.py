@@ -329,6 +329,9 @@ class TestMpc:
         with pytest.raises(ConfigError, match="penalty"):
             ControlProblem(surrogates=family, reference=lambda t: 0.0,
                            horizon=(0.0, 1.0), h=0.1, alpha=-1.0)
+        with pytest.raises(ConfigError, match="at least 1"):
+            ControlProblem(surrogates=family, reference=lambda t: 0.0,
+                           horizon=(0.0, 1.0), h=0.1, q=0)
 
 
 def _tanh_problem(family, horizon=(0.0, 8.0), center=4.0, alpha=0.0):
@@ -560,7 +563,7 @@ class TestSwitchingTimeProperties:
         problem = _tanh_problem(family, alpha=alpha)
         z0 = family.lift(np.array([[-1.0]]))[0]
         # the Hessian is in the durations; second differences give d^2 J / d tau^2
-        H = np.diff(np.diff(_sto(problem, z0, tau, 4, hessian=True)[2], axis=0), axis=1)
+        H = np.diff(np.diff(_sto(problem, z0, tau, hessian=True)[2], axis=0), axis=1)
         eps = 1e-6
         fd = np.empty_like(H)
         for l in range(tau.size):

@@ -108,7 +108,7 @@ def test_reversible_rank_is_that_of_the_value_matrix():
 
 def test_perron_frobenius_keeps_the_estimate_rank():
     # the sample of the test above: G_hat's eigenvalues span cond(Psi)^2, about
-    # 2e10, so a cutoff on them at svd_cutoff would drop one
+    # 2e10, so a cutoff on them at SVD_CUTOFF would drop one
     rng = np.random.Generator(np.random.Philox(3))
     s = exact_sample_set(ornstein_uhlenbeck(1.0, 4.0), rng.normal(0.0, 0.5, (20000, 1)))
     est = gedmd_stochastic(Monomials(1, 14), s)
@@ -142,8 +142,7 @@ def test_reversible_requires_sigma_samples():
 def test_perron_frobenius_with_identity_gram():
     A = np.array([[0.0, 1.0], [2.0, -1.0]])
     est = GeneratorEstimate(
-        M=A.copy(), A_hat=A, G_hat=np.eye(2), rank=2, svd_cutoff=1e-10,
-        dictionary=None, sample_count=10,
+        M=A.copy(), A_hat=A, G_hat=np.eye(2), rank=2, dictionary=None, sample_count=10,
     )
     pf = perron_frobenius_estimate(est)
     assert np.allclose(pf.M, A.T, atol=1e-12)
@@ -155,7 +154,8 @@ def test_perron_frobenius_invariant_density():
     basis = GaussianBasis(centers, 0.3)
     s = ou_sample(m=3000, seed=21)
     est = gedmd_stochastic(basis, s)
-    pf = perron_frobenius_estimate(est)
+    with pytest.warns(UserWarning, match="resolves only"):
+        pf = perron_frobenius_estimate(est)
     ev, V = np.linalg.eig(pf.L)
     lead = np.argmax(ev.real)
     xi = V[:, lead].real
