@@ -10,7 +10,6 @@ from .coarse_grain import (
     CoarseGrainMap,
     ReducedModel,
     build_reduced_model,
-    cross_validate_bases,
     identity_map,
     linear_map,
     polar_angle_map,
@@ -156,7 +155,6 @@ __all__ = [
     "polar_angle_map",
     "ReducedModel",
     "build_reduced_model",
-    "cross_validate_bases",
     # control
     "SurrogateFamily",
     "fit_surrogates",

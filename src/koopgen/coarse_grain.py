@@ -18,8 +18,9 @@ import scipy.optimize
 from .dictionaries import Dictionary
 from .errors import InputError, NumericalError
 from .generator import (
-    SVD_CUTOFF,
     GeneratorEstimate,
+    _fit,
+    _walk,
     gedmd_deterministic,
     gedmd_reversible,
     gedmd_stochastic,
@@ -27,7 +28,6 @@ from .generator import (
 from .models import SampleSet, SdeModel
 
 JACOBIAN_RANK_TOL = 1e-12  # relative eigenvalue of J^T J below which a point is excluded
-CV_FOLDS = 5  # cross-validation folds of cross_validate_bases
 
 __all__ = [
     "CoarseGrainMap",
@@ -44,7 +44,6 @@ __all__ = [
     "drift_from_potential",
     "ReducedModel",
     "build_reduced_model",
-    "cross_validate_bases",
 ]
 
 
@@ -281,7 +280,9 @@ def force_matching(
 ) -> ForceMatchResult:
     """Fit the mean-force field on the reduced coordinate by least squares.
 
-    The solve cuts singular values at SVD_CUTOFF, like every regression.
+    The fit is the streamed least-squares fit with the local mean force as
+    its one target, under the cutoff, rank rule and rank-deficiency warning
+    of every regression; the residual is exact from its R factor.
 
     Parameters
     ----------
@@ -297,6 +298,11 @@ def force_matching(
     -------
     ForceMatchResult
         With F(z) = -integral g; see :meth:`ForceMatchResult.potential_on`.
+
+    Raises
+    ------
+    InputError
+        If the map Jacobian is rank deficient at every sample point.
     """
     if cg_map.reduced_dim != 1:
         raise InputError("force matching is implemented for 1D reductions")
@@ -305,15 +311,17 @@ def force_matching(
             raise InputError("model has no potential gradient")
         potential_gradient = potential_gradient.potential_gradient
     targets, kept = local_mean_force(cg_map, potential_gradient, sample.points)
+    m, n = kept.size, reduced_basis.size
+    if m == 0:
+        raise InputError("every sample was excluded; force matching has no data")
     z = cg_map(sample.points[kept])
-    features = reduced_basis.evaluate(z).values.T
-    coeffs, *_ = np.linalg.lstsq(features, targets[:, 0], rcond=SVD_CUTOFF)
-    rms = float(np.sqrt(np.mean((features @ coeffs - targets[:, 0]) ** 2)))
+    chunks = _walk(m, lambda sl: (reduced_basis.evaluate(z[sl]).values, targets[sl].T))
+    est, R, _, _ = _fit(chunks, n, 1, reduced_basis, m, "force-matching")
     return ForceMatchResult(
-        gradient_coeffs=coeffs,
+        gradient_coeffs=est.M[0],
         basis=reduced_basis,
-        excluded=int(sample.count - kept.size),
-        residual_rms=rms,
+        excluded=int(sample.count - m),
+        residual_rms=float(np.linalg.norm(R[:, :n] @ est.L - R[:, n:]) / np.sqrt(m)),
     )
 
 
@@ -451,52 +459,3 @@ def build_reduced_model(
         galerkin_G=est.G_hat,
         estimate=est,
     )
-
-
-def cross_validate_bases(
-    points, targets, candidates: list, *, seed: int = 0
-) -> tuple[int, list[float]]:
-    """Pick a basis by 5-fold cross-validated regression RMS.
-
-    Each fold's least-squares solve cuts singular values at SVD_CUTOFF.
-
-    Parameters
-    ----------
-    points : (m, p) array_like
-    targets : (m,) array_like
-    candidates : list of Dictionary
-        Typically the same kernel family over a bandwidth grid.
-    seed : int
-        Fold assignment is a seeded permutation, so the choice is
-        reproducible.
-
-    Returns
-    -------
-    best : int
-        Index of the candidate with the lowest mean validation RMS.
-    scores : list of float
-
-    Raises
-    ------
-    InputError
-        If there are fewer points than folds, so some fold would be empty.
-    """
-    points = np.asarray(points, dtype=float)
-    targets = np.asarray(targets, dtype=float)
-    m = points.shape[0]
-    if m < CV_FOLDS:
-        raise InputError(f"cross-validation needs at least {CV_FOLDS} points, got {m}")
-    perm = np.random.Generator(np.random.Philox(seed)).permutation(m)
-    bounds = np.linspace(0, m, CV_FOLDS + 1, dtype=int)
-    scores = []
-    for basis in candidates:
-        values = basis.evaluate(points).values.T  # (m, n)
-        total = 0.0
-        for f in range(CV_FOLDS):
-            val = perm[bounds[f] : bounds[f + 1]]
-            train = np.concatenate([perm[: bounds[f]], perm[bounds[f + 1] :]])
-            coeffs, *_ = np.linalg.lstsq(values[train], targets[train], rcond=SVD_CUTOFF)
-            err = values[val] @ coeffs - targets[val]
-            total += float(np.sqrt(np.mean(err**2)))
-        scores.append(total / CV_FOLDS)
-    return int(np.argmin(scores)), scores

@@ -61,14 +61,6 @@ class EvaluationBlock:
     gradients: np.ndarray
     hessians: np.ndarray | None = None
 
-    @property
-    def size(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def count(self) -> int:
-        return self.values.shape[1]
-
 
 def _check_points(points, dimension: int) -> np.ndarray:
     x = np.asarray(points, dtype=np.float64)
@@ -402,17 +394,6 @@ class Monomials(_SeparableBasis):
             else:
                 dropped = max(dropped, abs(c))
         return out, dropped
-
-    def function_coefficients(self, poly_coeffs) -> np.ndarray:
-        """Dictionary coefficients of a univariate polynomial (d = 1 only)."""
-        if self.dimension != 1:
-            raise UnsupportedDictionaryError("function_coefficients needs d = 1")
-        c = np.asarray(poly_coeffs, dtype=np.float64)
-        if c.shape[0] > self.size:
-            raise DomainError("polynomial degree exceeds max_degree")
-        out = np.zeros(self.size)
-        out[: c.shape[0]] = c
-        return out
 
 
 def _legendre_tables(t: np.ndarray, K: int, order: int):

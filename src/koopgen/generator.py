@@ -22,12 +22,13 @@ value matrix or (n, m, d, d) Hessian tensor is stored. Per chunk the fit
 
 R is the one least-squares statistic: [Psi^T | T^T] = Q R with orthonormal
 Q, so ||[Psi^T | T^T] v|| = ||R v|| for every v. Any fit on a subset of
-columns, and its residual, is therefore exact on the n + k rows of R instead
-of the m rows of the data. With R = [[R11, R12], [0, R22]], the coefficients
-C = R11^+ R12 come from an SVD of R11 with the relative cutoff SVD_CUTOFF;
-for gEDMD M^T = C. This is the least-squares solution M = dPsi Psi^+ and,
-unlike A_hat G_hat^+, does not square the condition number. Hard
-thresholding re-solves on supports of R, and G_hat^+ = m R11^+ R11^+T.
+columns, and its residual ||Psi^T C - T^T||_F = ||R[:, :n] C - R[:, n:]||_F,
+is therefore exact on the n + k rows of R instead of the m rows of the data.
+With R = [[R11, R12], [0, R22]], the coefficients C = R11^+ R12 come from
+an SVD of R11 with the relative cutoff SVD_CUTOFF; for gEDMD M^T = C. This
+is the least-squares solution M = dPsi Psi^+ and, unlike A_hat G_hat^+,
+does not square the condition number. Hard thresholding re-solves on
+supports of R, and G_hat^+ = m R11^+ R11^+T.
 
 A reversible-system shortcut builds A_hat from first derivatives only,
 A_hat = -(1/2m) sum_l (grad Psi sigma)(grad Psi sigma)^T, which is symmetric
@@ -122,6 +123,14 @@ def _actions(dictionary, sample, diffusion=None):
     )
 
 
+def _factor(chunks, width):
+    """Triangular factor R of the stacked [Psi^T | T^T] over (psi, T) chunks."""
+    R = np.zeros((0, width))
+    for psi, T in chunks:
+        R = np.linalg.qr(np.vstack([R, np.hstack([psi.T, T.T])]), mode="r")
+    return R
+
+
 def _fit(chunks, n, k, dictionary, sample_count, kind):
     """Streaming least-squares fit of k targets T ~ C^T Psi over (psi, T) chunks.
 
@@ -132,11 +141,14 @@ def _fit(chunks, n, k, dictionary, sample_count, kind):
     """
     A = np.zeros((k, n))
     G = np.zeros((n, n))
-    R = np.zeros((0, n + k))
-    for psi, T in chunks:
-        A += T @ psi.T
-        G += psi @ psi.T
-        R = np.linalg.qr(np.vstack([R, np.hstack([psi.T, T.T])]), mode="r")
+
+    def summed():
+        for psi, T in chunks:
+            A[:] += T @ psi.T
+            G[:] += psi @ psi.T
+            yield psi, T
+
+    R = _factor(summed(), n + k)
     # Psi^T = Q R11 and T^T = Q R12 + (orthogonal rest), so C = R11^+ R12
     U, s, Vt = np.linalg.svd(R[:n, :n], full_matrices=False)
     rank = int(np.count_nonzero(s > SVD_CUTOFF * s[0])) if s.size else 0

@@ -15,7 +15,7 @@ import numpy as np
 
 from .dictionaries import Dictionary, Monomials
 from .errors import ClosureError, IdentificationError, InputError, UnsupportedDictionaryError
-from .generator import SVD_CUTOFF, GeneratorEstimate, _actions, _fit, _walk
+from .generator import SVD_CUTOFF, GeneratorEstimate, _actions, _factor, _fit, _walk
 from .models import SampleSet
 
 CLOSURE_TOL = 1e-8  # relative size of a b_i * x_j coefficient that may leave the basis
@@ -348,6 +348,13 @@ def identify(
     and a closed dictionary this reproduces the coefficient-space route
     :func:`identify_drift` / :func:`identify_diffusion`.
 
+    The sample is streamed twice: the first walk fits the drift, the second
+    the diffusion targets, which need the thresholded drift.  Thresholding
+    works on each walk's R factor, which also gives the residuals exactly,
+    ||Psi^T C - T^T||_F = ||R[:, :n] C - R[:, n:]||_F, so no (m, n) design
+    matrix is held.  Both walks warn on a rank-deficient Psi like every
+    streamed fit.
+
     Parameters
     ----------
     dictionary : Dictionary
@@ -362,42 +369,48 @@ def identify(
     -------
     IdentifiedModel
     """
-    with_diffusion = sample.diffusion_samples is not None
-    block = dictionary.evaluate(sample.points)
-    features = block.values.T  # (m, n)
-    drift_coeffs, hist_b = hard_threshold(
-        features, sample.drift_samples, delta, iterations=iterations
-    )
-    histories = [hist_b]
+    n = dictionary.size
     pairs = upper_triangle_pairs(dictionary.dimension)
-    diffusion_coeffs = None
+    histories = []
 
-    def _diffusion_targets(data: SampleSet, feats: np.ndarray) -> np.ndarray:
+    def drift_chunks(data):
+        x, b = data.points, data.drift_samples
+        return _walk(data.count, lambda sl: (dictionary.evaluate(x[sl]).values, b[sl].T))
+
+    def diffusion_chunks(data):
         # a_ij + (b_i - bhat_i) x_j + (b_j - bhat_j) x_i per point
-        x = data.points
-        resid = data.drift_samples - feats @ drift_coeffs
-        cols = []
-        for i, j in pairs:
-            cols.append(data.diffusion_samples[:, i, j] + resid[:, i] * x[:, j] + resid[:, j] * x[:, i])
-        return np.column_stack(cols)
+        x, b, a = data.points, data.drift_samples, data.diffusion_samples
 
-    if with_diffusion:
-        targets = _diffusion_targets(sample, features)
-        diffusion_coeffs, hist_a = hard_threshold(features, targets, delta, iterations=iterations)
-        histories.append(hist_a)
+        def chunk(sl):
+            psi, xs = dictionary.evaluate(x[sl]).values, x[sl]
+            r = b[sl] - psi.T @ drift_coeffs
+            T = [a[sl, i, j] + r[:, i] * xs[:, j] + r[:, j] * xs[:, i] for i, j in pairs]
+            return psi, np.array(T)
 
-    def _rms(data: SampleSet, feats: np.ndarray) -> float:
-        errs = [np.ravel(feats @ drift_coeffs - data.drift_samples)]
-        if with_diffusion:
-            errs.append(np.ravel(feats @ diffusion_coeffs - _diffusion_targets(data, feats)))
-        stacked = np.concatenate(errs)
-        return float(np.sqrt(np.mean(stacked**2)))
+        return _walk(data.count, chunk)
 
-    residuals = {"training": _rms(sample, features)}
-    residuals["validation"] = None
+    def fit(chunks, k):
+        R = _fit(chunks(sample), n, k, dictionary, sample.count, "identify")[1]
+        C, history = hard_threshold(R[:, :n], R[:, n:], delta, iterations=iterations)
+        histories.append(history)
+        return chunks, C, R
+
+    walks = [fit(drift_chunks, dictionary.dimension)]
+    drift_coeffs = walks[0][1]
+    diffusion_coeffs = None
+    if sample.diffusion_samples is not None:
+        walks.append(fit(diffusion_chunks, len(pairs)))
+        diffusion_coeffs = walks[1][1]
+
+    def rms(factors, count):
+        fits = zip(factors, (C for _, C, _ in walks))
+        squares = sum(np.sum((R[:, :n] @ C - R[:, n:]) ** 2) for R, C in fits)
+        return float(np.sqrt(squares / (count * sum(C.shape[1] for _, C, _ in walks))))
+
+    residuals = {"training": rms([R for *_, R in walks], sample.count), "validation": None}
     if validation is not None:
-        held_out = dictionary.evaluate(validation.points).values.T
-        residuals["validation"] = _rms(validation, held_out)
+        held_out = [_factor(chunks(validation), n + C.shape[1]) for chunks, C, _ in walks]
+        residuals["validation"] = rms(held_out, validation.count)
     return IdentifiedModel(
         dictionary=dictionary,
         drift_coeffs=drift_coeffs,

@@ -1,5 +1,10 @@
+import time
+
 import numpy as np
 import pytest
+
+from koopgen.control import BurgersPlant, ControlProblem, fit_surrogates, mpc
+from koopgen.dictionaries import Monomials
 
 
 def fd_gradient(dictionary, points, step=1e-5):
@@ -43,6 +48,43 @@ def rel_err(approx, exact):
 @pytest.fixture
 def rng():
     return np.random.Generator(np.random.Philox(20260826))
+
+
+@pytest.fixture(scope="session")
+def burgers_setup():
+    """Burgers plant with its two-input surrogates (seeds 21/22, m = 800)."""
+    plant = BurgersPlant()
+    dictionary = Monomials(25, 2)
+    inputs = [-0.025, 0.075]
+    samples = [
+        plant.sample_set(u, 800, seed=21 + i, amplitude=0.1)
+        for i, u in enumerate(inputs)
+    ]
+    readout = dictionary.full_state_selector().T.mean(axis=0, keepdims=True)
+    family = fit_surrogates(dictionary, inputs, samples, readout=readout)
+    return plant, family
+
+
+@pytest.fixture(scope="session")
+def burgers_refinement(burgers_setup):
+    """Criterion 9's MPC runs, once per session: tracking RMS per step h, and wall time.
+
+    The mean state tracks 0.01 sin(0.2 pi t) on (0, 10) with q = 2 at
+    h = 0.5 and h = 0.005.
+    """
+    start = time.perf_counter()
+    plant, family = burgers_setup
+    reference = lambda t: np.array([0.01 * np.sin(0.2 * np.pi * t)])
+    errors = {}
+    for h in (0.5, 0.005):
+        problem = ControlProblem(
+            surrogates=family, reference=reference, horizon=(0.0, 10.0), h=h, q=2
+        )
+        result = mpc(problem, plant, np.zeros(25))
+        means = result.states.mean(axis=1)
+        targets = np.array([reference(t)[0] for t in result.times])
+        errors[h] = np.sqrt(np.mean((means - targets) ** 2))
+    return errors, time.perf_counter() - start
 
 
 def pytest_terminal_summary(terminalreporter):

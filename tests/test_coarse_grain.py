@@ -163,6 +163,13 @@ class TestLemonSlicePipeline:
             lemon["sample"], lemon["model"], lemon["map"], lemon["basis"]
         )
         assert force.excluded == 0
+        # the residual read off the R factor is the pointwise RMS
+        targets, _ = cg.local_mean_force(
+            lemon["map"], lemon["model"].potential_gradient, lemon["sample"].points
+        )
+        errors = force.force_on(lemon["rsample"].points[:, 0]) - targets[:, 0]
+        dense = np.sqrt(np.mean(errors**2))
+        assert abs(force.residual_rms - dense) <= 1e-10 * dense
         grid = np.linspace(-2.8, 2.8, 401)
         fitted = force.potential_on(grid)
         true = helpers.lemon_slice_angular_potential(grid)
@@ -310,6 +317,15 @@ class TestForceMatching:
             )
         assert force.excluded == 1
 
+    def test_no_kept_sample_raises(self):
+        x = models.sample_uniform([[-1.0, 1.0]] * 2, 50, seed=3)
+        sample = models.SampleSet(points=x, drift_samples=np.zeros_like(x))
+        with pytest.warns(UserWarning, match="excluded 50 samples"):
+            with pytest.raises(InputError, match="every sample was excluded"):
+                cg.force_matching(
+                    sample, lambda p: p, cg.linear_map([[0.0, 0.0]]), Monomials(1, 2)
+                )
+
     def test_requires_1d_reduction(self):
         sample = models.SampleSet(
             points=np.zeros((3, 2)), drift_samples=np.zeros((3, 2))
@@ -371,20 +387,3 @@ class TestDriftFromPotential:
         b = cg.drift_from_potential(force, [0.0, 0.0, 1.0], Monomials(1, 2), grid)
         assert np.allclose(b, grid, atol=1e-12)
 
-
-def test_cross_validate_bases_picks_moderate_bandwidth(rng):
-    z = np.linspace(-2, 2, 400)[:, None]
-    targets = np.sin(2.0 * z[:, 0]) + 0.1 * rng.standard_normal(400)
-    candidates = [
-        GaussianBasis(np.linspace(-2, 2, 15)[:, None], bw) for bw in (0.02, 0.5, 8.0)
-    ]
-    best, scores = cg.cross_validate_bases(z[:, 0:1], targets, candidates, seed=5)
-    assert best == 1
-    repeat, _ = cg.cross_validate_bases(z[:, 0:1], targets, candidates, seed=5)
-    assert repeat == best
-
-
-def test_cross_validate_bases_needs_a_point_per_fold():
-    candidates = [Monomials(1, 1), Monomials(1, 2)]
-    with pytest.raises(InputError, match="at least 5 points"):
-        cg.cross_validate_bases(np.zeros((3, 1)), np.zeros(3), candidates)

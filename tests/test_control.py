@@ -43,20 +43,6 @@ def ou_setup():
     return plant, family
 
 
-@pytest.fixture(scope="module")
-def burgers_setup():
-    plant = BurgersPlant()
-    dictionary = Monomials(25, 2)
-    inputs = [-0.025, 0.075]
-    samples = [
-        plant.sample_set(u, 800, seed=21 + i, amplitude=0.1)
-        for i, u in enumerate(inputs)
-    ]
-    mean_readout = dictionary.full_state_selector().T.mean(axis=0, keepdims=True)
-    family = fit_surrogates(dictionary, inputs, samples, readout=mean_readout)
-    return plant, family
-
-
 class TestSurrogates:
     def test_constant_row_zero_on_exact_data(self, ou_setup):
         _, family = ou_setup
@@ -169,19 +155,8 @@ class TestMpc:
         assert abs(mean[first].mean() - 2.0) < 0.2
         assert abs(mean[second].mean() + 2.0) < 0.2
 
-    def test_burgers_step_refinement_ratio(self, burgers_setup):
-        plant, family = burgers_setup
-        reference = lambda t: np.array([0.01 * np.sin(0.2 * np.pi * t)])
-        errors = {}
-        for h in (0.5, 0.005):
-            problem = ControlProblem(
-                surrogates=family, reference=reference, horizon=(0.0, 10.0),
-                h=h, q=2,
-            )
-            result = mpc(problem, plant, np.zeros(25))
-            means = result.states.mean(axis=1)
-            targets = np.array([reference(t)[0] for t in result.times])
-            errors[h] = np.sqrt(np.mean((means - targets) ** 2))
+    def test_burgers_step_refinement_ratio(self, burgers_refinement):
+        errors, _ = burgers_refinement
         assert errors[0.5] > 10.0 * errors[0.005]
 
     def test_horizon_guard(self, ou_setup):

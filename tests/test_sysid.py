@@ -238,6 +238,52 @@ class TestIdentify:
         assert abs(a22[i_const] - 0.25) < 0.05
         assert np.abs(np.delete(a22, i_const)).max() == 0.0
 
+    def test_noisy_residuals_exact_and_sample_order_invariant(self):
+        model = models.double_well_2d()
+
+        def noisy(m, seed):
+            points = models.sample_uniform([[-2.0, 2.0]] * 2, m, seed=seed)
+            return models.noisy_sample_set(
+                models.exact_sample_set(model, points), 0.1, seed=100 + seed
+            )
+
+        sample, held = noisy(3000, 5), noisy(700, 6)
+        basis = Monomials(2, 4)
+        fit = sysid.identify(basis, sample, delta=0.1, validation=held)
+
+        def dense_rms(data):
+            values = basis.evaluate(data.points).values.T
+            resid = data.drift_samples - values @ fit.drift_coeffs
+            x, a = data.points, data.diffusion_samples
+            targets = np.column_stack(
+                [a[:, i, j] + resid[:, i] * x[:, j] + resid[:, j] * x[:, i] for i, j in fit.pairs]
+            )
+            errors = np.concatenate(
+                [resid.ravel(), (values @ fit.diffusion_coeffs - targets).ravel()]
+            )
+            return np.sqrt(np.mean(errors**2))
+
+        for name, data in (("training", sample), ("validation", held)):
+            dense = dense_rms(data)
+            assert abs(fit.residuals[name] - dense) <= 1e-10 * dense
+        perm = np.random.Generator(np.random.Philox(3)).permutation(sample.count)
+        shuffled = models.SampleSet(
+            points=sample.points[perm],
+            drift_samples=sample.drift_samples[perm],
+            diffusion_samples=sample.diffusion_samples[perm],
+        )
+        refit = sysid.identify(basis, shuffled, delta=0.1)
+        assert np.abs(refit.drift_coeffs - fit.drift_coeffs).max() <= 1e-10
+        assert np.abs(refit.diffusion_coeffs - fit.diffusion_coeffs).max() <= 1e-10
+        assert refit.threshold_history == fit.threshold_history
+
+    def test_rank_deficient_basis_warns(self):
+        points = np.array([[-1.0], [0.0], [1.0]])
+        sample = models.SampleSet(points=points, drift_samples=-points)
+        with pytest.warns(UserWarning, match="rank deficient"):
+            fit = sysid.identify(Monomials(1, 3), sample)
+        assert np.abs(fit.drift_at(points) + points).max() < 1e-12
+
     def test_validation_residual(self):
         est, basis, sample = double_well_setup()
         held = models.exact_sample_set(
