@@ -218,7 +218,7 @@ class ForceMatchResult:
     def force_on(self, grid) -> np.ndarray:
         """Mean force g at 1D grid points (shape (m,))."""
         grid = np.asarray(grid, dtype=float)
-        values = self.basis.evaluate(grid[:, np.newaxis]).values
+        values = self.basis.values(grid[:, np.newaxis])
         return values.T @ self.gradient_coeffs
 
     def potential_on(self, grid) -> np.ndarray:
@@ -315,7 +315,7 @@ def force_matching(
     if m == 0:
         raise InputError("every sample was excluded; force matching has no data")
     z = cg_map(sample.points[kept])
-    chunks = _walk(m, lambda sl: (reduced_basis.evaluate(z[sl]).values, targets[sl].T))
+    chunks = _walk(m, lambda sl: (reduced_basis.values(z[sl]), targets[sl].T))
     est, R, _, _ = _fit(chunks, n, 1, reduced_basis, m, "force-matching")
     return ForceMatchResult(
         gradient_coeffs=est.M[0],
@@ -337,7 +337,7 @@ def _stiffness_designs(
     A_t[i, j] = -1/2 mean_l chi_t(z_l) grad psi_i(z_l) . grad psi_j(z_l).
     """
     block = reduced_dict.evaluate(points)
-    chi = diffusion_basis.evaluate(points).values  # (n_t, m)
+    chi = diffusion_basis.values(points)  # (n_t, m)
     n, m, p = block.gradients.shape
     g = block.gradients.reshape(n, m * p)
     designs = np.empty((chi.shape[0], n, n))
@@ -377,7 +377,7 @@ def fit_diffusion(
 def diffusion_field(diffusion_basis: Dictionary, theta, grid) -> np.ndarray:
     """Evaluate a(z) = theta . chi(z) on a 1D grid."""
     grid = np.asarray(grid, dtype=float)
-    values = diffusion_basis.evaluate(grid[:, np.newaxis]).values
+    values = diffusion_basis.values(grid[:, np.newaxis])
     return values.T @ np.asarray(theta, dtype=float)
 
 

@@ -15,7 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .dictionaries import Dictionary, evaluate
+from .dictionaries import Dictionary
+# kept for perfbench test_tracer_records_evaluations_and_restores_bindings,
+# which calls control.evaluate
+from .dictionaries import evaluate  # noqa: F401
 from .errors import ConfigError, InputError, StabilityError
 from .generator import gedmd_deterministic, gedmd_stochastic
 from .models import SampleSet, _rng
@@ -65,6 +68,7 @@ class SurrogateFamily:
 
     def __post_init__(self):
         self._propagators: dict = {}
+        self._search_rows: dict = {}
 
     @property
     def n_inputs(self) -> int:
@@ -76,7 +80,7 @@ class SurrogateFamily:
 
     def lift(self, points) -> np.ndarray:
         """psi(x) per point, shape (m, n)."""
-        return evaluate(self.dictionary, points).values.T
+        return self.dictionary.values(points).T
 
     def propagator(self, index: int, dt: float) -> np.ndarray:
         """expm(M_u dt), cached per (input index, dt)."""
@@ -84,6 +88,25 @@ class SurrogateFamily:
         if key not in self._propagators:
             self._propagators[key] = scipy.linalg.expm(self.matrices[index] * dt)
         return self._propagators[key]
+
+    def _readout_rows(self, dt: float, depth: int) -> np.ndarray:
+        """Readout rows C E_{s_k} ... E_{s_1} of every input sequence s of
+        every length k = 1..depth, with E_i = expm(M_i dt), cached per
+        (dt, depth); shape (sum_k n_c**k * r, n).
+
+        The block of length k follows those of the shorter lengths and
+        lists its sequences in itertools.product order over input indices,
+        row block (i, rest) = rows(rest) @ E_i.
+        """
+        key = (float(dt), int(depth))
+        if key not in self._search_rows:
+            E = [self.propagator(i, dt) for i in range(self.n_inputs)]
+            level, blocks = self.readout, []
+            for _ in range(depth):
+                level = np.concatenate([level @ E_i for E_i in E])
+                blocks.append(level)
+            self._search_rows[key] = np.concatenate(blocks)
+        return self._search_rows[key]
 
 
 def fit_surrogates(
@@ -196,6 +219,10 @@ class MpcResult:
 
     Arrays keep a leading realization axis only when the initial state had
     one; ``states`` has one more time entry than ``inputs``.
+    ``cost_gaps`` holds, per step, the predicted cost of the second-best
+    input sequence minus that of the best (``inf`` when only one sequence
+    exists); a gap near rounding means the chosen input hangs on the order
+    in which the costs were summed.
     """
 
     times: np.ndarray
@@ -203,31 +230,37 @@ class MpcResult:
     inputs: np.ndarray
     stage_costs: np.ndarray
     references: np.ndarray
+    cost_gaps: np.ndarray
 
 
 def _sequence_costs(problem: ControlProblem, z: np.ndarray, t: float) -> np.ndarray:
     """Predicted cost of every input sequence of length q from lifted states z.
 
-    The search runs level by level: at depth k the predicted lifted states of
-    all n_c**k partial sequences sit in one (n_c**k, R, n) array, and row
-    s * n_c + i of the next depth extends sequence s by input i.  The last
-    depth holds n_c**q * R * n floats, which ``MAX_MPC_HORIZON`` bounds.
+    Only the readout of the predicted states enters the cost, so the search
+    reads it off the family's cached readout rows C E_{s_k} ... E_{s_1} of
+    every partial sequence (see ``SurrogateFamily._readout_rows``): one
+    product with the R lifted states gives every predicted readout, and the
+    stage costs of depth k, one per partial sequence of length k, are
+    extended by input i at row s * n_c + i of the next depth.  The rows hold
+    sum_k n_c**k * r * n floats and the costs n_c**q * R, both bounded by
+    ``MAX_MPC_HORIZON``.
 
     Returns an (n_c**q, R) array; sequences are enumerated in
     itertools.product order over input indices.
     """
     fam = problem.surrogates
-    C = fam.readout
-    n_c = fam.n_inputs
-    E = [fam.propagator(i, problem.h) for i in range(n_c)]
+    n_c, (r, _), R = fam.n_inputs, fam.readout.shape, z.shape[0]
+    predicted = fam._readout_rows(problem.h, problem.q) @ z.T
     penalty = problem.alpha * np.asarray(fam.inputs) ** 2
-    Z = z[np.newaxis]
-    costs = np.zeros((1, 1, z.shape[0]))
+    costs = np.zeros((1, 1, R))
+    start = 0
     for j in range(problem.q):
-        Z = np.stack([Z @ E[i].T for i in range(n_c)], axis=1).reshape(-1, *z.shape)
-        err = Z @ C.T - np.atleast_1d(problem.reference(t + (j + 1) * problem.h))
-        stage = np.einsum("slr,slr->sl", err, err).reshape(-1, n_c, z.shape[0])
-        costs = (costs + (stage + penalty[:, None])).reshape(-1, 1, z.shape[0])
+        count = n_c ** (j + 1)
+        ref = np.atleast_1d(problem.reference(t + (j + 1) * problem.h))
+        err = predicted[start : start + count * r].reshape(count, r, R) - ref[:, None]
+        start += count * r
+        stage = np.einsum("srl,srl->sl", err, err).reshape(-1, n_c, R)
+        costs = (costs + (stage + penalty[:, None])).reshape(-1, 1, R)
     return costs[:, 0]
 
 
@@ -239,7 +272,10 @@ def mpc(problem: ControlProblem, plant, x0, *, seed=None) -> MpcResult:
     the plant, and the lifted state is re-initialized as the dictionary
     average over the window of sub-states the plant returns for that step;
     the last of them, the new state, gives the realized stage cost.
-    ``problem.h`` must divide the horizon.
+    ``problem.h`` must divide the horizon.  Each search is one product of
+    the lifted states with the family's readout rows, built once per (h, q)
+    (see ``_sequence_costs``); it holds sum_k n_c**k * r * n row entries
+    plus n_c**q * R costs, which ``MAX_MPC_HORIZON`` bounds.
 
     Parameters
     ----------
@@ -273,12 +309,16 @@ def mpc(problem: ControlProblem, plant, x0, *, seed=None) -> MpcResult:
     traj[0] = states
     applied = np.empty((steps, R))
     stage = np.empty((steps, R))
+    gaps = np.full((steps, R), np.inf)
     refs = []
     z = fam.lift(states)
     inputs_arr = np.asarray(fam.inputs)
     for k in range(steps):
         t = t0 + k * problem.h
         costs = _sequence_costs(problem, z, t)
+        if costs.shape[0] > 1:
+            lowest = np.partition(costs, 1, axis=0)
+            gaps[k] = lowest[1] - lowest[0]
         # row s of the costs starts with input s // n_c**(q-1) (product order)
         u = inputs_arr[np.argmin(costs, axis=0) // n_c ** (problem.q - 1)]
         states, window = plant.advance(states, u, problem.h, rng)
@@ -294,12 +334,14 @@ def mpc(problem: ControlProblem, plant, x0, *, seed=None) -> MpcResult:
         traj = traj[:, 0]
         applied = applied[:, 0]
         stage = stage[:, 0]
+        gaps = gaps[:, 0]
     return MpcResult(
         times=t0 + np.arange(steps + 1) * problem.h,
         states=traj,
         inputs=applied,
         stage_costs=stage,
         references=np.array(refs),
+        cost_gaps=gaps,
     )
 
 

@@ -12,6 +12,8 @@ Conventions
 * Results are packed into an :class:`EvaluationBlock` with
   ``values`` of shape (n, m), ``gradients`` of shape (n, m, d) and,
   on request, ``hessians`` of shape (n, m, d, d).
+* :meth:`Dictionary.values` returns the (n, m) values alone, bitwise those
+  of :meth:`Dictionary.evaluate`, without building any derivative.
 * Polynomial-type dictionaries order their terms by total degree first
   (constant term first) and lexicographically descending within a degree,
   so for d = 2: 1, x1, x2, x1^2, x1*x2, x2^2, ...
@@ -123,13 +125,23 @@ def _graded_exponents(dimension: int, max_degree: int) -> np.ndarray:
 
 
 class Dictionary:
-    """Common interface of all observable dictionaries."""
+    """Common interface of all observable dictionaries.
+
+    :meth:`evaluate` returns values and derivatives; :meth:`values` returns
+    the values alone, for callers that read nothing else; and
+    :meth:`generator_action` returns the values with the generator action.
+    """
 
     dimension: int
     size: int
 
     def evaluate(self, points, with_hessians: bool = False) -> EvaluationBlock:
         raise NotImplementedError
+
+    def values(self, points) -> np.ndarray:
+        """``values[k, l] = psi_k(x_l)``, shape (n, m), bitwise as from
+        :meth:`evaluate`; subclasses skip the derivatives."""
+        return self.evaluate(points).values
 
     def generator_action(self, points, drift, diffusion=None):
         """Values and generator action of every basis function at the points.
@@ -298,6 +310,16 @@ class _SeparableBasis(Dictionary):
             self._walk(tables, values[:, sl], gradients[:, sl], hess)
         return EvaluationBlock(values, gradients, hessians)
 
+    def values(self, points) -> np.ndarray:
+        # the value recurrence of _walk does not read the derivative arrays
+        x = _check_points(points, self.dimension)
+        n, m = self.size, x.shape[0]
+        values = np.empty((n, m))
+        chunk = max(16, _WORK_ELEMENTS // n)
+        for sl in (slice(start, start + chunk) for start in range(0, m, chunk)):
+            self._walk(self._tables(x[sl], 0), values[:, sl])
+        return values
+
     def generator_action(self, points, drift, diffusion=None):
         x = _check_points(points, self.dimension)
         b, a = _action_coefficients(drift, diffusion, x.shape)
@@ -397,7 +419,8 @@ class Monomials(_SeparableBasis):
 
 
 def _legendre_tables(t: np.ndarray, K: int, order: int):
-    """Legendre P_k(t), P'_k, P''_k for k = 0..K via the standard recurrences."""
+    """Legendre P_k(t) and its derivatives up to ``order`` for k = 0..K via
+    the standard recurrences, one (K + 1, m) table per order."""
     m = t.shape[0]
     P = np.empty((K + 1, m))
     P[0] = 1.0
@@ -405,17 +428,16 @@ def _legendre_tables(t: np.ndarray, K: int, order: int):
         P[1] = t
     for k in range(1, K):
         P[k + 1] = ((2 * k + 1) * t * P[k] - k * P[k - 1]) / (k + 1)
-    D1 = np.zeros((K + 1, m))
-    if K >= 1:
-        D1[1] = 1.0
-    for k in range(1, K):
-        D1[k + 1] = D1[k - 1] + (2 * k + 1) * P[k]
-    if order < 2:
-        return P, D1
-    D2 = np.zeros((K + 1, m))
-    for k in range(1, K):
-        D2[k + 1] = D2[k - 1] + (2 * k + 1) * D1[k]
-    return P, D1, D2
+    tables = [P]
+    for r in range(1, order + 1):
+        # P^(r)_{k+1} = P^(r)_{k-1} + (2k + 1) P^(r-1)_k, with P'_1 = 1
+        D = np.zeros((K + 1, m))
+        if r == 1 and K >= 1:
+            D[1] = 1.0
+        for k in range(1, K):
+            D[k + 1] = D[k - 1] + (2 * k + 1) * tables[r - 1][k]
+        tables.append(D)
+    return tables
 
 
 class LegendreBasis(_SeparableBasis):
@@ -524,11 +546,17 @@ class GaussianBasis(Dictionary):
     def _displacements(self, x: np.ndarray) -> np.ndarray:
         return x[None, :, :] - self.centers[:, None, :]
 
+    def _exponential(self, D: np.ndarray) -> np.ndarray:
+        return np.exp(-np.sum(D * D, axis=2) / (2.0 * self.bandwidth**2))
+
+    def values(self, points) -> np.ndarray:
+        return self._exponential(self._displacements(_check_points(points, self.dimension)))
+
     def evaluate(self, points, with_hessians: bool = False) -> EvaluationBlock:
         x = _check_points(points, self.dimension)
         s2 = self.bandwidth**2
         D = self._displacements(x)  # (n, m, d)
-        values = np.exp(-np.sum(D * D, axis=2) / (2.0 * s2))
+        values = self._exponential(D)
         gradients = -(D / s2) * values[:, :, None]
         hessians = None
         if with_hessians:
@@ -566,12 +594,19 @@ class PeriodicGaussianBasis(Dictionary):
         self.size = c.shape[0]
         self.dimension = 1
 
-    def evaluate(self, points, with_hessians: bool = False) -> EvaluationBlock:
-        x = _check_points(points, 1)
-        s2 = self.bandwidth**2
+    def _displacements(self, x: np.ndarray) -> np.ndarray:
+        """Wrapped displacements in [-P/2, P/2], shape (n, m)."""
         P = self.period
         raw = x[:, 0][None, :] - self.centers[:, None]
-        D = raw - P * np.round(raw / P)  # wrapped displacement in [-P/2, P/2]
+        return raw - P * np.round(raw / P)
+
+    def values(self, points) -> np.ndarray:
+        D = self._displacements(_check_points(points, 1))
+        return np.exp(-D * D / (2.0 * self.bandwidth**2))
+
+    def evaluate(self, points, with_hessians: bool = False) -> EvaluationBlock:
+        s2 = self.bandwidth**2
+        D = self._displacements(_check_points(points, 1))
         values = np.exp(-D * D / (2.0 * s2))
         gradients = (-(D / s2) * values)[:, :, None]
         hessians = None

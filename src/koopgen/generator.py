@@ -284,9 +284,7 @@ def edmd_with_log(
     if x.shape != y.shape:
         raise InputError("points and lagged_points must have equal counts")
     n, m = dictionary.size, x.shape[0]
-    chunks = _walk(
-        m, lambda sl: (dictionary.evaluate(x[sl]).values, dictionary.evaluate(y[sl]).values)
-    )
+    chunks = _walk(m, lambda sl: (dictionary.values(x[sl]), dictionary.values(y[sl])))
     est = _fit(chunks, n, n, dictionary, m, "edmd-log")[0]
     eigs = np.linalg.eigvals(est.M)
     scale = max(np.max(np.abs(eigs)), 1.0)

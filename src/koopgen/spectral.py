@@ -211,8 +211,7 @@ def eigenfunction_values(
         dictionary = dec.dictionary
     if dictionary is None:
         raise InputError("no dictionary available to evaluate eigenfunctions")
-    block = dictionary.evaluate(points)
-    return (dec.eigenvectors.T @ block.values).T
+    return (dec.eigenvectors.T @ dictionary.values(points)).T
 
 
 def _trailing_rescale(eigenvectors: np.ndarray):
@@ -299,8 +298,7 @@ def reconstruct_drift(
     -------
     (m, d) ndarray
     """
-    block = dictionary.evaluate(points)
-    phi = modes.eigenvectors.T @ block.values  # (n, m)
+    phi = modes.eigenvectors.T @ dictionary.values(points)  # (n, m)
     out = modes.modes @ (modes.eigenvalues[:, np.newaxis] * phi)
     return out.real.T
 

@@ -82,7 +82,7 @@ class IdentifiedModel:
 
     def drift_at(self, points) -> np.ndarray:
         """Evaluate the identified drift, shape (m, d)."""
-        values = self.dictionary.evaluate(points).values
+        values = self.dictionary.values(points)
         return values.T @ self.drift_coeffs
 
     def diffusion_at(self, points) -> np.ndarray:
@@ -124,7 +124,7 @@ def diffusion_values(dictionary: Dictionary, diffusion_coeffs, points) -> np.nda
             f"expected {len(pairs)} diffusion columns for dimension {d}, "
             f"got {coeffs.shape[1]}"
         )
-    values = dictionary.evaluate(points).values  # (n, m)
+    values = dictionary.values(points)  # (n, m)
     flat = coeffs.T @ values  # (p, m)
     m = values.shape[1]
     a = np.zeros((m, d, d))
@@ -316,7 +316,7 @@ def sindy_coefficients(dictionary: Dictionary, sample: SampleSet) -> np.ndarray:
     cutoff, rank rule and rank-deficiency warning as the estimators.
     """
     x, b = sample.points, sample.drift_samples
-    chunks = _walk(sample.count, lambda sl: (dictionary.evaluate(x[sl]).values, b[sl].T))
+    chunks = _walk(sample.count, lambda sl: (dictionary.values(x[sl]), b[sl].T))
     n, d = dictionary.size, b.shape[1]
     return _fit(chunks, n, d, dictionary, sample.count, "sindy")[0].M
 
@@ -375,14 +375,14 @@ def identify(
 
     def drift_chunks(data):
         x, b = data.points, data.drift_samples
-        return _walk(data.count, lambda sl: (dictionary.evaluate(x[sl]).values, b[sl].T))
+        return _walk(data.count, lambda sl: (dictionary.values(x[sl]), b[sl].T))
 
     def diffusion_chunks(data):
         # a_ij + (b_i - bhat_i) x_j + (b_j - bhat_j) x_i per point
         x, b, a = data.points, data.drift_samples, data.diffusion_samples
 
         def chunk(sl):
-            psi, xs = dictionary.evaluate(x[sl]).values, x[sl]
+            psi, xs = dictionary.values(x[sl]), x[sl]
             r = b[sl] - psi.T @ drift_coeffs
             T = [a[sl, i, j] + r[:, i] * xs[:, j] + r[:, j] * xs[:, i] for i, j in pairs]
             return psi, np.array(T)

@@ -65,3 +65,27 @@ def lemon_slice_angular_potential(phi, k=4):
 def lemon_slice_angular_force(phi, k=4):
     """-dF/dphi for the angular potential."""
     return k * np.sin(k * phi) - 0.5 * np.tan(0.5 * phi) / np.cos(0.5 * phi)
+
+
+def full_state_sequence_costs(problem, z, t):
+    """Predicted cost of every input sequence by propagating full lifted states.
+
+    The reference search for ``koopgen.control._sequence_costs``: at depth k
+    the predicted lifted states of all n_c**k partial sequences sit in one
+    (n_c**k, R, n) array, and row s * n_c + i of the next depth extends
+    sequence s by input i.  Returns an (n_c**q, R) array in
+    itertools.product order over input indices.
+    """
+    fam = problem.surrogates
+    C = fam.readout
+    n_c = fam.n_inputs
+    E = [fam.propagator(i, problem.h) for i in range(n_c)]
+    penalty = problem.alpha * np.asarray(fam.inputs) ** 2
+    Z = z[np.newaxis]
+    costs = np.zeros((1, 1, z.shape[0]))
+    for j in range(problem.q):
+        Z = np.stack([Z @ E[i].T for i in range(n_c)], axis=1).reshape(-1, *z.shape)
+        err = Z @ C.T - np.atleast_1d(problem.reference(t + (j + 1) * problem.h))
+        stage = np.einsum("slr,slr->sl", err, err).reshape(-1, n_c, z.shape[0])
+        costs = (costs + (stage + penalty[:, None])).reshape(-1, 1, z.shape[0])
+    return costs[:, 0]

@@ -9,6 +9,8 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
+from koopgen import control
 from koopgen.control import (
     BurgersPlant,
     ControlProblem,
@@ -82,6 +84,31 @@ class TestSurrogates:
         sample = plant.sample_set(1.0, [[-1.0, 1.0]], 50, seed=0)
         with pytest.raises(InputError, match="sample sets"):
             fit_surrogates(family.dictionary, [1.0, 2.0], [sample])
+
+
+def _three_input_family(seed, readout):
+    rng = np.random.default_rng(seed)
+    return SurrogateFamily(
+        inputs=(-1.0, 0.5, 2.0),
+        matrices=0.5 * rng.standard_normal((3, 3, 3)),
+        dictionary=Monomials(1, 2),
+        readout=readout,
+    )
+
+
+def _enumerated_costs(problem, z, t):
+    """Costs of every input sequence, one product expm(M dt) per sequence."""
+    fam, h = problem.surrogates, problem.h
+    expected = []
+    for seq in itertools.product(range(fam.n_inputs), repeat=problem.q):
+        phi = np.eye(fam.size)
+        total = np.zeros(z.shape[0])
+        for j, i in enumerate(seq):
+            phi = scipy.linalg.expm(fam.matrices[i] * h) @ phi
+            err = z @ phi.T @ fam.readout.T - problem.reference(t + (j + 1) * h)
+            total += np.sum(err**2, axis=1) + problem.alpha * fam.inputs[i] ** 2
+        expected.append(total)
+    return np.array(expected)
 
 
 def _toy_family(n_inputs=1, matrix=None):
@@ -249,6 +276,76 @@ class TestMpc:
         expected = [family.inputs[sequences[b][0]] for b in best]
         result = mpc(problem, ControlledOUPlant(noise=False), x0)
         assert result.inputs[0].tolist() == expected
+
+    def test_cached_rows_follow_step_and_horizon(self):
+        # each (h, q) pair gets its own rows; stale ones would show here
+        family = _three_input_family(4, np.eye(3)[1:])
+        z = family.lift(np.linspace(-1.0, 1.0, 5)[:, None])
+        reference = lambda t: np.array([1.0 - t, 0.5])
+        for h, q in [(0.1, 2), (0.25, 2), (0.1, 3), (0.25, 1), (0.1, 2), (0.25, 3)]:
+            problem = ControlProblem(
+                surrogates=family, reference=reference,
+                horizon=(0.0, 1.0), h=h, q=q, alpha=0.2,
+            )
+            np.testing.assert_allclose(
+                _sequence_costs(problem, z, 0.3), _enumerated_costs(problem, z, 0.3),
+                rtol=1e-14, atol=0.0,
+            )
+
+    def test_noisy_ou_loop_matches_full_state_search(self, ou_setup, monkeypatch):
+        plant, family = ou_setup
+        problem = ControlProblem(
+            surrogates=family, reference=lambda t: np.array([1.5 * np.sin(2.0 * t)]),
+            horizon=(0.0, 2.0), h=0.05, q=3, alpha=0.01,
+        )
+        x0 = np.linspace(-1.0, 1.0, 20)[:, None]
+        result = mpc(problem, plant, x0, seed=5)
+        monkeypatch.setattr(control, "_sequence_costs", helpers.full_state_sequence_costs)
+        reference = mpc(problem, plant, x0, seed=5)
+        assert result.inputs.shape == (40, 20)
+        assert np.array_equal(result.inputs, reference.inputs)
+
+    def test_propagators_built_once_per_run(self, ou_setup, monkeypatch):
+        _, trained = ou_setup
+        family = SurrogateFamily(
+            inputs=trained.inputs, matrices=trained.matrices,
+            dictionary=trained.dictionary, readout=trained.readout,
+        )
+        original = family.propagator
+        calls = []
+
+        def counting(index, dt):
+            calls.append((index, dt))
+            return original(index, dt)
+
+        monkeypatch.setattr(family, "propagator", counting)
+        problem = ControlProblem(
+            surrogates=family, reference=lambda t: np.array([1.0]),
+            horizon=(0.0, 1.0), h=0.05, q=3,
+        )
+        mpc(problem, ControlledOUPlant(), np.zeros((4, 1)), seed=2)
+        assert sorted(calls) == [(i, 0.05) for i in range(family.n_inputs)]
+
+    def test_cost_gaps_match_enumeration(self):
+        family = _three_input_family(8, np.eye(3)[1:2])
+        problem = ControlProblem(
+            surrogates=family, reference=lambda t: np.array([0.4 - t]),
+            horizon=(0.0, 0.3), h=0.1, q=2, alpha=0.05,
+        )
+        result = mpc(problem, ControlledOUPlant(noise=False), np.linspace(-1.0, 1.0, 4)[:, None])
+        assert result.cost_gaps.shape == (3, 4)
+        assert np.all(result.cost_gaps >= 0.0)
+        for k, t in enumerate(result.times[:-1]):
+            costs = np.sort(_enumerated_costs(problem, family.lift(result.states[k]), t), axis=0)
+            np.testing.assert_allclose(
+                result.cost_gaps[k], costs[1] - costs[0], rtol=1e-9, atol=1e-12
+            )
+        single = ControlProblem(
+            surrogates=_toy_family(), reference=lambda t: np.array([0.0]),
+            horizon=(0.0, 0.3), h=0.1, q=2,
+        )
+        gaps = mpc(single, ControlledOUPlant(noise=False), np.array([0.5])).cost_gaps
+        assert gaps.shape == (3,) and np.all(gaps == np.inf)
 
     def test_lifts_once_per_step(self, ou_setup, monkeypatch):
         _, family = ou_setup

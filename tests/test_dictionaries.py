@@ -6,6 +6,7 @@ from numpy.polynomial import legendre
 
 from conftest import fd_gradient, fd_hessian, rel_err
 from koopgen.dictionaries import (
+    _WORK_ELEMENTS,
     GaussianBasis,
     LegendreBasis,
     Monomials,
@@ -216,3 +217,30 @@ def test_periodic_shift_invariance(shift):
     x = np.array([[shift]])
     y = np.array([[shift - 2.0 * k]])
     assert np.allclose(pg.evaluate(x).values, pg.evaluate(y).values, atol=1e-12)
+
+
+@given(
+    kind=st.sampled_from(["monomials", "legendre", "gaussians", "periodic"]),
+    d=st.integers(min_value=1, max_value=2),
+    deg=st.integers(min_value=2, max_value=8),
+    chunks=st.floats(min_value=0.0, max_value=2.5),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_values_bitwise_equal_evaluate(kind, d, deg, chunks, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "monomials":
+        basis = Monomials(d, deg)
+    elif kind == "legendre":
+        basis = LegendreBasis(deg, BOX3[:d])
+    elif kind == "gaussians":
+        basis = GaussianBasis(rng.uniform(-1.0, 1.0, (3 * deg, d)), 0.7)
+    else:
+        basis = PeriodicGaussianBasis(rng.uniform(-1.0, 1.0, 3 * deg), 0.7, 2.0)
+    # up to 2.5 work chunks of the tensor bases' values-only walk
+    m = 1 + int(chunks * max(16, _WORK_ELEMENTS // basis.size))
+    box = np.array(BOX3[: basis.dimension])
+    x = rng.uniform(box[:, 0], box[:, 1], (m, basis.dimension))
+    values = basis.values(x)
+    assert values.shape == (basis.size, m)
+    assert values.tobytes() == basis.evaluate(x).values.tobytes()
