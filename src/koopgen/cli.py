@@ -304,6 +304,10 @@ def _reference_functions(config):
         )
     if kind == "piecewise":
         times = _num_list(config, "reference.times")
+        if np.any(np.diff(times) <= 0):
+            raise ConfigError(
+                "config field 'reference.times': expected strictly increasing switch times"
+            )
         values = _num_list(config, "reference.values")
         if len(values) != len(times) + 1:
             raise ConfigError(

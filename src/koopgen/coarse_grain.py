@@ -401,17 +401,16 @@ class ReducedModel:
     """Reversible reduced model assembled from one sample set.
 
     Holds the fitted mean force (potential via integration), the diffusion
-    parameters, and the reduced Galerkin matrices of the estimate the fit
-    was made against.  The drift is derived from (F, a), so the reversible
-    drift-potential relation holds by construction.
+    parameters, and the reduced estimate the fit was made against, whose
+    A_hat and G_hat are the reduced Galerkin matrices.  The drift is
+    derived from (F, a), so the reversible drift-potential relation holds
+    by construction.
     """
 
     force: ForceMatchResult
     theta: np.ndarray
     diffusion_basis: Dictionary = field(repr=False)
     reduced_basis: Dictionary = field(repr=False)
-    galerkin_A: np.ndarray = field(repr=False)
-    galerkin_G: np.ndarray = field(repr=False)
     estimate: GeneratorEstimate = field(repr=False)
 
     def potential_on(self, grid) -> np.ndarray:
@@ -455,7 +454,5 @@ def build_reduced_model(
         theta=theta,
         diffusion_basis=diffusion_basis,
         reduced_basis=reduced_basis,
-        galerkin_A=est.A_hat,
-        galerkin_G=est.G_hat,
         estimate=est,
     )

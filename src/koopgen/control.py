@@ -44,9 +44,13 @@ STO_PANELS = 4  # trapezoid panels K per segment of the switching-time objective
 STO_TOL = 1e-9  # largest switch-time step, per unit horizon, that counts as converged
 
 
-@dataclass
+@dataclass(frozen=True)
 class SurrogateFamily:
     """Per-input surrogate matrices sharing one dictionary.
+
+    The family is immutable: it holds read-only copies of ``matrices`` and
+    ``readout``, so the readout rows cached per (h, q) for the MPC search
+    always belong to the family's own matrices.
 
     Attributes
     ----------
@@ -57,18 +61,19 @@ class SurrogateFamily:
     dictionary : Dictionary
     readout : (r, n) ndarray
         Rows extracting the tracked observables from z.
-    estimates : tuple of GeneratorEstimate
     """
 
     inputs: tuple
     matrices: np.ndarray
     dictionary: Dictionary = field(repr=False)
     readout: np.ndarray = field(repr=False)
-    estimates: tuple = field(default=(), repr=False)
 
     def __post_init__(self):
-        self._propagators: dict = {}
-        self._search_rows: dict = {}
+        for name in ("matrices", "readout"):
+            frozen = np.array(getattr(self, name), dtype=float)
+            frozen.flags.writeable = False
+            object.__setattr__(self, name, frozen)
+        object.__setattr__(self, "_search_rows", {})
 
     @property
     def n_inputs(self) -> int:
@@ -83,11 +88,8 @@ class SurrogateFamily:
         return self.dictionary.values(points).T
 
     def propagator(self, index: int, dt: float) -> np.ndarray:
-        """expm(M_u dt), cached per (input index, dt)."""
-        key = (int(index), float(dt))
-        if key not in self._propagators:
-            self._propagators[key] = scipy.linalg.expm(self.matrices[index] * dt)
-        return self._propagators[key]
+        """expm(M_u dt) of the input with the given index."""
+        return scipy.linalg.expm(self.matrices[index] * dt)
 
     def _readout_rows(self, dt: float, depth: int) -> np.ndarray:
         """Readout rows C E_{s_k} ... E_{s_1} of every input sequence s of
@@ -143,8 +145,7 @@ def fit_surrogates(
         inputs=tuple(float(u) for u in inputs),
         matrices=np.stack([est.M for est in estimates]),
         dictionary=dictionary,
-        readout=np.asarray(readout, dtype=float),
-        estimates=tuple(estimates),
+        readout=readout,
     )
 
 

@@ -14,13 +14,11 @@ streaming fit, where T holds k regression targets per point (dpsi for
 gEDMD, psi at the lagged points for EDMD, the drift for SINDy). Memory is
 O((n + k)^2 + (n + k) * CHUNK * d) whatever the sample count m; no (n, m)
 value matrix or (n, m, d, d) Hessian tensor is stored. Per chunk the fit
+updates the triangular factor R of the stacked matrix [Psi^T | T^T] by a
+QR factorization of R on top of the chunk (sequential TSQR), in a fixed
+chunk order, so reruns are bitwise identical.
 
-* accumulates the sums T Psi^T and Psi Psi^T in a fixed chunk order, so
-  reruns are bitwise identical (A_hat and G_hat are these over m), and
-* updates the triangular factor R of the stacked matrix [Psi^T | T^T] by a
-  QR factorization of R on top of the chunk (sequential TSQR).
-
-R is the one least-squares statistic: [Psi^T | T^T] = Q R with orthonormal
+R is the one statistic of the data: [Psi^T | T^T] = Q R with orthonormal
 Q, so ||[Psi^T | T^T] v|| = ||R v|| for every v. Any fit on a subset of
 columns, and its residual ||Psi^T C - T^T||_F = ||R[:, :n] C - R[:, n:]||_F,
 is therefore exact on the n + k rows of R instead of the m rows of the data.
@@ -28,7 +26,10 @@ With R = [[R11, R12], [0, R22]], the coefficients C = R11^+ R12 come from
 an SVD of R11 with the relative cutoff SVD_CUTOFF; for gEDMD M^T = C. This
 is the least-squares solution M = dPsi Psi^+ and, unlike A_hat G_hat^+,
 does not square the condition number. Hard thresholding re-solves on
-supports of R, and G_hat^+ = m R11^+ R11^+T.
+supports of R, and G_hat^+ = m R11^+ R11^+T. The Galerkin matrices are
+read off R after the walk too: Psi Psi^T = R11^T R11 and T Psi^T = R12^T R11,
+so G_hat = R[:, :n]^T R[:, :n] / m and A_hat = R[:, n:]^T R[:, :n] / m
+(R may have fewer than n + k rows when m < n + k).
 
 A reversible-system shortcut builds A_hat from first derivatives only,
 A_hat = -(1/2m) sum_l (grad Psi sigma)(grad Psi sigma)^T, which is symmetric
@@ -134,21 +135,12 @@ def _factor(chunks, width):
 def _fit(chunks, n, k, dictionary, sample_count, kind):
     """Streaming least-squares fit of k targets T ~ C^T Psi over (psi, T) chunks.
 
-    Returns the estimate with M = C^T, A_hat = T Psi^T / m and
-    G_hat = Psi Psi^T / m, the triangular factor R of [Psi^T | T^T], and
-    the singular values s and right singular vectors V of R11 kept by the
-    rank rule.
+    Returns the estimate with M = C^T and the Galerkin matrices
+    A_hat = T Psi^T / m and G_hat = Psi Psi^T / m read off R after the walk,
+    the triangular factor R of [Psi^T | T^T], and the singular values s and
+    right singular vectors V of R11 kept by the rank rule.
     """
-    A = np.zeros((k, n))
-    G = np.zeros((n, n))
-
-    def summed():
-        for psi, T in chunks:
-            A[:] += T @ psi.T
-            G[:] += psi @ psi.T
-            yield psi, T
-
-    R = _factor(summed(), n + k)
+    R = _factor(chunks, n + k)
     # Psi^T = Q R11 and T^T = Q R12 + (orthogonal rest), so C = R11^+ R12
     U, s, Vt = np.linalg.svd(R[:n, :n], full_matrices=False)
     rank = int(np.count_nonzero(s > SVD_CUTOFF * s[0])) if s.size else 0
@@ -162,8 +154,8 @@ def _fit(chunks, n, k, dictionary, sample_count, kind):
         )
     est = GeneratorEstimate(
         M=C.T,
-        A_hat=A / sample_count,
-        G_hat=G / sample_count,
+        A_hat=R[:, n:].T @ R[:, :n] / sample_count,
+        G_hat=R[:, :n].T @ R[:, :n] / sample_count,
         rank=rank,
         dictionary=dictionary,
         sample_count=sample_count,

@@ -112,6 +112,21 @@ class TestConfigErrors:
         assert run_cli(["run", path, "--out", str(tmp_path / "out")]) == 1
         assert "'reference.values'" in capsys.readouterr().err
 
+    def test_piecewise_reference_unsorted_times(self, tmp_path, capsys):
+        # searchsorted on [5, 2] would never select the value 20
+        config = json.loads(json.dumps(cli.bundled_configs()["ou_mpc"]))
+        config["reference"] = {
+            "type": "piecewise", "times": [5.0, 2.0], "values": [10.0, 20.0, 30.0]
+        }
+        path = write_config(tmp_path, "bad_times.json", config)
+        out = tmp_path / "out"
+        assert run_cli(["run", path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert (
+            "config field 'reference.times': expected strictly increasing switch times" in err
+        )
+        assert not (out / "control.csv").exists()
+
 
 class TestRun:
     def test_custom_config_file_produces_artifacts(self, tmp_path, capsys):

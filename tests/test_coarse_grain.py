@@ -231,20 +231,17 @@ class TestLemonSlicePipeline:
         theta = cg.fit_diffusion(est.A_hat, basis, cg.reduced_sample(pmap, sample), dbasis)
         for name in ("M", "A_hat", "G_hat"):
             assert np.array_equal(getattr(reduced.estimate, name), getattr(est, name))
-        assert np.array_equal(reduced.galerkin_A, est.A_hat)
-        assert np.array_equal(reduced.galerkin_G, est.G_hat)
         assert np.array_equal(reduced.force.gradient_coeffs, force.gradient_coeffs)
         assert reduced.force.residual_rms == force.residual_rms
         assert np.array_equal(reduced.theta, theta)
 
     def test_galerkin_gram_shared_code_path(self, lemon):
+        # G_hat is read off the streamed R factor of the values alone
         values = lemon["basis"].evaluate(lemon["rsample"].points).values
-        m = values.shape[1]
-        G = np.zeros((values.shape[0],) * 2)
-        for start in range(0, m, generator.CHUNK):
-            chunk = values[:, start : start + generator.CHUNK]
-            G += chunk @ chunk.T
-        assert np.array_equal(lemon["est"].G_hat, G / m)
+        n, m = values.shape
+        chunks = generator._walk(m, lambda sl: (values[:, sl], values[:0, sl]))
+        P = generator._factor(chunks, n)[:, :n]
+        assert np.array_equal(lemon["est"].G_hat, P.T @ P / m)
 
 
 class TestForceMatching:

@@ -1,5 +1,6 @@
 """Tests for per-input surrogates, MPC, and switching-time optimization."""
 
+import dataclasses
 import gc
 import itertools
 
@@ -292,6 +293,29 @@ class TestMpc:
                 rtol=1e-14, atol=0.0,
             )
 
+    def test_family_cannot_go_stale(self):
+        # the cached rows would keep the old family's costs after either edit
+        matrices = 0.5 * np.random.default_rng(4).standard_normal((3, 3, 3))
+        readout = np.eye(3)[1:2]
+        family = SurrogateFamily(
+            inputs=(-1.0, 0.5, 2.0), matrices=matrices,
+            dictionary=Monomials(1, 2), readout=readout,
+        )
+        problem = ControlProblem(
+            surrogates=family, reference=lambda t: np.array([0.4 - t]),
+            horizon=(0.0, 1.0), h=0.1, q=2, alpha=0.05,
+        )
+        z = family.lift(np.linspace(-1.0, 1.0, 4)[:, None])
+        before = _sequence_costs(problem, z, 0.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            family.readout = np.eye(3)[2:3]
+        with pytest.raises(ValueError, match="read-only"):
+            family.matrices[:] = 0.0
+        # the family holds copies, so the caller's arrays stay writable
+        matrices[:] = 0.0
+        readout[:] = 0.0
+        assert np.array_equal(_sequence_costs(problem, z, 0.0), before)
+
     def test_noisy_ou_loop_matches_full_state_search(self, ou_setup, monkeypatch):
         plant, family = ou_setup
         problem = ControlProblem(
@@ -311,14 +335,14 @@ class TestMpc:
             inputs=trained.inputs, matrices=trained.matrices,
             dictionary=trained.dictionary, readout=trained.readout,
         )
-        original = family.propagator
+        original = SurrogateFamily.propagator
         calls = []
 
-        def counting(index, dt):
+        def counting(self, index, dt):
             calls.append((index, dt))
-            return original(index, dt)
+            return original(self, index, dt)
 
-        monkeypatch.setattr(family, "propagator", counting)
+        monkeypatch.setattr(SurrogateFamily, "propagator", counting)
         problem = ControlProblem(
             surrogates=family, reference=lambda t: np.array([1.0]),
             horizon=(0.0, 1.0), h=0.05, q=3,
@@ -353,14 +377,14 @@ class TestMpc:
             surrogates=family, reference=lambda t: np.array([1.0]),
             horizon=(0.0, 0.5), h=0.05, q=2,
         )
-        original = family.lift
+        original = SurrogateFamily.lift
         calls = []
 
-        def counting(points):
+        def counting(self, points):
             calls.append(len(points))
-            return original(points)
+            return original(self, points)
 
-        monkeypatch.setattr(family, "lift", counting)
+        monkeypatch.setattr(SurrogateFamily, "lift", counting)
         for plant in (ControlledOUPlant(noise=False), ControlledOUPlant()):
             calls.clear()
             mpc(problem, plant, np.zeros((3, 1)), seed=1)

@@ -405,3 +405,49 @@ def test_stochastic_fit_builds_no_hessian_tensor(monkeypatch):
                 expected[row, basis.index_of(lowered)] += a[j, k] * weight
     assert est.rank == basis.size
     assert np.linalg.norm(est.M - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+@settings(max_examples=24, deadline=None)
+@given(
+    legendre=st.booleans(),
+    d=st.integers(1, 2),
+    degree=st.integers(1, 4),
+    m=st.integers(CHUNK + 1, 3 * CHUNK),
+    stochastic=st.booleans(),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_galerkin_properties_of_constant_containing_bases(
+    legendre, d, degree, m, stochastic, seed
+):
+    # L 1 = 0 exactly, and G_hat is exactly symmetric and PSD to rounding
+    box = [[-1.5, 1.5]] * d
+    basis = LegendreBasis(degree, box) if legendre else Monomials(d, degree)
+    model = double_well_2d() if d == 2 else ornstein_uhlenbeck(1.0, 4.0)
+    sample = exact_sample_set(model, sample_uniform(box, m, seed=seed))
+    est = (gedmd_stochastic if stochastic else gedmd_deterministic)(basis, sample)
+    c = basis.constant_index
+    assert not est.M[c].any()
+    assert not est.A_hat[c].any()
+    assert np.array_equal(est.G_hat, est.G_hat.T)
+    lam = np.linalg.eigvalsh(est.G_hat)
+    assert lam.min() >= -basis.size * np.finfo(float).eps * lam.max()
+
+
+@settings(max_examples=24, deadline=None)
+@given(
+    d=st.integers(1, 2),
+    degree=st.integers(1, 6),
+    lower=st.floats(-5.0, 5.0),
+    width=st.floats(0.1, 10.0),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_legendre_basis_is_affine_in_its_domain(d, degree, lower, width, seed):
+    # a basis on [a, b] at x is the basis on [-1, 1] at t = (x - m0) / m1
+    box = np.array([[lower, lower + width]] * d)
+    m0, m1 = 0.5 * (box[:, 0] + box[:, 1]), 0.5 * (box[:, 1] - box[:, 0])
+    x = sample_uniform(box, 300, seed=seed)
+    on_box = LegendreBasis(degree, box).evaluate(x)
+    on_reference = LegendreBasis(degree, [[-1.0, 1.0]] * d).evaluate((x - m0) / m1)
+    assert np.array_equal(on_box.values, on_reference.values)
+    scaled = on_reference.gradients / m1
+    assert np.linalg.norm(on_box.gradients - scaled) <= 1e-12 * np.linalg.norm(scaled)
