@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from importlib import resources
 from pathlib import Path
@@ -49,13 +50,29 @@ def _field(config: dict, path: str, default=_MISSING):
     return node
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _finite(path, values) -> list[float]:
+    """`values` as floats; json reads NaN and Infinity, which no field accepts."""
+    try:
+        out = [float(v) for v in values]
+    except OverflowError:  # an integer beyond the float range
+        out = [math.inf]
+    if not all(map(math.isfinite, out)):
+        raise ConfigError(f"config field '{path}': expected a finite number")
+    return out
+
+
 def _number(config, path, default=_MISSING, minimum=None):
     value = _field(config, path, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         raise ConfigError(f"config field '{path}': expected a number")
+    (value,) = _finite(path, [value])
     if minimum is not None and value < minimum:
         raise ConfigError(f"config field '{path}': must be >= {minimum}")
-    return float(value)
+    return value
 
 
 def _integer(config, path, default=_MISSING, minimum=None):
@@ -83,42 +100,30 @@ def _box(config, path):
     ok = (
         isinstance(value, list)
         and value
-        and all(
-            isinstance(r, list)
-            and len(r) == 2
-            and all(isinstance(e, (int, float)) and not isinstance(e, bool) for e in r)
-            and r[0] < r[1]
-            for r in value
-        )
+        and all(isinstance(r, list) and len(r) == 2 and all(map(_is_number, r)) for r in value)
     )
-    if not ok:
+    box = [_finite(path, r) for r in value] if ok else []
+    if not ok or not all(lo < hi for lo, hi in box):
         raise ConfigError(
             f"config field '{path}': expected a list of [low, high] pairs with low < high"
         )
-    return [[float(r[0]), float(r[1])] for r in value]
+    return box
 
 
 def _pair(config, path):
     value = _field(config, path)
-    ok = (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(e, (int, float)) and not isinstance(e, bool) for e in value)
-        and value[0] < value[1]
-    )
-    if not ok:
+    ok = isinstance(value, list) and len(value) == 2 and all(map(_is_number, value))
+    pair = _finite(path, value) if ok else []
+    if not ok or not pair[0] < pair[1]:
         raise ConfigError(f"config field '{path}': expected [start, end] with start < end")
-    return float(value[0]), float(value[1])
+    return pair[0], pair[1]
 
 
 def _num_list(config, path):
     value = _field(config, path)
-    ok = isinstance(value, list) and value and all(
-        isinstance(e, (int, float)) and not isinstance(e, bool) for e in value
-    )
-    if not ok:
+    if not (isinstance(value, list) and value and all(map(_is_number, value))):
         raise ConfigError(f"config field '{path}': expected a non-empty list of numbers")
-    return [float(e) for e in value]
+    return _finite(path, value)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +191,7 @@ def _build_sample(config, model, seed):
     return sample
 
 
-def _estimate(config, dictionary, sample):
+def _estimate(dictionary, sample):
     if sample.diffusion_samples is None:
         return generator.gedmd_deterministic(dictionary, sample)
     return generator.gedmd_stochastic(dictionary, sample)
@@ -209,7 +214,7 @@ def _evaluation_grid(config, prefix: str):
 def _run_estimate(config, out: Path, seed: int):
     model = _build_model(config)
     dictionary = _build_dictionary(config, model.dimension)
-    estimate = _estimate(config, dictionary, _build_sample(config, model, seed))
+    estimate = _estimate(dictionary, _build_sample(config, model, seed))
     labels = dictionary.labels()
     rows = [[labels[i]] + list(estimate.M[i]) for i in range(dictionary.size)]
     io.write_csv(out / "generator.csv", ["function"] + labels, rows)
@@ -220,7 +225,7 @@ def _run_estimate(config, out: Path, seed: int):
 def _run_spectrum(config, out: Path, seed: int):
     model = _build_model(config)
     dictionary = _build_dictionary(config, model.dimension)
-    estimate = _estimate(config, dictionary, _build_sample(config, model, seed))
+    estimate = _estimate(dictionary, _build_sample(config, model, seed))
     decomposition = spectral.decompose(estimate)
     io.write_eigenvalue_csv(out / "eigenvalues.csv", decomposition)
     artifacts = ["eigenvalues.csv"]
@@ -255,7 +260,7 @@ def _run_identify(config, out: Path, seed: int):
 def _run_conserved(config, out: Path, seed: int):
     model = _build_model(config)
     dictionary = _build_dictionary(config, model.dimension)
-    estimate = _estimate(config, dictionary, _build_sample(config, model, seed))
+    estimate = _estimate(dictionary, _build_sample(config, model, seed))
     decomposition = spectral.decompose(estimate)
     io.write_eigenvalue_csv(out / "eigenvalues.csv", decomposition)
     vectors = spectral.conserved_quantities(decomposition)

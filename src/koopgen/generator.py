@@ -46,12 +46,7 @@ from typing import Optional
 import numpy as np
 from scipy import linalg
 
-from .dictionaries import (
-    Dictionary,
-    _check_points,
-    _contract_generator,
-    dictionary_from_spec,
-)
+from .dictionaries import Dictionary, _check_points, dictionary_from_spec
 from .errors import InputError, LogBranchError
 from .models import SampleSet
 
@@ -168,9 +163,10 @@ def apply_generator_values(block, sample: SampleSet) -> np.ndarray:
     """dpsi_k(x_l) for all k, l: drift term plus (if present) diffusion term."""
     if sample.diffusion_samples is not None and block.hessians is None:
         raise InputError("diffusion samples present but the block has no Hessians")
-    return _contract_generator(
-        block.gradients, block.hessians, sample.drift_samples, sample.diffusion_samples
-    )
+    dpsi = np.einsum("li,kli->kl", sample.drift_samples, block.gradients)
+    if sample.diffusion_samples is not None:
+        dpsi = dpsi + 0.5 * np.einsum("lij,klij->kl", sample.diffusion_samples, block.hessians)
+    return dpsi
 
 
 def gedmd_deterministic(dictionary: Dictionary, sample: SampleSet) -> GeneratorEstimate:

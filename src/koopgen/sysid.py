@@ -363,12 +363,16 @@ def identify(
     delta : float
         Hard threshold on basis coefficients; 0 disables sparsification.
     validation : SampleSet, optional
-        Held-out data for the validation residual.
+        Held-out data for the validation residual; it needs diffusion data
+        when the sample has it.
 
     Returns
     -------
     IdentifiedModel
     """
+    held_out_diffusion = validation is None or validation.diffusion_samples is not None
+    if sample.diffusion_samples is not None and not held_out_diffusion:
+        raise InputError("the sample carries diffusion data, but the validation set does not")
     n = dictionary.size
     pairs = upper_triangle_pairs(dictionary.dimension)
     histories = []

@@ -128,6 +128,28 @@ class TestConfigErrors:
         assert not (out / "control.csv").exists()
 
 
+    @pytest.mark.parametrize(
+        "name, section, field, value",
+        [
+            ("ou_mpc", "plant", "dt", float("nan")),
+            ("ou_mpc", "control", "h", float("inf")),
+            ("ou_estimate", "sampling", "box", [[float("-inf"), float("inf")]]),
+            ("ou_mpc", "control", "alpha", float("nan")),
+        ],
+        ids=["dt-nan", "h-inf", "box-inf", "alpha-nan"],
+    )
+    def test_non_finite_number_reports_path(self, tmp_path, capsys, name, section, field, value):
+        # json writes and reads these as NaN, Infinity and -Infinity
+        config = json.loads(json.dumps(cli.bundled_configs()[name]))
+        config[section][field] = value
+        path = write_config(tmp_path, "non_finite.json", config)
+        out = tmp_path / "out"
+        assert run_cli(["run", path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"config field '{section}.{field}': expected a finite number" in err
+        assert not any(out.iterdir())
+
+
 class TestRun:
     def test_custom_config_file_produces_artifacts(self, tmp_path, capsys):
         path = write_config(tmp_path, "small.json", SMALL_SPECTRUM)

@@ -194,8 +194,10 @@ def test_spec_round_trip(rng):
         PeriodicGaussianBasis([0.0, 1.0], 0.5, 2 * np.pi),
     ):
         clone = dictionary_from_spec(basis.spec())
+        assert clone.spec() == basis.spec()
         x = rng.uniform(-1, 1, (10, basis.dimension))
         assert np.array_equal(evaluate(basis, x).values, evaluate(clone, x).values)
+    assert PeriodicGaussianBasis([0.0, 1.0], 0.5, 2 * np.pi).spec()["centers"] == [0.0, 1.0]
 
 
 @given(

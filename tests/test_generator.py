@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 from scipy import linalg
 
 from koopgen import generator, sysid
-from koopgen.dictionaries import _WORK_ELEMENTS, GaussianBasis, LegendreBasis, Monomials
+from koopgen.dictionaries import (
+    _WORK_ELEMENTS,
+    GaussianBasis,
+    LegendreBasis,
+    Monomials,
+    PeriodicGaussianBasis,
+)
 from koopgen.errors import InputError, LogBranchError
 from koopgen.generator import (
     CHUNK,
@@ -241,7 +247,11 @@ def _random_coefficients(rng, m, d):
         LegendreBasis(5, [[-2.0, 2.0]] * 2),
         LegendreBasis(8, [[-2.0, 2.0]] * 4),
         LegendreBasis(4, [[-2.0, 3.0], [-1.5, 2.0], [-3.0, 1.5]]),
+        GaussianBasis(sample_uniform([[-1.0, 1.0]], 9, seed=3), 0.5),
         GaussianBasis(sample_uniform([[-1.0, 1.0]] * 3, 12, seed=4), 0.8),
+        GaussianBasis(sample_uniform([[-1.0, 1.0]] * 4, 20, seed=5), 1.0),
+        # period 0.7: the points span more than four periods, so D wraps
+        PeriodicGaussianBasis(np.linspace(-0.3, 0.3, 7), 0.15, 0.7),
     ],
     ids=[
         "monomials-d2",
@@ -250,7 +260,10 @@ def _random_coefficients(rng, m, d):
         "legendre-d2",
         "legendre-d4",
         "legendre-d3-box",
+        "gaussians-d1",
         "gaussians",
+        "gaussians-d4",
+        "periodic-gaussians",
     ],
 )
 def test_generator_action_matches_hessian_contraction(basis):

@@ -222,6 +222,12 @@ class TestIdentify:
         assert model.residuals["training"] < 1e-10
         assert model.residuals["validation"] is None
 
+    def test_validation_without_diffusion_rejected(self):
+        _, basis, sample = double_well_setup(m=500)
+        held = models.SampleSet(points=sample.points, drift_samples=sample.drift_samples)
+        with pytest.raises(InputError, match="validation set"):
+            sysid.identify(basis, sample, validation=held)
+
     def test_noisy_double_well(self):
         model = models.double_well_2d()
         points = models.sample_uniform([[-2.0, 2.0]] * 2, 20000, seed=5)
