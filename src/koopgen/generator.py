@@ -14,9 +14,13 @@ streaming fit, where T holds k regression targets per point (dpsi for
 gEDMD, psi at the lagged points for EDMD, the drift for SINDy). Memory is
 O((n + k)^2 + (n + k) * CHUNK * d) whatever the sample count m; no (n, m)
 value matrix or (n, m, d, d) Hessian tensor is stored. Per chunk the fit
-updates the triangular factor R of the stacked matrix [Psi^T | T^T] by a
-QR factorization of R on top of the chunk (sequential TSQR), in a fixed
-chunk order, so reruns are bitwise identical.
+folds the chunk into the triangular factor R of the stacked matrix
+[Psi^T | T^T] with LAPACK's triangular-pentagonal QR dtpqrt, which factors
+R on top of the chunk without touching R's zero lower triangle (sequential
+TSQR; Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 2012), in a
+fixed chunk order, so reruns are bitwise identical. R is always
+(n + k) x (n + k); when m < n + k its rows past the m-th are zero up to
+rounding.
 
 R is the one statistic of the data: [Psi^T | T^T] = Q R with orthonormal
 Q, so ||[Psi^T | T^T] v|| = ||R v|| for every v. Any fit on a subset of
@@ -28,8 +32,7 @@ is the least-squares solution M = dPsi Psi^+ and, unlike A_hat G_hat^+,
 does not square the condition number. Hard thresholding re-solves on
 supports of R, and G_hat^+ = m R11^+ R11^+T. The Galerkin matrices are
 read off R after the walk too: Psi Psi^T = R11^T R11 and T Psi^T = R12^T R11,
-so G_hat = R[:, :n]^T R[:, :n] / m and A_hat = R[:, n:]^T R[:, :n] / m
-(R may have fewer than n + k rows when m < n + k).
+so G_hat = R[:, :n]^T R[:, :n] / m and A_hat = R[:, n:]^T R[:, :n] / m.
 
 A reversible-system shortcut builds A_hat from first derivatives only,
 A_hat = -(1/2m) sum_l (grad Psi sigma)(grad Psi sigma)^T, which is symmetric
@@ -61,7 +64,8 @@ __all__ = [
     "estimate_from_dict",
 ]
 
-CHUNK = 1024  # fixed accumulation chunk, keeps summation order reproducible
+CHUNK = 1024  # panel height of the R-factor fold; fixed, so reruns are bitwise identical
+TPQRT_BLOCK = 16  # block size of dtpqrt's compact-WY reflectors
 SVD_CUTOFF = 1e-10  # relative singular-value cutoff of every least-squares fit
 LOG_BRANCH_TOL = 1e-12  # relative distance below which K_hat eigenvalues sit on the log cut
 
@@ -76,7 +80,10 @@ class GeneratorEstimate:
     at `SVD_CUTOFF` relative tolerance, counted on the singular values of
     R11 (those of Psi), for every estimator that fits from data, the
     reversible one included; :func:`perron_frobenius_estimate` carries over
-    the rank of the estimate it is built from.
+    the rank of the estimate it is built from. `condition` is Psi's
+    condition number on that rank, s_0 / s_rank of the same singular values
+    (inf at rank 0, nan when unknown); estimates derived from a fit keep
+    the fit's rank and condition.
     """
 
     M: np.ndarray
@@ -86,6 +93,7 @@ class GeneratorEstimate:
     dictionary: Optional[Dictionary]
     sample_count: int
     kind: str = "deterministic"
+    condition: float = np.nan
 
     @property
     def L(self) -> np.ndarray:
@@ -121,9 +129,13 @@ def _actions(dictionary, sample, diffusion=None):
 
 def _factor(chunks, width):
     """Triangular factor R of the stacked [Psi^T | T^T] over (psi, T) chunks."""
-    R = np.zeros((0, width))
+    R = np.zeros((width, width), order="F")
     for psi, T in chunks:
-        R = np.linalg.qr(np.vstack([R, np.hstack([psi.T, T.T])]), mode="r")
+        # vstack copies, so dtpqrt may overwrite B; its transpose is Fortran-ordered
+        B = np.vstack([psi, T]).T
+        R = linalg.lapack.dtpqrt(
+            0, min(TPQRT_BLOCK, width), R, B, overwrite_a=1, overwrite_b=1
+        )[0]
     return R
 
 
@@ -139,6 +151,7 @@ def _fit(chunks, n, k, dictionary, sample_count, kind):
     # Psi^T = Q R11 and T^T = Q R12 + (orthogonal rest), so C = R11^+ R12
     U, s, Vt = np.linalg.svd(R[:n, :n], full_matrices=False)
     rank = int(np.count_nonzero(s > SVD_CUTOFF * s[0])) if s.size else 0
+    condition = float(s[0] / s[rank - 1]) if rank else np.inf
     s, V = s[:rank], Vt[:rank].T
     C = V @ ((U[:, :rank].T @ R[:n, n:]) / s[:, None])
     if rank < n:
@@ -155,6 +168,7 @@ def _fit(chunks, n, k, dictionary, sample_count, kind):
         dictionary=dictionary,
         sample_count=sample_count,
         kind=kind,
+        condition=condition,
     )
     return est, R, s, V
 
@@ -249,6 +263,7 @@ def perron_frobenius_estimate(est: GeneratorEstimate) -> GeneratorEstimate:
         dictionary=est.dictionary,
         sample_count=est.sample_count,
         kind="perron-frobenius",
+        condition=est.condition,
     )
 
 
@@ -303,6 +318,7 @@ def estimate_to_dict(est: GeneratorEstimate) -> dict:
         "A_hat": est.A_hat.tolist(),
         "G_hat": est.G_hat.tolist(),
         "rank": est.rank,
+        "condition": est.condition,
         "sample_count": est.sample_count,
         "rank_deficient": bool(est.rank_deficient),
         "dictionary": est.dictionary.spec() if est.dictionary is not None else None,
@@ -319,4 +335,5 @@ def estimate_from_dict(payload: dict) -> GeneratorEstimate:
         dictionary=dictionary_from_spec(spec) if spec else None,
         sample_count=int(payload["sample_count"]),
         kind=payload.get("kind", "deterministic"),
+        condition=float(payload.get("condition", np.nan)),
     )

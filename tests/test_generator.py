@@ -1,4 +1,5 @@
 import warnings
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -369,7 +370,7 @@ def test_streaming_fit_matches_dense_lstsq_under_permutation(m, seed):
             assert np.linalg.norm(fit - want) <= 1e-12 * np.linalg.norm(want)
 
 
-@pytest.mark.parametrize("chunk", [97, 500, CHUNK])
+@pytest.mark.parametrize("chunk", [1, 7, 97, 500, CHUNK])
 def test_streaming_fit_is_chunk_size_invariant(monkeypatch, chunk):
     monkeypatch.setattr(generator, "CHUNK", chunk)
     basis = Monomials(2, 3)
@@ -377,6 +378,54 @@ def test_streaming_fit_is_chunk_size_invariant(monkeypatch, chunk):
     sample = exact_sample_set(double_well_2d(), points)
     for got, want in _streamed_and_dense(basis, sample):
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize(
+    "m, n, k, chunk",
+    [
+        (300, 6, 0, 64),  # values alone, as the reversible walk feeds them
+        (300, 6, 4, 64),
+        (5, 6, 4, 3),  # m < n + k: R keeps rows that are zero up to rounding
+        (1, 6, 4, 1),
+    ],
+)
+def test_factor_is_triangular_factor_of_stacked_matrix(m, n, k, chunk):
+    X = np.random.default_rng(m + n + k).standard_normal((m, n + k))
+    chunks = ((X[i : i + chunk, :n].T, X[i : i + chunk, n:].T) for i in range(0, m, chunk))
+    # fewer samples than basis functions: the fit resolves m directions and says so
+    expect = pytest.warns(UserWarning, match="rank deficient") if m < n else nullcontext()
+    with expect:
+        est, R, _, _ = generator._fit(chunks, n, k, None, m, "test")
+    assert est.rank == min(m, n)
+    assert R.shape == (n + k, n + k)
+    assert np.array_equal(R, np.triu(R))
+    gram = X.T @ X
+    assert np.linalg.norm(R.T @ R - gram) <= 1e-12 * np.linalg.norm(gram)
+
+
+def test_factor_leaves_chunk_arrays_unchanged():
+    # the chunks are views of one array, as callers that hold all values pass them
+    values = np.random.default_rng(3).standard_normal((9, 50))
+    before = values.copy()
+    for n in (5, 9):
+        halves = (slice(0, 20), slice(20, 50))
+        generator._factor(((values[:n, sl], values[n:, sl]) for sl in halves), 9)
+        assert np.array_equal(values, before)
+
+
+def test_condition_is_that_of_psi():
+    sample = ou_sample()
+    basis = Monomials(1, 10)
+    est = gedmd_stochastic(basis, sample)
+    want = np.linalg.cond(basis.values(sample.points).T)
+    assert est.condition == pytest.approx(want, rel=1e-8)
+    # estimates derived from the fit keep it, and it survives serialization
+    assert sysid.threshold_generator(basis, sample, 0.0).condition == est.condition
+    assert perron_frobenius_estimate(est).condition == est.condition
+    assert estimate_from_dict(estimate_to_dict(est)).condition == est.condition
+    payload = estimate_to_dict(est)
+    del payload["condition"]
+    assert np.isnan(estimate_from_dict(payload).condition)
 
 
 def test_stochastic_fit_builds_no_hessian_tensor(monkeypatch):
