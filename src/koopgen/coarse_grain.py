@@ -316,12 +316,12 @@ def force_matching(
         raise InputError("every sample was excluded; force matching has no data")
     z = cg_map(sample.points[kept])
     chunks = _walk(m, lambda sl: (reduced_basis.values(z[sl]), targets[sl].T))
-    est, R, _, _ = _fit(chunks, n, 1, reduced_basis, m, "force-matching")
+    est = _fit(chunks, n, 1, reduced_basis, m, "force-matching")
     return ForceMatchResult(
         gradient_coeffs=est.M[0],
         basis=reduced_basis,
         excluded=int(sample.count - m),
-        residual_rms=float(np.linalg.norm(R[:, :n] @ est.L - R[:, n:]) / np.sqrt(m)),
+        residual_rms=float(np.linalg.norm(est.R[:, :n] @ est.L - est.R[:, n:]) / np.sqrt(m)),
     )
 
 

@@ -133,17 +133,16 @@ def fit_surrogates(
     """
     if len(inputs) != len(samples):
         raise InputError(f"{len(inputs)} inputs but {len(samples)} sample sets")
-    estimates = []
+    # only M is kept, so at most one estimate and its R are alive at a time
+    matrices = []
     for sample in samples:
-        if sample.diffusion_samples is not None:
-            estimates.append(gedmd_stochastic(dictionary, sample))
-        else:
-            estimates.append(gedmd_deterministic(dictionary, sample))
+        fit = gedmd_deterministic if sample.diffusion_samples is None else gedmd_stochastic
+        matrices.append(fit(dictionary, sample).M)
     if readout is None:
         readout = dictionary.full_state_selector().T
     return SurrogateFamily(
         inputs=tuple(float(u) for u in inputs),
-        matrices=np.stack([est.M for est in estimates]),
+        matrices=np.stack(matrices),
         dictionary=dictionary,
         readout=readout,
     )

@@ -22,22 +22,21 @@ fixed chunk order, so reruns are bitwise identical. R is always
 (n + k) x (n + k); when m < n + k its rows past the m-th are zero up to
 rounding.
 
-R is the one statistic of the data: [Psi^T | T^T] = Q R with orthonormal
-Q, so ||[Psi^T | T^T] v|| = ||R v|| for every v. Any fit on a subset of
-columns, and its residual ||Psi^T C - T^T||_F = ||R[:, :n] C - R[:, n:]||_F,
-is therefore exact on the n + k rows of R instead of the m rows of the data.
-With R = [[R11, R12], [0, R22]], the coefficients C = R11^+ R12 come from
-an SVD of R11 with the relative cutoff SVD_CUTOFF; for gEDMD M^T = C. This
-is the least-squares solution M = dPsi Psi^+ and, unlike A_hat G_hat^+,
-does not square the condition number. Hard thresholding re-solves on
-supports of R, and G_hat^+ = m R11^+ R11^+T. The Galerkin matrices are
-read off R after the walk too: Psi Psi^T = R11^T R11 and T Psi^T = R12^T R11,
-so G_hat = R[:, :n]^T R[:, :n] / m and A_hat = R[:, n:]^T R[:, :n] / m.
-
-A reversible-system shortcut builds A_hat from first derivatives only,
-A_hat = -(1/2m) sum_l (grad Psi sigma)(grad Psi sigma)^T, which is symmetric
-by construction and never touches Hessians; M = A_hat G_hat^+ is taken
-through the same SVD of R11.
+R is the one statistic of the data, and every estimate keeps it:
+[Psi^T | T^T] = Q R with orthonormal Q, so ||[Psi^T | T^T] v|| = ||R v|| for
+every v. Any fit on a subset of columns, and its residual
+||Psi^T C - T^T||_F = ||R[:, :n] C - R[:, n:]||_F, is therefore exact on the
+n + k rows of R instead of the m rows of the data. With
+R = [[R11, R12], [0, R22]] and the SVD R11 = U S V^T under the relative
+cutoff SVD_CUTOFF, the coefficients are C = R11^+ R12; for gEDMD M^T = C,
+the least-squares solution M = dPsi Psi^+. Hard thresholding re-solves on
+supports of R. The Galerkin matrices are read off R too: G_hat =
+R[:, :n]^T R[:, :n] / m = R11^T R11 / m, A_hat = R[:, n:]^T R[:, :n] / m,
+and G_hat^+ = m V S^-2 V^T. Every product X G_hat^+ goes through that SVD,
+never through G_hat, whose condition number is the square of Psi's: the
+reversible estimate M = A_hat G_hat^+, whose symmetric A_hat =
+-(1/2m) sum_l (grad Psi sigma)(grad Psi sigma)^T needs no Hessians, and the
+Perron-Frobenius adjoint M* = A_hat^T G_hat^+ of any estimate.
 """
 
 from __future__ import annotations
@@ -75,25 +74,34 @@ class GeneratorEstimate:
     """Result of a generator regression.
 
     M satisfies dPsi ~ M Psi (value-space); `L` (= M transposed) acts on
-    coefficient vectors. A_hat and G_hat are the empirical structure and Gram
-    matrices. `rank` is the numerical rank of the dictionary value matrix Psi
-    at `SVD_CUTOFF` relative tolerance, counted on the singular values of
-    R11 (those of Psi), for every estimator that fits from data, the
-    reversible one included; :func:`perron_frobenius_estimate` carries over
-    the rank of the estimate it is built from. `condition` is Psi's
-    condition number on that rank, s_0 / s_rank of the same singular values
-    (inf at rank 0, nan when unknown); estimates derived from a fit keep
-    the fit's rank and condition.
+    coefficient vectors. R is the triangular factor of [Psi^T | T^T] (see
+    the module docstring), read-only because derived estimates share it.
+    A_hat is the structure matrix and `G_hat` the Gram matrix read off R.
+    `rank` is the numerical rank of the dictionary value matrix Psi at
+    `SVD_CUTOFF` relative tolerance, counted on the singular values of
+    R11 (those of Psi), for every estimator; estimates derived from a fit,
+    the Perron-Frobenius adjoint included, keep the fit's rank. `condition`
+    is Psi's condition number on that rank, s_0 / s_rank of the same
+    singular values (inf at rank 0, nan when unknown).
     """
 
     M: np.ndarray
     A_hat: np.ndarray
-    G_hat: np.ndarray
+    R: np.ndarray
     rank: int
     dictionary: Optional[Dictionary]
     sample_count: int
     kind: str = "deterministic"
     condition: float = np.nan
+
+    def __post_init__(self):
+        self.R.flags.writeable = False
+
+    @property
+    def G_hat(self) -> np.ndarray:
+        """Gram matrix Psi Psi^T / m = R11^T R11 / m."""
+        n = self.M.shape[1]
+        return self.R[:, :n].T @ self.R[:, :n] / self.sample_count
 
     @property
     def L(self) -> np.ndarray:
@@ -139,38 +147,43 @@ def _factor(chunks, width):
     return R
 
 
-def _fit(chunks, n, k, dictionary, sample_count, kind):
-    """Streaming least-squares fit of k targets T ~ C^T Psi over (psi, T) chunks.
+def _svd(R, n):
+    """SVD U S V^T of R11 = R[:n, :n] under the SVD_CUTOFF rank rule.
 
-    Returns the estimate with M = C^T and the Galerkin matrices
-    A_hat = T Psi^T / m and G_hat = Psi Psi^T / m read off R after the walk,
-    the triangular factor R of [Psi^T | T^T], and the singular values s and
-    right singular vectors V of R11 kept by the rank rule.
+    Returns U, s, V cut to the rank and Psi's condition s_0 / s_rank; warns below rank n.
     """
-    R = _factor(chunks, n + k)
-    # Psi^T = Q R11 and T^T = Q R12 + (orthogonal rest), so C = R11^+ R12
     U, s, Vt = np.linalg.svd(R[:n, :n], full_matrices=False)
     rank = int(np.count_nonzero(s > SVD_CUTOFF * s[0])) if s.size else 0
     condition = float(s[0] / s[rank - 1]) if rank else np.inf
-    s, V = s[:rank], Vt[:rank].T
-    C = V @ ((U[:, :rank].T @ R[:n, n:]) / s[:, None])
     if rank < n:
         warnings.warn(
             f"dictionary value matrix is rank deficient ({rank} < {n}); "
             "estimate restricted to the resolved subspace",
-            stacklevel=3,
+            stacklevel=4,
         )
-    est = GeneratorEstimate(
-        M=C.T,
+    return U[:, :rank], s[:rank], Vt[:rank].T, condition
+
+
+def _times_gram_pinv(X, R, n, m):
+    """X G_hat^+ = m X V S^-2 V^T through the SVD of R11, with rank and condition."""
+    _, s, V, condition = _svd(R, n)
+    return m * (X @ (V / s**2)) @ V.T, s.size, condition
+
+
+def _fit(chunks, n, k, dictionary, sample_count, kind):
+    """Streaming least-squares fit of k targets T ~ C^T Psi over (psi, T) chunks.
+
+    The estimate keeps R; M = C^T, and A_hat = T Psi^T / m is read off R.
+    """
+    R = _factor(chunks, n + k)
+    # Psi^T = Q R11 and T^T = Q R12 + (orthogonal rest), so C = R11^+ R12
+    U, s, V, condition = _svd(R, n)
+    return GeneratorEstimate(
+        M=(V @ ((U.T @ R[:n, n:]) / s[:, None])).T,
         A_hat=R[:, n:].T @ R[:, :n] / sample_count,
-        G_hat=R[:, :n].T @ R[:, :n] / sample_count,
-        rank=rank,
-        dictionary=dictionary,
-        sample_count=sample_count,
-        kind=kind,
+        R=R, rank=s.size, dictionary=dictionary, sample_count=sample_count, kind=kind,
         condition=condition,
     )
-    return est, R, s, V
 
 
 def apply_generator_values(block, sample: SampleSet) -> np.ndarray:
@@ -192,7 +205,7 @@ def gedmd_deterministic(dictionary: Dictionary, sample: SampleSet) -> GeneratorE
     """
     n = dictionary.size
     chunks = _actions(dictionary, sample)
-    return _fit(chunks, n, n, dictionary, sample.count, "deterministic")[0]
+    return _fit(chunks, n, n, dictionary, sample.count, "deterministic")
 
 
 def gedmd_stochastic(dictionary: Dictionary, sample: SampleSet) -> GeneratorEstimate:
@@ -201,7 +214,7 @@ def gedmd_stochastic(dictionary: Dictionary, sample: SampleSet) -> GeneratorEsti
         raise InputError("gedmd_stochastic needs diffusion samples; got none")
     n = dictionary.size
     chunks = _actions(dictionary, sample, sample.diffusion_samples)
-    return _fit(chunks, n, n, dictionary, sample.count, "stochastic")[0]
+    return _fit(chunks, n, n, dictionary, sample.count, "stochastic")
 
 
 def gedmd_reversible(dictionary: Dictionary, sample: SampleSet) -> GeneratorEstimate:
@@ -209,11 +222,10 @@ def gedmd_reversible(dictionary: Dictionary, sample: SampleSet) -> GeneratorEsti
 
     A_hat = -(1/2m) sum_l (grad Psi(x_l) sigma(x_l)) (grad Psi(x_l) sigma(x_l))^T
     requires points distributed according to the invariant measure and sigma
-    values on the sample set; A_hat is symmetric by construction. The fit
-    streams Psi alone (no targets), and M = A_hat G_hat^+ is taken through
-    the SVD of its R factor, G_hat^+ = m V S^-2 V^T. The cutoff and rank are
-    therefore those of Psi, as for the other estimators, not of G_hat,
-    whose condition number is the square of Psi's.
+    values on the sample set; A_hat is symmetric by construction. The walk
+    streams Psi alone (no targets) into R, and M = A_hat G_hat^+ is taken
+    through the SVD of R11, so the cutoff and rank are those of Psi, as for
+    the other estimators, not those of G_hat.
     """
     if sample.sigma_samples is None:
         raise InputError("gedmd_reversible needs sigma samples on the sample set")
@@ -222,49 +234,32 @@ def gedmd_reversible(dictionary: Dictionary, sample: SampleSet) -> GeneratorEsti
     A = np.zeros((n, n))
 
     def chunk(sl):
-        # A_hat's sum rides along with the walk that feeds the fit
+        # A_hat's sum rides along with the walk that feeds the factor
         blk = dictionary.evaluate(x[sl])
         W = np.einsum("kli,lis->kls", blk.gradients, sigma[sl]).reshape(n, -1)
         A[:] += W @ W.T
         return blk.values, blk.values[:0]
 
-    est, _, s, V = _fit(_walk(m, chunk), n, 0, dictionary, m, "reversible")
+    R = _factor(_walk(m, chunk), n)
     A_hat = A / (-2.0 * m)
-    return replace(est, M=m * (A_hat @ (V / s**2)) @ V.T, A_hat=A_hat)
+    M, rank, condition = _times_gram_pinv(A_hat, R, n, m)
+    return GeneratorEstimate(
+        M=M, A_hat=A_hat, R=R, rank=rank, dictionary=dictionary, sample_count=m,
+        kind="reversible", condition=condition,
+    )
 
 
 def perron_frobenius_estimate(est: GeneratorEstimate) -> GeneratorEstimate:
     """Adjoint (Perron-Frobenius) generator, M* = A_hat^T G_hat^+.
 
-    Built from the stored Gram matrices of a Koopman estimate; the returned
-    object's `L` is the coefficient action on densities. G_hat^+ keeps the
-    top ``est.rank`` eigenpairs of G_hat, so the adjoint has the rank of the
-    estimate it is built from (that of Psi). G_hat holds the squares of
-    Psi's singular values, so eigenvalues below size * eps times the largest
-    are rounding noise; when the estimate's rank reaches into them, only
-    the eigenpairs above that floor are kept, with a warning.
+    Built from the A_hat and R of a Koopman estimate; the returned object's
+    `L` is the coefficient action on densities. G_hat^+ is taken through the
+    SVD of R11 under the rank rule of the fit, so the adjoint keeps the
+    estimate's rank, that of Psi, and shares its R, rank and condition.
     """
-    lam, V = np.linalg.eigh(est.G_hat)
-    lam, V = lam[::-1], V[:, ::-1]
-    floor = est.size * np.finfo(float).eps * lam[0]
-    rank = min(est.rank, int(np.count_nonzero(lam > floor)))
-    if rank < est.rank:
-        warnings.warn(
-            f"G_hat resolves only {rank} of the estimate's rank {est.rank}; "
-            f"the Perron-Frobenius estimate keeps {rank} eigenpairs",
-            stacklevel=2,
-        )
-    lam, V = lam[:rank], V[:, :rank]
-    return GeneratorEstimate(
-        M=(est.A_hat.T @ V / lam) @ V.T,
-        A_hat=est.A_hat,
-        G_hat=est.G_hat,
-        rank=rank,
-        dictionary=est.dictionary,
-        sample_count=est.sample_count,
-        kind="perron-frobenius",
-        condition=est.condition,
-    )
+    n = est.M.shape[1]
+    M = _times_gram_pinv(est.A_hat.T, est.R, n, est.sample_count)[0]
+    return replace(est, M=M, kind="perron-frobenius")
 
 
 def edmd_with_log(
@@ -288,7 +283,7 @@ def edmd_with_log(
         raise InputError("points and lagged_points must have equal counts")
     n, m = dictionary.size, x.shape[0]
     chunks = _walk(m, lambda sl: (dictionary.values(x[sl]), dictionary.values(y[sl])))
-    est = _fit(chunks, n, n, dictionary, m, "edmd-log")[0]
+    est = _fit(chunks, n, n, dictionary, m, "edmd-log")
     eigs = np.linalg.eigvals(est.M)
     scale = max(np.max(np.abs(eigs)), 1.0)
     on_branch_cut = (np.abs(eigs) <= LOG_BRANCH_TOL * scale) | (
@@ -316,7 +311,7 @@ def estimate_to_dict(est: GeneratorEstimate) -> dict:
         "kind": est.kind,
         "M": est.M.tolist(),
         "A_hat": est.A_hat.tolist(),
-        "G_hat": est.G_hat.tolist(),
+        "R": est.R.tolist(),
         "rank": est.rank,
         "condition": est.condition,
         "sample_count": est.sample_count,
@@ -330,7 +325,7 @@ def estimate_from_dict(payload: dict) -> GeneratorEstimate:
     return GeneratorEstimate(
         M=np.asarray(payload["M"], dtype=np.float64),
         A_hat=np.asarray(payload["A_hat"], dtype=np.float64),
-        G_hat=np.asarray(payload["G_hat"], dtype=np.float64),
+        R=np.asarray(payload["R"], dtype=np.float64),
         rank=int(payload["rank"]),
         dictionary=dictionary_from_spec(spec) if spec else None,
         sample_count=int(payload["sample_count"]),

@@ -136,6 +136,8 @@ class SampleSet:
             s = np.asarray(self.sigma_samples, dtype=np.float64)
             if s.ndim != 3 or s.shape[:2] != (self.count, self.dimension):
                 raise InputError("sigma_samples must have shape (m, d, s)")
+            if not np.all(np.isfinite(s)):
+                raise InputError("sigma_samples contain non-finite entries")
             self.sigma_samples = s
 
     @property

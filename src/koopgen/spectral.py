@@ -2,8 +2,9 @@
 
 Diagonalizing the matrix L acting on coefficient vectors yields eigenvalues
 (decay rates), eigenfunctions phi_l(x) = xi_l^T psi(x), implied time scales
-|1 / Re lambda_l|, Koopman modes of the full-state observable, and conserved
-quantities extracted from the lambda = 0 eigenspace.
+|1 / Re lambda_l| (inf below a rounding floor), Koopman modes of the
+full-state observable, and conserved quantities extracted from the
+lambda = 0 eigenspace.
 """
 
 from __future__ import annotations
@@ -68,10 +69,11 @@ class SpectralDecomposition:
 
     @property
     def timescales(self) -> np.ndarray:
-        """Implied time scales |1 / Re lambda_l|; inf for Re lambda = 0."""
-        re = self.eigenvalues.real
+        """|1 / Re lambda_l|; inf at or below the rounding floor n eps max_ij |L_ij|."""
+        re = np.abs(self.eigenvalues.real)
+        floor = self.size * np.finfo(float).eps * np.abs(self.generator).max(initial=0.0)
         with np.errstate(divide="ignore"):
-            return np.abs(1.0 / re)
+            return np.where(re > floor, 1.0 / re, np.inf)
 
     def residuals(self) -> np.ndarray:
         """Per-eigenpair residual ||L xi_l - lambda_l xi_l||_2."""

@@ -301,8 +301,8 @@ def threshold_generator(
     kind = ("stochastic" if stochastic else "deterministic") + "+threshold"
     n = dictionary.size
     chunks = _actions(dictionary, sample, sample.diffusion_samples)
-    est, R, _, _ = _fit(chunks, n, n, dictionary, sample.count, kind)
-    coeffs, _ = hard_threshold(R[:, :n], R[:, n:], delta)
+    est = _fit(chunks, n, n, dictionary, sample.count, kind)
+    coeffs, _ = hard_threshold(est.R[:, :n], est.R[:, n:], delta)
     return replace(est, M=coeffs.T)
 
 
@@ -318,7 +318,7 @@ def sindy_coefficients(dictionary: Dictionary, sample: SampleSet) -> np.ndarray:
     x, b = sample.points, sample.drift_samples
     chunks = _walk(sample.count, lambda sl: (dictionary.values(x[sl]), b[sl].T))
     n, d = dictionary.size, b.shape[1]
-    return _fit(chunks, n, d, dictionary, sample.count, "sindy")[0].M
+    return _fit(chunks, n, d, dictionary, sample.count, "sindy").M
 
 
 def _merge_histories(histories: list[list]) -> list:
@@ -394,7 +394,7 @@ def identify(
         return _walk(data.count, chunk)
 
     def fit(chunks, k):
-        R = _fit(chunks(sample), n, k, dictionary, sample.count, "identify")[1]
+        R = _fit(chunks(sample), n, k, dictionary, sample.count, "identify").R
         C, history = hard_threshold(R[:, :n], R[:, n:], delta, iterations=iterations)
         histories.append(history)
         return chunks, C, R

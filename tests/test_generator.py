@@ -126,16 +126,14 @@ def test_perron_frobenius_keeps_the_estimate_rank():
     assert pf.rank == est.rank
     # full rank: M* = G_hat M^T G_hat^-1, so M* G_hat = G_hat M^T
     np.testing.assert_allclose(pf.M @ est.G_hat, est.G_hat @ est.M.T, atol=1e-8 * np.abs(est.A_hat).max())
-
-
-def test_perron_frobenius_warns_when_gram_loses_rank():
     # 30 narrow Gaussians: Psi has full rank, but G_hat's smallest eigenvalues
-    # fall below rounding
+    # fall below rounding; G_hat^+ comes from R11, so all 30 directions stay
     basis = GaussianBasis(np.linspace(-2, 2, 30).reshape(-1, 1), 0.3)
     est = gedmd_stochastic(basis, ou_sample(m=3000, seed=21))
-    with pytest.warns(UserWarning, match="resolves only"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         pf = perron_frobenius_estimate(est)
-    assert est.rank == 30 and pf.rank < 30 and pf.rank_deficient
+    assert (est.rank, pf.rank, pf.rank_deficient) == (30, 30, False)
     assert np.all(np.isfinite(pf.M))
 
 
@@ -148,8 +146,10 @@ def test_reversible_requires_sigma_samples():
 
 def test_perron_frobenius_with_identity_gram():
     A = np.array([[0.0, 1.0], [2.0, -1.0]])
+    # R = sqrt(m) I, so G_hat = R^T R / m = I
     est = GeneratorEstimate(
-        M=A.copy(), A_hat=A, G_hat=np.eye(2), rank=2, dictionary=None, sample_count=10,
+        M=A.copy(), A_hat=A, R=np.sqrt(10.0) * np.eye(2), rank=2, dictionary=None,
+        sample_count=10,
     )
     pf = perron_frobenius_estimate(est)
     assert np.allclose(pf.M, A.T, atol=1e-12)
@@ -161,8 +161,7 @@ def test_perron_frobenius_invariant_density():
     basis = GaussianBasis(centers, 0.3)
     s = ou_sample(m=3000, seed=21)
     est = gedmd_stochastic(basis, s)
-    with pytest.warns(UserWarning, match="resolves only"):
-        pf = perron_frobenius_estimate(est)
+    pf = perron_frobenius_estimate(est)
     ev, V = np.linalg.eig(pf.L)
     lead = np.argmax(ev.real)
     xi = V[:, lead].real
@@ -220,7 +219,8 @@ def test_estimate_serialization_round_trip():
     payload = estimate_to_dict(est)
     back = estimate_from_dict(payload)
     assert np.allclose(back.M, est.M)
-    assert np.allclose(back.G_hat, est.G_hat)
+    assert np.array_equal(back.R, est.R)
+    assert np.array_equal(back.G_hat, est.G_hat)
     assert back.rank == est.rank
     assert back.dictionary.spec() == est.dictionary.spec()
 
@@ -395,12 +395,17 @@ def test_factor_is_triangular_factor_of_stacked_matrix(m, n, k, chunk):
     # fewer samples than basis functions: the fit resolves m directions and says so
     expect = pytest.warns(UserWarning, match="rank deficient") if m < n else nullcontext()
     with expect:
-        est, R, _, _ = generator._fit(chunks, n, k, None, m, "test")
+        est = generator._fit(chunks, n, k, None, m, "test")
+    R = est.R
     assert est.rank == min(m, n)
     assert R.shape == (n + k, n + k)
     assert np.array_equal(R, np.triu(R))
     gram = X.T @ X
     assert np.linalg.norm(R.T @ R - gram) <= 1e-12 * np.linalg.norm(gram)
+    # estimates derived with replace share R, so it is read-only
+    assert not R.flags.writeable
+    with pytest.raises(ValueError):
+        R[0, 0] = 1.0
 
 
 def test_factor_leaves_chunk_arrays_unchanged():

@@ -178,6 +178,13 @@ def test_sample_set_validation():
         SampleSet(points=np.zeros((3, 2)), drift_samples=np.zeros((2, 2)))
 
 
+def test_sample_set_rejects_nonfinite_sigma():
+    sigma = np.ones((3, 1, 1))
+    sigma[1, 0, 0] = np.nan
+    with pytest.raises(InputError, match="sigma_samples"):
+        SampleSet(points=np.zeros((3, 1)), drift_samples=np.zeros((3, 1)), sigma_samples=sigma)
+
+
 def test_lemon_slice_gradient_matches_fd():
     model = lemon_slice()
     rng = np.random.Generator(np.random.Philox(4))

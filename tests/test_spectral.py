@@ -93,6 +93,15 @@ class TestDecompose:
         assert np.isinf(dec.timescales[0])
         assert np.allclose(dec.timescales[1:], [2.0, 0.25])
 
+    def test_timescales_are_infinite_below_the_rounding_floor(self):
+        # floor n eps max|L_ij| = 3 eps 4: a rounding-level real part has no time scale
+        floor = 3 * np.finfo(float).eps * 4.0
+        dec = spectral.decompose(np.diag([0.5 * floor, -floor, -4.0]))
+        assert np.isinf(dec.timescales[:2]).all()
+        assert dec.timescales[2] == 0.25
+        above = spectral.decompose(np.diag([-2.0 * floor, -1.0, -4.0])).timescales
+        assert above[0] == 1.0 / (2.0 * floor)
+
     def test_rejects_nonfinite(self):
         with pytest.raises(InputError):
             spectral.decompose(np.array([[np.nan, 0.0], [0.0, 1.0]]))
