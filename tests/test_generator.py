@@ -137,6 +137,18 @@ def test_perron_frobenius_keeps_the_estimate_rank():
     assert np.all(np.isfinite(pf.M))
 
 
+def test_perron_frobenius_warns_when_gram_loses_rank():
+    # 30 narrow Gaussians on 20 points: Psi, and so G_hat, has rank 20 at most;
+    # the adjoint is restricted to the fit's resolved subspace and says so
+    basis = GaussianBasis(np.linspace(-2, 2, 30).reshape(-1, 1), 0.3)
+    with pytest.warns(UserWarning, match="rank deficient"):
+        est = gedmd_stochastic(basis, ou_sample(m=20, seed=21))
+    with pytest.warns(UserWarning, match="rank deficient"):
+        pf = perron_frobenius_estimate(est)
+    assert est.rank < 30 and pf.rank == est.rank and pf.rank_deficient
+    assert np.all(np.isfinite(pf.M))
+
+
 def test_reversible_requires_sigma_samples():
     pts = sample_uniform([[-1, 1]], 50, seed=0)
     s = SampleSet(points=pts, drift_samples=-pts)
