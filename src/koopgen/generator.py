@@ -18,9 +18,15 @@ folds the chunk into the triangular factor R of the stacked matrix
 [Psi^T | T^T] with LAPACK's triangular-pentagonal QR dtpqrt, which factors
 R on top of the chunk without touching R's zero lower triangle (sequential
 TSQR; Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 2012), in a
-fixed chunk order, so reruns are bitwise identical. R is always
-(n + k) x (n + k); when m < n + k its rows past the m-th are zero up to
-rounding.
+fixed chunk order, so reruns are bitwise identical. The fold overlaps the
+walk: the calling thread builds each chunk and copies it into a
+Fortran-ordered panel, and one worker thread folds that panel into R while
+the caller builds the next chunk. dtpqrt is called through its pointer in
+scipy's Cython LAPACK table by ctypes, which releases the GIL for the call
+(the f2py wrapper holds it, so a thread around it would overlap nothing).
+The caller waits for each fold before it copies the next chunk, so at most
+one chunk and one panel are alive besides R. R is always (n + k) x (n + k);
+when m < n + k its rows past the m-th are zero up to rounding.
 
 R is the one statistic of the data, and every estimate keeps it:
 [Psi^T | T^T] = Q R with orthonormal Q, so ||[Psi^T | T^T] v|| = ||R v|| for
@@ -41,15 +47,18 @@ Perron-Frobenius adjoint M* = A_hat^T G_hat^+ of any estimate.
 
 from __future__ import annotations
 
+import ctypes
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 from scipy import linalg
+from scipy.linalg import cython_lapack
 
 from .dictionaries import Dictionary, _check_points, dictionary_from_spec
-from .errors import InputError, LogBranchError
+from .errors import InputError, LogBranchError, NumericalError
 from .models import SampleSet
 
 __all__ = [
@@ -135,15 +144,78 @@ def _actions(dictionary, sample, diffusion=None):
     )
 
 
+def _lapack_routine(name, nargs):
+    """LAPACK routine `name` of scipy's Cython table as a ctypes foreign function.
+
+    Every argument is a pointer. A ctypes foreign call releases the GIL, so
+    other Python threads run while it works; the f2py wrappers of
+    scipy.linalg.lapack hold the GIL throughout.
+    """
+    capsule = cython_lapack.__pyx_capi__[name]
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi)
+    )
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi)
+    )
+    address = get_pointer(capsule, get_name(capsule))
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * nargs)(address)
+
+
+_dtpqrt = _lapack_routine("dtpqrt", 12)
+
+
+def _fold(R, B, T, work):
+    """R <- triangular factor of [R; B] by dtpqrt, in place; B is overwritten.
+
+    R (width x width) and B (rows x width) are Fortran-ordered; T and work
+    are dtpqrt's (nb x width) block-reflector factor and (nb * width) workspace.
+    """
+    rows, width = B.shape
+    nb = T.shape[0]
+    arrays = (R, B, T, work)
+    if not all(a.dtype == np.float64 and a.flags.f_contiguous for a in arrays) or (
+        R.shape != (width, width) or T.shape[1] != width or work.size < nb * width
+    ):
+        raise ValueError("dtpqrt needs Fortran-ordered float64 arrays of matching sizes")
+    info = ctypes.c_int()
+
+    def ref(value):
+        return ctypes.byref(ctypes.c_int(value))
+
+    _dtpqrt(ref(rows), ref(width), ref(0), ref(nb), R.ctypes.data, ref(width),
+            B.ctypes.data, ref(max(rows, 1)), T.ctypes.data, ref(nb), work.ctypes.data,
+            ctypes.byref(info))
+    if info.value:
+        raise NumericalError(f"dtpqrt failed with info = {info.value}")
+
+
 def _factor(chunks, width):
-    """Triangular factor R of the stacked [Psi^T | T^T] over (psi, T) chunks."""
+    """Triangular factor R of the stacked [Psi^T | T^T] over (psi, T) chunks.
+
+    The calling thread walks the chunks and copies each into a fresh
+    Fortran-ordered panel; one worker thread folds the panel into R while
+    the caller builds the next chunk. The caller waits for the previous
+    fold before it copies, so the folds run in chunk order and at most one
+    chunk and one panel are alive; every array is allocated on the calling
+    thread, and the worker runs nothing but dtpqrt.
+    """
     R = np.zeros((width, width), order="F")
-    for psi, T in chunks:
-        # vstack copies, so dtpqrt may overwrite B; its transpose is Fortran-ordered
-        B = np.vstack([psi, T]).T
-        R = linalg.lapack.dtpqrt(
-            0, min(TPQRT_BLOCK, width), R, B, overwrite_a=1, overwrite_b=1
-        )[0]
+    nb = min(TPQRT_BLOCK, width)
+    T, work = np.empty((nb, width), order="F"), np.empty(nb * width)
+    with ThreadPoolExecutor(max_workers=1) as folder:
+        folding = None
+        for psi, targets in chunks:
+            if folding is not None:
+                folding.result()
+            # filled row by row, so its transpose is Fortran-ordered whatever the chunks' order
+            panel = np.empty((width, psi.shape[1]))
+            panel[: psi.shape[0]] = psi
+            panel[psi.shape[0] :] = targets
+            folding = folder.submit(_fold, R, panel.T, T, work)
+            del psi, targets, panel  # the walk builds the next chunk without this one
+        if folding is not None:
+            folding.result()
     return R
 
 

@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import NumericalError
+
 __all__ = [
     "format_number",
     "write_csv",
@@ -60,11 +62,17 @@ def write_csv(path, header, rows) -> Path:
 
 
 def write_json(path, payload) -> Path:
-    """Canonical JSON: sorted keys, two-space indent, trailing newline."""
+    """Canonical JSON: sorted keys, two-space indent, trailing newline.
+
+    Strict JSON has no NaN or infinity: a payload holding one raises
+    NumericalError before the file is opened, so no partial file is left.
+    """
     path = Path(path)
-    with path.open("w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"{path.name}: {exc}") from exc
+    path.write_text(text + "\n", encoding="utf-8")
     return path
 
 

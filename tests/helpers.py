@@ -89,3 +89,19 @@ def full_state_sequence_costs(problem, z, t):
         stage = np.einsum("slr,slr->sl", err, err).reshape(-1, n_c, z.shape[0])
         costs = (costs + (stage + penalty[:, None])).reshape(-1, 1, z.shape[0])
     return costs[:, 0]
+
+
+def tpqrt_fold(chunks, width, block):
+    """Triangular factor of the stacked (psi, T) chunks, folded one after another.
+
+    Each chunk is stacked into a panel B and folded into R by the f2py
+    wrapper scipy.linalg.lapack.dtpqrt, on the calling thread.  A reference
+    for the pipelined fold of generator._factor, which must agree bitwise.
+    """
+    R = np.zeros((width, width), order="F")
+    for psi, T in chunks:
+        B = np.vstack([psi, T]).T
+        R = scipy.linalg.lapack.dtpqrt(
+            0, min(block, width), R, B, overwrite_a=1, overwrite_b=1
+        )[0]
+    return R

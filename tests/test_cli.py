@@ -6,7 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from koopgen import cli
+from koopgen import cli, io
+from koopgen.errors import NumericalError
 
 
 def run_cli(argv):
@@ -218,6 +219,29 @@ class TestRun:
 
         with pytest.raises(ConfigError, match="JSON object"):
             cli.run_experiment([1, 2, 3], tmp_path / "out")
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_write_json_rejects_non_finite_values(self, tmp_path, value):
+        path = tmp_path / "out.json"
+        with pytest.raises(NumericalError, match="out.json"):
+            io.write_json(path, {"nested": [1.0, {"value": value}]})
+        assert not path.exists()
+
+    def test_non_finite_manifest_exits_1_without_a_partial_file(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def runner(config, out, seed):
+            config["drift"] = float("nan")
+            return []
+
+        monkeypatch.setitem(cli._RUNNERS, "spectrum", runner)
+        path = write_config(tmp_path, "small.json", SMALL_SPECTRUM)
+        out = tmp_path / "artifacts"
+        assert run_cli(["run", path, "--out", str(out)]) == 1
+        assert "manifest.json" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
 
 class TestRunKinds:

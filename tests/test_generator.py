@@ -1,3 +1,5 @@
+import sys
+import threading
 import warnings
 from contextlib import nullcontext
 
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import linalg
 
+import helpers
 from koopgen import generator, sysid
 from koopgen.dictionaries import (
     _WORK_ELEMENTS,
@@ -418,6 +421,68 @@ def test_factor_is_triangular_factor_of_stacked_matrix(m, n, k, chunk):
     assert not R.flags.writeable
     with pytest.raises(ValueError):
         R[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("width, k", [(6, 0), (6, 3), (140, 0), (140, 70)])
+@pytest.mark.parametrize("m", [3, 2 * CHUNK + 52])  # m < width; a short last chunk
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_factor_is_bitwise_the_sequential_fold(width, k, m, order):
+    X = np.random.default_rng(width + k + m).standard_normal((m, width))
+    n = width - k
+
+    def chunks():
+        for i in range(0, m, CHUNK):
+            # F: transposed views of X; C: fresh row-major copies
+            Y = X[i : i + CHUNK].T
+            if order == "C":
+                Y = np.ascontiguousarray(Y)
+            yield Y[:n], Y[n:]
+
+    want = helpers.tpqrt_fold(chunks(), width, generator.TPQRT_BLOCK)
+    assert np.array_equal(generator._factor(chunks(), width), want)
+
+
+def test_factor_raises_a_chunk_error_and_stops_its_fold_thread():
+    X = np.random.default_rng(4).standard_normal((6, 40))
+    before = threading.active_count()
+
+    def chunks():
+        for i in range(3):
+            if i == 2:
+                raise InputError("third chunk is malformed")
+            yield X[:4, 20 * i : 20 * i + 20], X[4:, 20 * i : 20 * i + 20]
+
+    with pytest.raises(InputError, match="third chunk"):
+        generator._factor(chunks(), 6)
+    assert threading.active_count() == before
+
+
+def test_concurrent_fits_match_sequential_fits():
+    basis = Monomials(1, 8)
+    samples = [ou_sample(m=3 * CHUNK, seed=seed) for seed in (5, 6)]
+    want = [gedmd_stochastic(basis, sample) for sample in samples]
+    got = [None, None]
+    start = threading.Barrier(2, timeout=60)
+
+    def fit(i):
+        start.wait()
+        got[i] = gedmd_stochastic(basis, samples[i])
+
+    # two fits and their two fold threads on two cores, switching often
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=fit, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for est, ref in zip(got, want):
+        assert np.array_equal(est.R, ref.R)
+        assert np.array_equal(est.M, ref.M)
 
 
 def test_factor_leaves_chunk_arrays_unchanged():
