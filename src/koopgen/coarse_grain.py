@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 
 from .dictionaries import Dictionary
 from .errors import InputError, NumericalError
@@ -157,8 +156,6 @@ def reduced_sample(cg_map: CoarseGrainMap, sample: SampleSet) -> SampleSet:
         drift_samples=drift,
         diffusion_samples=diffusion,
         sigma_samples=sigma,
-        source=sample.source,
-        measure_note=f"reduced from: {sample.measure_note}",
     )
 
 
@@ -364,6 +361,10 @@ def fit_diffusion(
     -------
     theta : (n_t,) ndarray
     """
+    # imported here so that `import koopgen` does not load scipy.optimize
+    # (and with it scipy.sparse, spatial and special)
+    import scipy.optimize
+
     designs = _stiffness_designs(reduced_dict, diffusion_basis, sample.points)
     D = designs.reshape(designs.shape[0], -1).T  # (n^2, n_t)
     target = np.asarray(galerkin_A_hat, dtype=float).ravel()

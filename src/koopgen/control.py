@@ -705,7 +705,7 @@ def _switched_grid(schedule: SwitchingSchedule, dt: float):
     The grid is t0, t0+dt, ..., te (see ``whole_steps``).  Switch times
     falling inside a sampling step are honored exactly, so sub-grid
     switching is not quantized away; the last segment runs to the end of
-    its grid step.
+    its grid step. A schedule that fails ``validate`` raises InputError.
 
     Returns
     -------
@@ -713,6 +713,7 @@ def _switched_grid(schedule: SwitchingSchedule, dt: float):
     pieces : list of ``steps`` lists of (input index, duration)
         The constant-input sub-intervals making up each grid step, in order.
     """
+    schedule.validate()
     t0 = schedule.horizon[0]
     times = t0 + np.arange(whole_steps(schedule.horizon, dt) + 1) * dt
     bounds = schedule.boundaries()
@@ -805,16 +806,9 @@ class ControlledOUPlant:
         from .models import sample_uniform
 
         points = sample_uniform(box, m, seed=seed)
-        drift = -self.alpha * (points - u)
-        if not self.noise:
-            return SampleSet(
-                points=points, drift_samples=drift, source="exact",
-                measure_note=f"uniform box, input u={u}",
-            )
-        a = np.full((m, 1, 1), 2.0 / self.beta)
+        a = np.full((m, 1, 1), 2.0 / self.beta) if self.noise else None
         return SampleSet(
-            points=points, drift_samples=drift, diffusion_samples=a,
-            source="exact", measure_note=f"uniform box, input u={u}",
+            points=points, drift_samples=-self.alpha * (points - u), diffusion_samples=a
         )
 
     def simulate_switched(
@@ -936,9 +930,4 @@ class BurgersPlant:
     def sample_set(self, u: float, m: int, seed, amplitude: float = 0.1) -> SampleSet:
         """Exact drift data at random smooth states for a constant input."""
         y = self.random_states(m, seed, amplitude=amplitude)
-        return SampleSet(
-            points=y,
-            drift_samples=self.rhs(y, u),
-            source="exact",
-            measure_note=f"random smooth fields, input u={u}",
-        )
+        return SampleSet(points=y, drift_samples=self.rhs(y, u))

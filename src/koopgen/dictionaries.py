@@ -83,6 +83,17 @@ def _check_points(points, dimension: int) -> np.ndarray:
     return x
 
 
+def _check_box(box, label: str) -> np.ndarray:
+    """A box as a (d, 2) array of finite (low, high) rows; one pair for d = 1."""
+    b = np.asarray(box, dtype=np.float64)
+    if b.ndim == 1:
+        b = b.reshape(1, -1)
+    shaped = b.ndim == 2 and b.shape[1] == 2 and np.all(np.isfinite(b))
+    if not (shaped and np.all(b[:, 0] < b[:, 1])):
+        raise InputError(f"{label} must be (d, 2) finite (low, high) rows with low < high")
+    return b
+
+
 def _action_coefficients(drift, diffusion, shape):
     """Drift (m, d) and optional diffusion (m, d, d) arrays for points of `shape`."""
     m, d = shape
@@ -442,11 +453,7 @@ class LegendreBasis(_SeparableBasis):
     """
 
     def __init__(self, max_degree: int, domain):
-        dom = np.asarray(domain, dtype=np.float64)
-        if dom.ndim == 1:
-            dom = dom.reshape(1, 2)
-        if dom.ndim != 2 or dom.shape[1] != 2 or np.any(dom[:, 1] <= dom[:, 0]):
-            raise InputError("domain must be a list of (a, b) pairs with a < b")
+        dom = _check_box(domain, "domain")
         super().__init__(dom.shape[0], max_degree)
         self.domain = dom
         # x = m0 + m1 * t maps t in [-1, 1] to [a, b]
@@ -527,8 +534,8 @@ class GaussianBasis(Dictionary):
             raise InputError("centers must be an (n, d) array")
         if not np.all(np.isfinite(c)):
             raise InputError("centers contain non-finite entries")
-        if not bandwidth > 0:
-            raise InputError("bandwidth must be positive")
+        if not 0 < bandwidth < np.inf:
+            raise InputError("bandwidth must be positive and finite")
         self.centers = c
         self.bandwidth = float(bandwidth)
         self.size, self.dimension = c.shape
@@ -587,8 +594,8 @@ class PeriodicGaussianBasis(GaussianBasis):
     """One-dimensional Gaussians with the distance wrapped to the nearest period image."""
 
     def __init__(self, centers, bandwidth: float, period: float):
-        if not period > 0:
-            raise InputError("period must be positive")
+        if not 0 < period < np.inf:
+            raise InputError("period must be positive and finite")
         super().__init__(np.reshape(centers, (-1, 1)), bandwidth)
         self.period = float(period)
 

@@ -347,8 +347,8 @@ def edmd_with_log(
     Psi(X). Fails with LogBranchError when K_hat has an eigenvalue on the
     closed negative real axis, where the principal logarithm is not defined.
     """
-    if lag <= 0:
-        raise InputError("lag must be positive")
+    if not 0 < lag < np.inf:
+        raise InputError("lag must be positive and finite")
     x = _check_points(points, dictionary.dimension)
     y = _check_points(lagged_points, dictionary.dimension)
     if x.shape != y.shape:

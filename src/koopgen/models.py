@@ -5,11 +5,11 @@ noise matrix sigma(x) of
 
     dX_t = b(X_t) dt + sigma(X_t) dW_t,
 
-together with optional structure (potential, reversibility, Stratonovich
-convention). Generator estimation consumes :class:`SampleSet` objects, which
-hold data points plus drift/diffusion information at those points; sample
-sets can come from exact model evaluation, from Kramers-Moyal differences of
-a trajectory, or from finite differences of a deterministic trajectory.
+together with optional structure (potential, Stratonovich convention).
+Generator estimation consumes :class:`SampleSet` objects, which hold data
+points plus drift/diffusion information at those points; sample sets can come
+from exact model evaluation, from Kramers-Moyal differences of a trajectory,
+or from finite differences of a deterministic trajectory.
 
 All stochastic operations draw from a counter-based Philox stream seeded per
 call, so results are reproducible bit for bit.
@@ -18,11 +18,12 @@ call, so results are reproducible bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
+from .dictionaries import _check_box, _check_points
 from .errors import InputError, IntegrationError
 
 __all__ = [
@@ -57,8 +58,11 @@ class SdeModel:
     """Drift/diffusion description of an SDE (or ODE if noise_dim == 0).
 
     The callables are vectorized: `drift` maps (m, d) -> (m, d) and `sigma`
-    maps (m, d) -> (m, d, s). `sigma_jacobian`, if given, maps (m, d) ->
-    (m, d, s, d) with entry [l, i, k, j] = d sigma_ik / d x_j at x_l.
+    maps (m, d) -> (m, d, s) with s = `noise_dim`. `sigma_jacobian`, if
+    given, maps (m, d) -> (m, d, s, d) with entry [l, i, k, j] =
+    d sigma_ik / d x_j at x_l. `potential` (m, d) -> (m,) and
+    `potential_gradient` (m, d) -> (m, d) are V and grad V of a gradient
+    drift, `stratonovich` marks that convention, and `name` labels the model.
     """
 
     dimension: int
@@ -67,8 +71,6 @@ class SdeModel:
     noise_dim: int = 0
     potential: Optional[Callable[[np.ndarray], np.ndarray]] = None
     potential_gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    inverse_temperature: Optional[float] = None
-    reversible: bool = False
     stratonovich: bool = False
     sigma_jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
     name: str = "sde"
@@ -77,21 +79,13 @@ class SdeModel:
     def deterministic(self) -> bool:
         return self.sigma is None or self.noise_dim == 0
 
-    def _points(self, points) -> np.ndarray:
-        x = np.asarray(points, dtype=np.float64)
-        if x.ndim == 1:
-            x = x.reshape(-1, 1) if self.dimension == 1 else x.reshape(1, -1)
-        if x.ndim != 2 or x.shape[1] != self.dimension:
-            raise InputError(f"expected (m, {self.dimension}) points, got {x.shape}")
-        return x
-
     def drift_at(self, points) -> np.ndarray:
-        return np.asarray(self.drift(self._points(points)), dtype=np.float64)
+        return np.asarray(self.drift(_check_points(points, self.dimension)), dtype=np.float64)
 
     def sigma_at(self, points) -> np.ndarray:
         if self.deterministic:
             raise InputError(f"model {self.name!r} has no diffusion")
-        return np.asarray(self.sigma(self._points(points)), dtype=np.float64)
+        return np.asarray(self.sigma(_check_points(points, self.dimension)), dtype=np.float64)
 
     def diffusion_at(self, points) -> np.ndarray:
         """a(x) = sigma(x) sigma(x)^T at each point, shape (m, d, d)."""
@@ -103,18 +97,16 @@ class SdeModel:
 class SampleSet:
     """Data points with drift/diffusion information attached.
 
-    diffusion_samples holds a(x_l) = sigma sigma^T (m, d, d); sigma_samples
-    holds sigma(x_l) itself (m, d, s) and is required by the reversible
-    estimator. `source` records how the set was built, `measure_note` the
-    sampling measure the points are meant to represent.
+    points (m, d) and drift_samples b(x_l) (m, d) are required;
+    diffusion_samples holds a(x_l) = sigma sigma^T (m, d, d) and
+    sigma_samples holds sigma(x_l) itself (m, d, s), required by the
+    reversible estimator. Either is None when absent.
     """
 
     points: np.ndarray
     drift_samples: np.ndarray
     diffusion_samples: Optional[np.ndarray] = None
     sigma_samples: Optional[np.ndarray] = None
-    source: str = "synthetic"
-    measure_note: str = ""
 
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=np.float64))
@@ -176,8 +168,6 @@ def ornstein_uhlenbeck(alpha: float = 1.0, beta: float = 4.0) -> SdeModel:
         noise_dim=1,
         potential=lambda x: 0.5 * alpha * x[:, 0] ** 2,
         potential_gradient=lambda x: alpha * x,
-        inverse_temperature=beta,
-        reversible=True,
         name=f"ou(alpha={alpha:g},beta={beta:g})",
     )
 
@@ -309,8 +299,6 @@ def lemon_slice(k: int = 4, beta: float = 1.0) -> SdeModel:
         noise_dim=2,
         potential=potential,
         potential_gradient=potential_gradient,
-        inverse_temperature=beta,
-        reversible=True,
         name=f"lemon_slice(k={k},beta={beta:g})",
     )
 
@@ -381,11 +369,7 @@ def integrate_em(model: SdeModel, x0, dt: float, steps: int, seed) -> np.ndarray
 
 def sample_uniform(box, m: int, seed) -> np.ndarray:
     """m points uniform in a box given as a (d, 2) array of (low, high) rows."""
-    b = np.asarray(box, dtype=np.float64)
-    if b.ndim == 1:
-        b = b.reshape(1, 2)
-    if b.ndim != 2 or b.shape[1] != 2 or np.any(b[:, 1] <= b[:, 0]):
-        raise InputError("box must be (d, 2) with low < high")
+    b = _check_box(box, "box")
     rng = _rng(seed)
     return rng.uniform(b[:, 0], b[:, 1], size=(m, b.shape[0]))
 
@@ -396,22 +380,13 @@ def exact_sample_set(model: SdeModel, points) -> SampleSet:
         raise InputError(
             "model uses the Stratonovich convention; apply stratonovich_to_ito first"
         )
-    x = model._points(points)
-    if model.deterministic:
-        return SampleSet(
-            points=x,
-            drift_samples=model.drift_at(x),
-            source="exact",
-            measure_note=f"user-supplied points, model {model.name}",
-        )
-    S = model.sigma_at(x)
+    x = _check_points(points, model.dimension)
+    S = None if model.deterministic else model.sigma_at(x)
     return SampleSet(
         points=x,
         drift_samples=model.drift_at(x),
-        diffusion_samples=np.einsum("lik,ljk->lij", S, S),
+        diffusion_samples=None if S is None else np.einsum("lik,ljk->lij", S, S),
         sigma_samples=S,
-        source="exact",
-        measure_note=f"user-supplied points, model {model.name}",
     )
 
 
@@ -426,15 +401,13 @@ def kramers_moyal(trajectory, lag: float) -> SampleSet:
         X = X.reshape(-1, 1)
     if X.shape[0] < 2:
         raise InputError("need at least two trajectory points")
-    if lag <= 0:
-        raise InputError("lag must be positive")
+    if not 0 < lag < np.inf:
+        raise InputError("lag must be positive and finite")
     diff = np.diff(X, axis=0)
     return SampleSet(
         points=X[:-1],
         drift_samples=diff / lag,
         diffusion_samples=np.einsum("li,lj->lij", diff, diff) / lag,
-        source="kramers-moyal",
-        measure_note=f"trajectory empirical measure, lag={lag:g}",
     )
 
 
@@ -445,12 +418,9 @@ def finite_difference_drift(trajectory, dt: float) -> SampleSet:
         X = X.reshape(-1, 1)
     if X.shape[0] < 3:
         raise InputError("need at least three trajectory points")
-    return SampleSet(
-        points=X[1:-1],
-        drift_samples=(X[2:] - X[:-2]) / (2.0 * dt),
-        source="finite-difference",
-        measure_note="trajectory empirical measure (interior points)",
-    )
+    if not 0 < dt < np.inf:
+        raise InputError("dt must be positive and finite")
+    return SampleSet(points=X[1:-1], drift_samples=(X[2:] - X[:-2]) / (2.0 * dt))
 
 
 def noisy_sample_set(sample: SampleSet, noise_std: float, seed) -> SampleSet:
@@ -466,11 +436,7 @@ def noisy_sample_set(sample: SampleSet, noise_std: float, seed) -> SampleSet:
         eta = noise_std * rng.standard_normal(sample.diffusion_samples.shape)
         diffusion = sample.diffusion_samples + 0.5 * (eta + np.transpose(eta, (0, 2, 1)))
     return SampleSet(
-        points=sample.points.copy(),
-        drift_samples=drift,
-        diffusion_samples=diffusion,
-        source=sample.source + "+noise",
-        measure_note=sample.measure_note + f", noise_std={noise_std:g}",
+        points=sample.points.copy(), drift_samples=drift, diffusion_samples=diffusion
     )
 
 
@@ -505,19 +471,7 @@ def stratonovich_to_ito(model: SdeModel) -> SdeModel:
     def drift(x):
         return base_drift(x) + 0.5 * correction(x)
 
-    return SdeModel(
-        dimension=model.dimension,
-        drift=drift,
-        sigma=model.sigma,
-        noise_dim=model.noise_dim,
-        potential=model.potential,
-        potential_gradient=model.potential_gradient,
-        inverse_temperature=model.inverse_temperature,
-        reversible=model.reversible,
-        stratonovich=False,
-        sigma_jacobian=model.sigma_jacobian,
-        name=model.name + "+ito",
-    )
+    return replace(model, drift=drift, stratonovich=False, name=model.name + "+ito")
 
 
 def analytic_ou_generator(alpha: float, beta: float, max_degree: int) -> np.ndarray:

@@ -1,5 +1,9 @@
 """Coarse graining: chain rule, force matching, diffusion fits, reduced models."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +12,17 @@ from koopgen import coarse_grain as cg
 from koopgen import generator, models, spectral
 from koopgen.dictionaries import GaussianBasis, LegendreBasis, Monomials, evaluate
 from koopgen.errors import InputError
+
+
+def test_package_import_leaves_scipy_optimize_unloaded():
+    # fit_diffusion imports scipy.optimize on first use; the package import
+    # must not pull it (and scipy.sparse, spatial, special) in
+    src = Path(cg.__file__).resolve().parents[1]
+    code = "import sys, koopgen; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def map_fd_jacobian(cg_map, x, step=1e-6):

@@ -65,7 +65,7 @@ class TestSurrogates:
     def test_input_independent_plant_identical_matrices(self):
         dictionary = Monomials(1, 6)
         points = sample_uniform([[-2.0, 2.0]], 300, seed=5)
-        sample = SampleSet(points=points, drift_samples=-points, source="exact")
+        sample = SampleSet(points=points, drift_samples=-points)
         family = fit_surrogates(dictionary, [1.0, 2.0], [sample, sample])
         assert np.array_equal(family.matrices[0], family.matrices[1])
 
@@ -562,6 +562,23 @@ class TestSwitchingTime:
         with pytest.raises(InputError, match="whole steps"):
             ControlledOUPlant().simulate_switched(
                 0.0, family.inputs, schedule, dt, 3, seed=1
+            )
+
+    @pytest.mark.parametrize(
+        "times, match",
+        [([0.0, 5.0, 3.0], "nondecreasing"), ([1.0, 5.0], "horizon start")],
+    )
+    def test_walker_rejects_an_invalid_schedule(self, ou_setup, times, match):
+        _, family = ou_setup
+        schedule = SwitchingSchedule(
+            times=np.array(times), horizon=(0.0, 8.0), n_inputs=2
+        )
+        z0 = family.lift(np.array([[0.0]]))[0]
+        with pytest.raises(InputError, match=match):
+            schedule_trajectory(family, schedule, z0, 0.5)
+        with pytest.raises(InputError, match=match):
+            ControlledOUPlant().simulate_switched(
+                0.0, family.inputs, schedule, 0.5, 3, seed=1
             )
 
     def test_walker_completes_near_dividing_dt(self, ou_setup):

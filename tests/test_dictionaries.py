@@ -67,6 +67,25 @@ def test_non_finite_points_rejected():
         GaussianBasis([[0.0]], 1.0).evaluate(np.array([[np.inf]]))
 
 
+@pytest.mark.parametrize(
+    "factory",
+    [
+        lambda: LegendreBasis(3, [(np.nan, 1.0)]),
+        lambda: LegendreBasis(3, [(-1.0, np.inf)]),
+        lambda: LegendreBasis(3, [(-1.0, 1.0), (-np.inf, 0.0)]),
+        lambda: PeriodicGaussianBasis([0.0, 1.0], 0.5, period=np.inf),
+        lambda: PeriodicGaussianBasis([0.0, 1.0], 0.5, period=np.nan),
+        lambda: GaussianBasis([[0.0]], np.inf),
+        lambda: GaussianBasis([[0.0]], np.nan),
+    ],
+    ids=["legendre-nan", "legendre-inf", "legendre-2d-inf", "periodic-inf",
+         "periodic-nan", "gaussian-inf", "gaussian-nan"],
+)
+def test_non_finite_parameters_rejected(factory):
+    with pytest.raises(InputError, match="finite"):
+        factory()
+
+
 def test_periodic_wrap_equivalence():
     pg = PeriodicGaussianBasis(np.linspace(-2.8, 2.8, 9), 1.0, 2 * np.pi)
     x = np.linspace(-np.pi, np.pi, 40).reshape(-1, 1)

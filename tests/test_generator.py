@@ -205,6 +205,13 @@ def test_edmd_log_branch_error():
         edmd_with_log(x, y, Monomials(1, 3), 0.1)
 
 
+@pytest.mark.parametrize("lag", [np.nan, np.inf])
+def test_edmd_log_rejects_a_non_finite_lag(lag):
+    x = sample_uniform([[-1, 1]], 50, seed=2)
+    with pytest.raises(InputError, match="positive and finite"):
+        edmd_with_log(x, 0.9 * x, Monomials(1, 3), lag)
+
+
 def test_gedmd_sparser_than_edmd_log():
     # identical OU setup: the generator route stays sparse, the log route fills in
     alpha, beta, tau = 1.0, 4.0, 0.05

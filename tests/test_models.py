@@ -29,7 +29,6 @@ def test_ou_drift_sigma_values():
     x = np.array([[0.5], [-2.0]])
     assert np.allclose(ou.drift_at(x), -x)
     assert np.allclose(ou.diffusion_at(x), 0.5 * np.ones((2, 1, 1)))
-    assert ou.reversible
 
 
 def test_ou_invariant_density_normalized():
@@ -104,6 +103,25 @@ def test_sample_uniform_box_and_seed():
     assert x[:, 0].min() >= -2 and x[:, 0].max() <= 2
     assert x[:, 1].min() >= -1 and x[:, 1].max() <= 1
     assert np.array_equal(x, sample_uniform(box, 500, seed=3))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: sample_uniform([[np.nan, 1.0]], 10, seed=0),
+        lambda: sample_uniform([[-1.0, 1.0], [0.0, np.inf]], 10, seed=0),
+        lambda: kramers_moyal(np.arange(5.0), lag=np.inf),
+        lambda: kramers_moyal(np.arange(5.0), lag=np.nan),
+        lambda: finite_difference_drift(np.arange(5.0), dt=0.0),
+        lambda: finite_difference_drift(np.arange(5.0), dt=-0.1),
+        lambda: finite_difference_drift(np.arange(5.0), dt=np.inf),
+    ],
+    ids=["box-nan", "box-inf", "km-lag-inf", "km-lag-nan", "fd-dt-zero", "fd-dt-negative",
+         "fd-dt-inf"],
+)
+def test_sampling_and_lag_scalars_checked(build):
+    with pytest.raises(InputError, match=r"finite \(low|positive and finite"):
+        build()
 
 
 def test_exact_sample_set_psd_invariant():
