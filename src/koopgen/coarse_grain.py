@@ -18,6 +18,7 @@ from .dictionaries import Dictionary
 from .errors import InputError, NumericalError
 from .generator import (
     GeneratorEstimate,
+    _actions,
     _fit,
     _walk,
     gedmd_deterministic,
@@ -168,9 +169,8 @@ def coarse_dpsi(
     reduced sample set produced by :func:`reduced_sample` (same code path).
     """
     rsample = reduced_sample(cg_map, sample)
-    return reduced_dict.generator_action(
-        rsample.points, rsample.drift_samples, rsample.diffusion_samples
-    )[1]
+    chunks = _actions(reduced_dict, rsample, rsample.diffusion_samples)
+    return np.concatenate([dpsi for _, dpsi in chunks], axis=1)
 
 
 def coarse_gedmd(
@@ -331,16 +331,19 @@ def _stiffness_designs(
 ) -> np.ndarray:
     """Per-parameter matrices A_t with A(theta) = sum_t theta_t A_t.
 
-    A_t[i, j] = -1/2 mean_l chi_t(z_l) grad psi_i(z_l) . grad psi_j(z_l).
+    A_t[i, j] = -1/2 mean_l chi_t(z_l) grad psi_i(z_l) . grad psi_j(z_l),
+    summed over the estimators' point chunks.
     """
-    block = reduced_dict.evaluate(points)
-    chi = diffusion_basis.values(points)  # (n_t, m)
-    n, m, p = block.gradients.shape
-    g = block.gradients.reshape(n, m * p)
-    designs = np.empty((chi.shape[0], n, n))
-    for t in range(chi.shape[0]):
-        designs[t] = -0.5 / m * ((g * np.repeat(chi[t], p)) @ g.T)
-    return designs
+    z = np.asarray(points, dtype=float)
+    m = z.shape[0]
+
+    def chunk_sums(sl):
+        grads = reduced_dict.evaluate(z[sl]).gradients  # (n, chunk, p)
+        g = grads.reshape(grads.shape[0], -1)
+        chi = diffusion_basis.values(z[sl])  # (n_t, chunk)
+        return np.stack([(g * np.repeat(c, grads.shape[2])) @ g.T for c in chi])
+
+    return -0.5 / m * sum(_walk(m, chunk_sums))
 
 
 def fit_diffusion(

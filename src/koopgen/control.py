@@ -203,14 +203,14 @@ class ControlProblem:
     reference_derivative: callable | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.h <= 0:
-            raise ConfigError("control step h must be positive")
-        if self.horizon[1] <= self.horizon[0]:
-            raise ConfigError("horizon must have positive length")
+        if not 0 < self.h < np.inf:
+            raise ConfigError("control step h must be positive and finite")
+        if not (np.all(np.isfinite(self.horizon)) and self.horizon[1] > self.horizon[0]):
+            raise ConfigError("horizon must be finite and have positive length")
         if self.q < 1:
             raise ConfigError("prediction horizon q must be at least 1")
-        if self.alpha < 0:
-            raise ConfigError("input penalty must be >= 0")
+        if not 0 <= self.alpha < np.inf:
+            raise ConfigError("input penalty must be >= 0 and finite")
 
 
 @dataclass(frozen=True)
@@ -381,6 +381,8 @@ class SwitchingSchedule:
 
     def validate(self):
         t0, te = self.horizon
+        if not np.all(np.isfinite(self.boundaries())):
+            raise InputError("switch times and horizon must be finite")
         if self.times[0] != t0:
             raise InputError("schedule must start at the horizon start")
         if np.any(np.diff(self.boundaries()) < 0):
@@ -687,9 +689,10 @@ def _newton_direction(H: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def whole_steps(horizon, dt: float) -> int:
     """Steps of length dt spanning the horizon (t0, te); InputError unless
-    dt is positive and divides it to a relative tolerance of 1e-9."""
-    if not dt > 0:
-        raise InputError("dt must be positive")
+    dt is positive and finite and divides the finite horizon to a relative
+    tolerance of 1e-9."""
+    if not (0 < dt < np.inf and np.all(np.isfinite(horizon))):
+        raise InputError(f"need dt={dt} positive and finite and horizon {tuple(horizon)} finite")
     ratio = (horizon[1] - horizon[0]) / dt
     steps = int(round(ratio))
     if abs(ratio - steps) > 1e-9 * ratio:

@@ -14,6 +14,9 @@ Conventions
   on request, ``hessians`` of shape (n, m, d, d).
 * :meth:`Dictionary.values` returns the (n, m) values alone, bitwise those
   of :meth:`Dictionary.evaluate`, without building any derivative.
+* Every method evaluates the whole array it is given in one pass, so its
+  temporaries grow with m; a point's results do not depend on the points
+  evaluated with it. The estimators bound m by ``generator.CHUNK``.
 * Polynomial-type dictionaries order their terms by total degree first
   (constant term first) and lexicographically descending within a degree,
   so for d = 2: 1, x1, x2, x1^2, x1*x2, x2^2, ...
@@ -106,12 +109,6 @@ def _action_coefficients(drift, diffusion, shape):
     if a.shape != (m, d, d):
         raise InputError(f"expected diffusion of shape {(m, d, d)}, got {a.shape}")
     return b, a
-
-
-# Elements per work array of the tensor bases' sub-chunks of points (512 KB):
-# the temporaries stay in cache and are reused by the allocator instead of
-# being faulted in afresh on every call.
-_WORK_ELEMENTS = 65536
 
 
 def _graded_exponents(dimension: int, max_degree: int) -> np.ndarray:
@@ -304,21 +301,14 @@ class _SeparableBasis(Dictionary):
         values = np.empty((n, m))
         gradients = np.zeros((n, m, d))
         hessians = np.zeros((n, m, d, d)) if with_hessians else None
-        chunk = max(16, _WORK_ELEMENTS // (n * d * (d if with_hessians else 1)))
-        for sl in (slice(start, start + chunk) for start in range(0, m, chunk)):
-            tables = self._tables(x[sl], 2 if with_hessians else 1)
-            hess = None if hessians is None else hessians[:, sl]
-            self._walk(tables, values[:, sl], gradients[:, sl], hess)
+        self._walk(self._tables(x, 2 if with_hessians else 1), values, gradients, hessians)
         return EvaluationBlock(values, gradients, hessians)
 
     def values(self, points) -> np.ndarray:
         # the value recurrence of _walk does not read the derivative arrays
         x = _check_points(points, self.dimension)
-        n, m = self.size, x.shape[0]
-        values = np.empty((n, m))
-        chunk = max(16, _WORK_ELEMENTS // n)
-        for sl in (slice(start, start + chunk) for start in range(0, m, chunk)):
-            self._walk(self._tables(x[sl], 0), values[:, sl])
+        values = np.empty((self.size, x.shape[0]))
+        self._walk(self._tables(x, 0), values)
         return values
 
     def generator_action(self, points, drift, diffusion=None):
@@ -330,18 +320,15 @@ class _SeparableBasis(Dictionary):
         # only the diffusion term needs gradients, and only those of parents:
         # rows below the top degree, which come first
         low = max(1, np.searchsorted(self.exponents.sum(axis=1), self.max_degree))
-        chunk = max(16, _WORK_ELEMENTS // (n if a is None else low * d))
-        for sl in (slice(start, start + chunk) for start in range(0, m, chunk)):
-            tables = self._tables(x[sl], 1 if a is None else 2)
-            # L phi = b_w phi' + 1/2 a_ww phi'' for every univariate factor
-            lphi = tables[1] * b[sl].T[:, None, :]
-            grads = asym = None
-            if a is not None:
-                lphi += tables[2] * (0.5 * np.diagonal(a[sl], axis1=1, axis2=2).T)[:, None, :]
-                asym = np.moveaxis(0.5 * (a[sl] + np.swapaxes(a[sl], 1, 2)), 0, -1).copy()
-                grads = np.zeros((low, tables.shape[-1], d))
-            lphi = lphi.reshape(-1, tables.shape[-1])
-            self._walk(tables, values[:, sl], grads, action=(dpsi[:, sl], lphi, asym))
+        tables = self._tables(x, 1 if a is None else 2)
+        # L phi = b_w phi' + 1/2 a_ww phi'' for every univariate factor
+        lphi = tables[1] * b.T[:, None, :]
+        grads = asym = None
+        if a is not None:
+            lphi += tables[2] * (0.5 * np.diagonal(a, axis1=1, axis2=2).T)[:, None, :]
+            asym = np.moveaxis(0.5 * (a + np.swapaxes(a, 1, 2)), 0, -1).copy()
+            grads = np.zeros((low, m, d))
+        self._walk(tables, values, grads, action=(dpsi, lphi.reshape(-1, m), asym))
         return values, dpsi
 
 
@@ -570,10 +557,10 @@ class GaussianBasis(Dictionary):
         values = self._exponential(D)
         rate = np.einsum("li,kli->kl", b, D) / -s2
         if a is not None:
-            # D a first, then D: a fixed path (optimize=True re-plans every
-            # call); at d = 1 numpy's single loop is about ten times faster
-            path = ["einsum_path", (0, 1), (0, 1)] if self.dimension > 1 else False
-            DaD = np.einsum("kli,lij,klj->kl", D, a, D, optimize=path)
+            # elementwise, so a point's D^T a D does not depend on the points
+            # evaluated with it (einsum's batched matmul rounds a lone point differently)
+            d = self.dimension
+            DaD = sum(D[:, :, i] * a[:, i, j] * D[:, :, j] for i in range(d) for j in range(d))
             rate += 0.5 * DaD / (s2 * s2) - 0.5 * np.trace(a, axis1=1, axis2=2) / s2
         return values, rate * values
 

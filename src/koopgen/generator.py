@@ -11,7 +11,8 @@ generator applied to f has coefficients L c.
 
 One chunk walker feeds (psi, T) for each CHUNK consecutive samples into one
 streaming fit, where T holds k regression targets per point (dpsi for
-gEDMD, psi at the lagged points for EDMD, the drift for SINDy). Memory is
+gEDMD, psi at the lagged points for EDMD, the drift for SINDy). Only the
+walker splits samples and no dictionary call sees more than CHUNK; memory is
 O((n + k)^2 + (n + k) * CHUNK * d) whatever the sample count m; no (n, m)
 value matrix or (n, m, d, d) Hessian tensor is stored. Per chunk the fit
 folds the chunk into the triangular factor R of the stacked matrix

@@ -344,8 +344,8 @@ def integrate_em(model: SdeModel, x0, dt: float, steps: int, seed) -> np.ndarray
         raise InputError(
             "model uses the Stratonovich convention; apply stratonovich_to_ito first"
         )
-    if dt <= 0 or steps < 0:
-        raise InputError("need dt > 0 and steps >= 0")
+    if not (0 < dt < np.inf and steps >= 0):
+        raise InputError("need dt positive and finite and steps >= 0")
     x = np.asarray(x0, dtype=np.float64)
     single = x.ndim == 1
     X = x.reshape(1, -1).copy() if single else x.copy()

@@ -242,8 +242,8 @@ def hard_threshold(
     UserWarning
         If the threshold empties a column's support; that column is zero.
     """
-    if delta < 0:
-        raise InputError("threshold must be >= 0")
+    if not 0 <= delta < np.inf:
+        raise InputError("threshold must be 0 or positive and finite")
     features = np.asarray(features, dtype=float)
     targets = np.asarray(targets, dtype=float)
     single = targets.ndim == 1

@@ -372,6 +372,31 @@ class TestFitDiffusion:
         )
         assert np.abs(theta).max() == 0.0
 
+    @pytest.mark.parametrize(
+        "reduced, dbasis",
+        [
+            (
+                LegendreBasis(6, [[-np.pi, np.pi]]),
+                GaussianBasis(np.linspace(-2.8, 2.8, 25)[:, None], 0.4),
+            ),
+            (
+                LegendreBasis(4, [[-np.pi, np.pi]] * 2),
+                GaussianBasis(models.sample_uniform([[-2.0, 2.0]] * 2, 12, seed=4), 0.9),
+            ),
+        ],
+        ids=["p1", "p2"],
+    )
+    def test_stiffness_designs_match_dense_sum(self, reduced, dbasis):
+        # 2,500 points cross three walker chunks, the last one partial
+        m = 2500
+        assert 2 * generator.CHUNK < m < 3 * generator.CHUNK
+        z = models.sample_uniform([[-np.pi, np.pi]] * reduced.dimension, m, seed=13)
+        g = reduced.evaluate(z).gradients  # (n, m, p)
+        chi = dbasis.values(z)  # (n_t, m)
+        dense = -0.5 / m * np.einsum("tl,ilp,jlp->tij", chi, g, g)
+        designs = cg._stiffness_designs(reduced, dbasis, z)
+        assert np.linalg.norm(designs - dense) <= 1e-13 * np.linalg.norm(dense)
+
 
 class TestDriftFromPotential:
     def test_constant_diffusion_quadratic_potential(self):

@@ -430,6 +430,36 @@ class TestMpc:
                            horizon=(0.0, 1.0), h=0.1, q=0)
 
 
+def _problem(**changes):
+    fields = dict(surrogates=_toy_family(), reference=lambda t: 0.0, horizon=(0.0, 1.0), h=0.1)
+    return ControlProblem(**{**fields, **changes})
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: control.whole_steps((0.0, np.nan), 0.1), InputError),
+        (lambda: control.whole_steps((0.0, np.inf), 0.1), InputError),
+        (lambda: control.whole_steps((0.0, 1.0), np.inf), InputError),
+        (lambda: _problem(h=np.nan), ConfigError),
+        (lambda: _problem(h=np.inf), ConfigError),
+        (lambda: _problem(horizon=(0.0, np.nan)), ConfigError),
+        (lambda: _problem(alpha=np.nan), ConfigError),
+        (
+            lambda: SwitchingSchedule(
+                times=np.array([0.0, 0.5]), horizon=(0.0, np.nan), n_inputs=2
+            ).validate(),
+            InputError,
+        ),
+    ],
+    ids=["steps-horizon-nan", "steps-horizon-inf", "steps-dt-inf", "problem-h-nan",
+         "problem-h-inf", "problem-horizon-nan", "problem-alpha-nan", "schedule-horizon-nan"],
+)
+def test_nonfinite_control_scalars_rejected(build, error):
+    with pytest.raises(error, match="finite"):
+        build()
+
+
 def _tanh_problem(family, horizon=(0.0, 8.0), center=4.0, alpha=0.0):
     return ControlProblem(
         surrogates=family,

@@ -6,7 +6,6 @@ from numpy.polynomial import legendre
 
 from conftest import fd_gradient, fd_hessian, rel_err
 from koopgen.dictionaries import (
-    _WORK_ELEMENTS,
     GaussianBasis,
     LegendreBasis,
     Monomials,
@@ -258,8 +257,8 @@ def test_values_bitwise_equal_evaluate(kind, d, deg, chunks, seed):
         basis = GaussianBasis(rng.uniform(-1.0, 1.0, (3 * deg, d)), 0.7)
     else:
         basis = PeriodicGaussianBasis(rng.uniform(-1.0, 1.0, 3 * deg), 0.7, 2.0)
-    # up to 2.5 work chunks of the tensor bases' values-only walk
-    m = 1 + int(chunks * max(16, _WORK_ELEMENTS // basis.size))
+    # up to 2.5 times 65536 matrix entries, in points per basis function
+    m = 1 + int(chunks * max(16, 65536 // basis.size))
     box = np.array(BOX3[: basis.dimension])
     x = rng.uniform(box[:, 0], box[:, 1], (m, basis.dimension))
     values = basis.values(x)

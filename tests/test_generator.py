@@ -12,7 +12,6 @@ from scipy import linalg
 import helpers
 from koopgen import generator, sysid
 from koopgen.dictionaries import (
-    _WORK_ELEMENTS,
     GaussianBasis,
     LegendreBasis,
     Monomials,
@@ -290,7 +289,6 @@ def _random_coefficients(rng, m, d):
     ],
 )
 def test_generator_action_matches_hessian_contraction(basis):
-    # the 1500 points span several internal sub-chunks of the tensor bases
     rng = np.random.Generator(np.random.Philox(17))
     points = rng.uniform(-1.5, 1.5, (1500, basis.dimension))
     drift, diffusion = _random_coefficients(rng, 1500, basis.dimension)
@@ -308,26 +306,30 @@ def test_generator_action_matches_hessian_contraction(basis):
 
 
 def test_tensor_bases_independent_of_work_chunks():
-    basis = Monomials(4, 6)
-    m = 1000
-    assert m * basis.size > 2 * _WORK_ELEMENTS  # several internal sub-chunks
-    rng = np.random.Generator(np.random.Philox(23))
-    points = rng.uniform(-1.5, 1.5, (m, 4))
-    drift, diffusion = _random_coefficients(rng, m, 4)
-    pieces = (slice(0, 1), slice(1, 450), slice(450, m))
-    whole = basis.evaluate(points, with_hessians=True)
-    parts = [basis.evaluate(points[sl], with_hessians=True) for sl in pieces]
-    for name in ("values", "gradients", "hessians"):
-        joined = np.concatenate([getattr(p, name) for p in parts], axis=1)
-        assert np.array_equal(getattr(whole, name), joined)
-    for a in (None, diffusion):
-        whole = basis.generator_action(points, drift, a)
-        parts = [
-            basis.generator_action(points[sl], drift[sl], None if a is None else a[sl])
-            for sl in pieces
-        ]
-        for k in (0, 1):
-            assert np.array_equal(whole[k], np.concatenate([p[k] for p in parts], axis=1))
+    for basis in (
+        Monomials(4, 6),
+        LegendreBasis(5, [(-1.5, 1.5)] * 4),
+        GaussianBasis(np.linspace(-1.0, 1.0, 24).reshape(6, 4), 0.8),
+        PeriodicGaussianBasis(np.linspace(-1.0, 1.0, 9), 0.5, 3.0),
+    ):
+        m = 1000
+        rng = np.random.Generator(np.random.Philox(23))
+        points = rng.uniform(-1.5, 1.5, (m, basis.dimension))
+        drift, diffusion = _random_coefficients(rng, m, basis.dimension)
+        pieces = (slice(0, 1), slice(1, 450), slice(450, m))
+        whole = basis.evaluate(points, with_hessians=True)
+        parts = [basis.evaluate(points[sl], with_hessians=True) for sl in pieces]
+        for name in ("values", "gradients", "hessians"):
+            joined = np.concatenate([getattr(p, name) for p in parts], axis=1)
+            assert np.array_equal(getattr(whole, name), joined)
+        for a in (None, diffusion):
+            whole = basis.generator_action(points, drift, a)
+            parts = [
+                basis.generator_action(points[sl], drift[sl], None if a is None else a[sl])
+                for sl in pieces
+            ]
+            for k in (0, 1):
+                assert np.array_equal(whole[k], np.concatenate([p[k] for p in parts], axis=1))
 
 
 def test_generator_action_rejects_mismatched_coefficients():

@@ -22,6 +22,7 @@ from koopgen.models import (
     slow_manifold_system,
     stratonovich_to_ito,
 )
+from koopgen.sysid import hard_threshold
 
 
 def test_ou_drift_sigma_values():
@@ -115,9 +116,13 @@ def test_sample_uniform_box_and_seed():
         lambda: finite_difference_drift(np.arange(5.0), dt=0.0),
         lambda: finite_difference_drift(np.arange(5.0), dt=-0.1),
         lambda: finite_difference_drift(np.arange(5.0), dt=np.inf),
+        lambda: integrate_em(ornstein_uhlenbeck(), np.array([0.0]), dt=np.nan, steps=3, seed=0),
+        lambda: integrate_em(ornstein_uhlenbeck(), np.array([0.0]), dt=np.inf, steps=3, seed=0),
+        lambda: hard_threshold(np.eye(3), np.ones(3), np.nan),
+        lambda: hard_threshold(np.eye(3), np.ones(3), np.inf),
     ],
     ids=["box-nan", "box-inf", "km-lag-inf", "km-lag-nan", "fd-dt-zero", "fd-dt-negative",
-         "fd-dt-inf"],
+         "fd-dt-inf", "em-dt-nan", "em-dt-inf", "threshold-nan", "threshold-inf"],
 )
 def test_sampling_and_lag_scalars_checked(build):
     with pytest.raises(InputError, match=r"finite \(low|positive and finite"):
