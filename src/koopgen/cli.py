@@ -2,7 +2,8 @@
 
 ``koopgen run <config.json> [--out DIR] [--seed N]`` executes one experiment
 described by a JSON document and writes plot-ready CSV/JSON artifacts plus a
-manifest echoing the fully resolved configuration; ``koopgen list [--json]``
+manifest echoing the configuration as given with the seed in effect (defaults
+applied by the runners are not recorded); ``koopgen list [--json]``
 shows the bundled experiment configs.  Exit codes: 0 success, 1 runtime or
 configuration error, 2 usage error.
 """

@@ -9,13 +9,12 @@ reversible drift is rebuilt from the fitted potential and diffusion.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dictionaries import Dictionary
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, warn
 from .generator import (
     GeneratorEstimate,
     _actions,
@@ -134,7 +133,6 @@ def reduced_sample(cg_map: CoarseGrainMap, sample: SampleSet) -> SampleSet:
 
     - drift:      b^T (grad xi)  +  1/2 a : (hess xi)
     - diffusion:  (grad xi)^T a (grad xi)
-    - noise map:  (grad xi)^T sigma
     """
     x = sample.points
     if x.shape[1] != cg_map.full_dim:
@@ -149,15 +147,7 @@ def reduced_sample(cg_map: CoarseGrainMap, sample: SampleSet) -> SampleSet:
     diffusion = None
     if sample.diffusion_samples is not None:
         diffusion = np.einsum("lip,lij,ljq->lpq", J, sample.diffusion_samples, J)
-    sigma = None
-    if sample.sigma_samples is not None:
-        sigma = np.einsum("lip,lis->lps", J, sample.sigma_samples)
-    return SampleSet(
-        points=cg_map(x),
-        drift_samples=drift,
-        diffusion_samples=diffusion,
-        sigma_samples=sigma,
-    )
+    return SampleSet(points=cg_map(x), drift_samples=drift, diffusion_samples=diffusion)
 
 
 def coarse_dpsi(
@@ -183,9 +173,9 @@ def coarse_gedmd(
     """Generator estimate on the reduced coordinate z = xi(x).
 
     With ``reversible=True`` the symmetric estimator built from the reduced
-    noise map (grad xi)^T sigma is used; it needs ``sigma_samples`` on the
-    input.  Otherwise the deterministic or stochastic estimator is chosen by
-    whether diffusion data is present.
+    diffusion (grad xi)^T a (grad xi) is used; it needs ``diffusion_samples``
+    on the input.  Otherwise the deterministic or stochastic estimator is
+    chosen by whether diffusion data is present.
     """
     rsample = reduced_sample(cg_map, sample)
     if reversible:
@@ -246,10 +236,9 @@ def local_mean_force(cg_map: CoarseGrainMap, potential_gradient, points):
     w = np.linalg.eigvalsh(gram)
     kept = np.nonzero(w[:, 0] > JACOBIAN_RANK_TOL * np.maximum(w[:, -1], 1.0))[0]
     if kept.size < x.shape[0]:
-        warnings.warn(
+        warn(
             f"excluded {x.shape[0] - kept.size} samples with rank-deficient "
             "map Jacobian",
-            stacklevel=2,
         )
     x = x[kept]
     J = J[kept]

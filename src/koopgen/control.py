@@ -9,7 +9,6 @@ which a fixed cyclic input sequence switches.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +18,7 @@ from .dictionaries import Dictionary
 # kept for perfbench test_tracer_records_evaluations_and_restores_bindings,
 # which calls control.evaluate
 from .dictionaries import evaluate  # noqa: F401
-from .errors import ConfigError, InputError, StabilityError
+from .errors import ConfigError, InputError, StabilityError, warn
 from .generator import gedmd_deterministic, gedmd_stochastic
 from .models import SampleSet, _rng
 
@@ -639,10 +638,9 @@ def switching_time_optimize(
         if converged:
             break
     if not converged:
-        warnings.warn(
+        warn(
             f"switching-time optimization did not converge in {max_iter} "
             "iterations; returning the best schedule found",
-            stacklevel=2,
         )
     y, gy, _, _ = _reduced(tau, g, t0, te)
     return SwitchingSchedule(

@@ -175,10 +175,10 @@ class Dictionary:
         raise NotImplementedError
 
     def full_state_selector(self) -> np.ndarray:
-        """Selector B with x = B^T psi(x), one unit entry per column.
+        """Exact coefficients B with x = B^T psi(x).
 
-        Only dictionaries that contain every coordinate function as a basis
-        element support this; others raise
+        Only dictionaries whose span contains every coordinate function
+        support this; others raise
         :class:`~koopgen.errors.UnsupportedDictionaryError`.
         """
         raise UnsupportedDictionaryError(
@@ -481,8 +481,8 @@ class LegendreBasis(_SeparableBasis):
             "domain": self.domain.tolist(),
         }
 
-    def coordinate_coefficients(self) -> np.ndarray:
-        """Exact expansion x_j = sum_i C[i, j] psi_i(x); C is not a selector."""
+    def full_state_selector(self) -> np.ndarray:
+        """Exact expansion x_j = sum_i C[i, j] psi_i(x), through P0 and P1."""
         if self.max_degree < 1:
             raise UnsupportedDictionaryError("coordinate functions need max_degree >= 1")
         C = np.zeros((self.size, self.dimension))

@@ -1,4 +1,23 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one warning helper."""
+
+import os
+import sys
+import warnings
+
+_PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__)) + os.sep
+
+
+def warn(message: str) -> None:
+    """Issue a UserWarning attributed to the first frame outside this package.
+
+    The frames between the public entry point and the warning differ from
+    caller to caller, so no fixed ``stacklevel`` names the caller's line; the
+    walk does.
+    """
+    frame, level = sys._getframe(1), 2
+    while frame.f_back is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, stacklevel=level)
 
 
 class KoopgenError(Exception):

@@ -42,14 +42,13 @@ R[:, :n]^T R[:, :n] / m = R11^T R11 / m, A_hat = R[:, n:]^T R[:, :n] / m,
 and G_hat^+ = m V S^-2 V^T. Every product X G_hat^+ goes through that SVD,
 never through G_hat, whose condition number is the square of Psi's: the
 reversible estimate M = A_hat G_hat^+, whose symmetric A_hat =
--(1/2m) sum_l (grad Psi sigma)(grad Psi sigma)^T needs no Hessians, and the
+-(1/2m) sum_l grad Psi a grad Psi^T needs no Hessians, and the
 Perron-Frobenius adjoint M* = A_hat^T G_hat^+ of any estimate.
 """
 
 from __future__ import annotations
 
 import ctypes
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -59,7 +58,7 @@ from scipy import linalg
 from scipy.linalg import cython_lapack
 
 from .dictionaries import Dictionary, _check_points, dictionary_from_spec
-from .errors import InputError, LogBranchError, NumericalError
+from .errors import InputError, LogBranchError, NumericalError, warn
 from .models import SampleSet
 
 __all__ = [
@@ -229,10 +228,9 @@ def _svd(R, n):
     rank = int(np.count_nonzero(s > SVD_CUTOFF * s[0])) if s.size else 0
     condition = float(s[0] / s[rank - 1]) if rank else np.inf
     if rank < n:
-        warnings.warn(
+        warn(
             f"dictionary value matrix is rank deficient ({rank} < {n}); "
             "estimate restricted to the resolved subspace",
-            stacklevel=4,
         )
     return U[:, :rank], s[:rank], Vt[:rank].T, condition
 
@@ -293,28 +291,30 @@ def gedmd_stochastic(dictionary: Dictionary, sample: SampleSet) -> GeneratorEsti
 def gedmd_reversible(dictionary: Dictionary, sample: SampleSet) -> GeneratorEstimate:
     """Reversible-system estimate using first derivatives only.
 
-    A_hat = -(1/2m) sum_l (grad Psi(x_l) sigma(x_l)) (grad Psi(x_l) sigma(x_l))^T
-    requires points distributed according to the invariant measure and sigma
-    values on the sample set; A_hat is symmetric by construction. The walk
+    A_hat = -(1/2m) sum_l grad Psi(x_l) a(x_l) grad Psi(x_l)^T requires points
+    distributed according to the invariant measure and diffusion values
+    a = sigma sigma^T on the sample set, exact or Kramers-Moyal estimates;
+    A_hat is symmetrized, so it is symmetric to the last bit. The walk
     streams Psi alone (no targets) into R, and M = A_hat G_hat^+ is taken
     through the SVD of R11, so the cutoff and rank are those of Psi, as for
     the other estimators, not those of G_hat.
     """
-    if sample.sigma_samples is None:
-        raise InputError("gedmd_reversible needs sigma samples on the sample set")
-    x, sigma = sample.points, sample.sigma_samples
+    if sample.diffusion_samples is None:
+        raise InputError("gedmd_reversible needs diffusion samples on the sample set")
+    x, a = sample.points, sample.diffusion_samples
     n, m = dictionary.size, sample.count
     A = np.zeros((n, n))
 
     def chunk(sl):
         # A_hat's sum rides along with the walk that feeds the factor
         blk = dictionary.evaluate(x[sl])
-        W = np.einsum("kli,lis->kls", blk.gradients, sigma[sl]).reshape(n, -1)
-        A[:] += W @ W.T
+        grads = blk.gradients
+        Ga = np.einsum("kli,lij->klj", grads, a[sl]).reshape(n, -1)
+        A[:] += Ga @ grads.reshape(n, -1).T
         return blk.values, blk.values[:0]
 
     R = _factor(_walk(m, chunk), n)
-    A_hat = A / (-2.0 * m)
+    A_hat = (A + A.T) / (-4.0 * m)
     M, rank, condition = _times_gram_pinv(A_hat, R, n, m)
     return GeneratorEstimate(
         M=M, A_hat=A_hat, R=R, rank=rank, dictionary=dictionary, sample_count=m,
@@ -373,7 +373,7 @@ def edmd_with_log(
     if np.iscomplexobj(Lm):
         imag = np.max(np.abs(Lm.imag))
         if imag > 1e-8 * max(np.max(np.abs(Lm.real)), 1.0):
-            warnings.warn(f"matrix log has imaginary residue {imag:.2e}", stacklevel=2)
+            warn(f"matrix log has imaginary residue {imag:.2e}")
         Lm = Lm.real
     return replace(est, M=Lm)
 

@@ -218,5 +218,5 @@ def write_schedule_json(path, schedule) -> Path:
 
 
 def write_manifest(path, config: dict) -> Path:
-    """Run manifest echoing the fully resolved configuration and seeds."""
+    """Run manifest: the configuration as given plus the seed in effect, not the defaults."""
     return write_json(path, config)

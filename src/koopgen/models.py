@@ -98,15 +98,13 @@ class SampleSet:
     """Data points with drift/diffusion information attached.
 
     points (m, d) and drift_samples b(x_l) (m, d) are required;
-    diffusion_samples holds a(x_l) = sigma sigma^T (m, d, d) and
-    sigma_samples holds sigma(x_l) itself (m, d, s), required by the
-    reversible estimator. Either is None when absent.
+    diffusion_samples holds a(x_l) = sigma sigma^T (m, d, d), or None when
+    absent.
     """
 
     points: np.ndarray
     drift_samples: np.ndarray
     diffusion_samples: Optional[np.ndarray] = None
-    sigma_samples: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=np.float64))
@@ -124,13 +122,6 @@ class SampleSet:
                 raise InputError("diffusion_samples contain non-finite entries")
             # enforce exact symmetry; callers provide a = sigma sigma^T
             self.diffusion_samples = 0.5 * (a + np.transpose(a, (0, 2, 1)))
-        if self.sigma_samples is not None:
-            s = np.asarray(self.sigma_samples, dtype=np.float64)
-            if s.ndim != 3 or s.shape[:2] != (self.count, self.dimension):
-                raise InputError("sigma_samples must have shape (m, d, s)")
-            if not np.all(np.isfinite(s)):
-                raise InputError("sigma_samples contain non-finite entries")
-            self.sigma_samples = s
 
     @property
     def count(self) -> int:
@@ -381,12 +372,10 @@ def exact_sample_set(model: SdeModel, points) -> SampleSet:
             "model uses the Stratonovich convention; apply stratonovich_to_ito first"
         )
     x = _check_points(points, model.dimension)
-    S = None if model.deterministic else model.sigma_at(x)
     return SampleSet(
         points=x,
         drift_samples=model.drift_at(x),
-        diffusion_samples=None if S is None else np.einsum("lik,ljk->lij", S, S),
-        sigma_samples=S,
+        diffusion_samples=None if model.deterministic else model.diffusion_at(x),
     )
 
 

@@ -9,13 +9,12 @@ lambda = 0 eigenspace.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dictionaries import Dictionary
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, warn
 from .generator import GeneratorEstimate
 
 __all__ = [
@@ -270,10 +269,9 @@ def koopman_modes(
     try:
         vt = np.linalg.solve(dec.eigenvectors, selector.astype(complex))
     except np.linalg.LinAlgError:
-        warnings.warn(
+        warn(
             "eigenvector matrix is singular; computing modes with a "
             "pseudoinverse",
-            stacklevel=2,
         )
         vt = np.linalg.pinv(dec.eigenvectors) @ selector
     modes = vt.T  # (d, n), columns v_l with b = sum lambda_l phi_l v_l

@@ -8,13 +8,12 @@ hard thresholding of the regression problems.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .dictionaries import Dictionary, Monomials
-from .errors import ClosureError, IdentificationError, InputError, UnsupportedDictionaryError
+from .errors import ClosureError, IdentificationError, InputError, UnsupportedDictionaryError, warn
 from .generator import SVD_CUTOFF, GeneratorEstimate, _actions, _factor, _fit, _walk
 from .models import SampleSet
 
@@ -259,10 +258,9 @@ def hard_threshold(
             keep = np.abs(coeffs[:, col]) >= delta
             if not np.any(keep):
                 if np.any(supports[col]):
-                    warnings.warn(
+                    warn(
                         f"threshold {delta} removed every term of target {col}; "
                         "returning the zero model for it",
-                        stacklevel=2,
                     )
                     coeffs[:, col] = 0.0
                     supports[col] = keep

@@ -260,7 +260,7 @@ def test_criterion_07_lemon_slice_coarse_graining():
     reduced = cg.build_reduced_model(pmap, basis, sample, model, dbasis)
     fine = np.linspace(-2.8, 2.8, 401)
     rebuilt = reduced.drift_on(fine)
-    coeffs = est.L @ basis.coordinate_coefficients()[:, 0]
+    coeffs = est.L @ basis.full_state_selector()[:, 0]
     direct = evaluate(basis, fine[:, None]).values.T @ coeffs
     drift_rel = np.sqrt(np.mean((rebuilt - direct) ** 2) / np.mean(direct**2))
     _check(failures, drift_rel < 0.10, f"drift reconstruction RMS {drift_rel:.3f} >= 10%")

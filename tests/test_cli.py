@@ -267,6 +267,37 @@ class TestRunKinds:
         }
         assert ("x1", 4.0) in drift_terms and ("x1^3", -4.0) in drift_terms
 
+    def test_identify_from_noisy_samples(self, tmp_path, capsys):
+        config = {
+            "kind": "identify",
+            "seed": 2,
+            "model": {"name": "double_well"},
+            "dictionary": {"type": "monomials", "degree": 4},
+            "sampling": {"box": [[-2.0, 2.0], [-2.0, 2.0]], "m": 4000, "noise_std": 0.1},
+            "solver": {"delta": 0.1, "iterations": 10},
+        }
+        path = write_config(tmp_path, "noisy.json", config)
+        out = tmp_path / "out"
+        assert run_cli(["run", path, "--out", str(out)]) == 0
+        capsys.readouterr()
+        model = json.loads((out / "model.json").read_text("utf-8"))
+        drift = {entry["term"]: entry["coefficient"] for entry in model["drift"][0]}
+        assert drift["x1"] == pytest.approx(4.0, abs=0.05)
+        assert drift["x1^3"] == pytest.approx(-4.0, abs=0.05)
+
+    def test_legendre_spectrum_writes_modes(self, tmp_path, capsys):
+        config = dict(
+            SMALL_SPECTRUM,
+            dictionary={"type": "legendre", "degree": 4, "domain": [[-2.0, 2.0]]},
+            spectral=dict(SMALL_SPECTRUM["spectral"], modes=True),
+        )
+        path = write_config(tmp_path, "legendre.json", config)
+        out = tmp_path / "out"
+        assert run_cli(["run", path, "--out", str(out)]) == 0
+        capsys.readouterr()
+        manifest = json.loads((out / "manifest.json").read_text("utf-8"))
+        assert "modes.csv" in manifest["artifacts"] and (out / "modes.csv").exists()
+
     def test_conserved_finds_duffing_energy(self, tmp_path, capsys):
         config = {
             "kind": "conserved",

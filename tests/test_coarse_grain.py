@@ -195,7 +195,7 @@ class TestLemonSlicePipeline:
 
     def test_direct_drift_tracks_analytic_shape(self, lemon):
         grid = np.linspace(-2.8, 2.8, 401)
-        coeffs = lemon["est"].L @ lemon["basis"].coordinate_coefficients()[:, 0]
+        coeffs = lemon["est"].L @ lemon["basis"].full_state_selector()[:, 0]
         direct = evaluate(lemon["basis"], grid[:, None]).values.T @ coeffs
         analytic = helpers.lemon_slice_angular_force(grid)
         assert np.corrcoef(direct, analytic)[0, 1] > 0.98
@@ -210,7 +210,7 @@ class TestLemonSlicePipeline:
         )
         grid = np.linspace(-2.8, 2.8, 401)
         rebuilt = reduced.drift_on(grid)
-        coeffs = lemon["est"].L @ lemon["basis"].coordinate_coefficients()[:, 0]
+        coeffs = lemon["est"].L @ lemon["basis"].full_state_selector()[:, 0]
         direct = evaluate(lemon["basis"], grid[:, None]).values.T @ coeffs
         rel = np.sqrt(np.mean((rebuilt - direct) ** 2) / np.mean(direct**2))
         assert rel < 0.10

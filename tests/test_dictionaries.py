@@ -58,6 +58,15 @@ def test_legendre_domain_rejection():
         leg.evaluate(np.array([[4.0]]))
 
 
+def test_one_dimensional_point_conventions():
+    # d = 1: a 1-d array is m points; d = 2: a length-2 array is one point
+    assert Monomials(1, 2).values(np.array([0.0, 1.0, 2.0])).shape == (3, 3)
+    plane = Monomials(2, 1)
+    assert np.array_equal(plane.values(np.array([2.0, 3.0]))[:, 0], [1.0, 2.0, 3.0])
+    with pytest.raises(InputError, match="length 3 does not match dimension 2"):
+        plane.values(np.array([1.0, 2.0, 3.0]))
+
+
 def test_non_finite_points_rejected():
     mono = Monomials(1, 2)
     with pytest.raises(InputError):
@@ -114,7 +123,7 @@ def test_full_state_selector_unsupported():
 
 def test_legendre_coordinate_coefficients():
     leg = LegendreBasis(4, [(-np.pi, np.pi)])
-    C = leg.coordinate_coefficients()
+    C = leg.full_state_selector()
     x = np.linspace(-3.0, 3.0, 17).reshape(-1, 1)
     vals = leg.evaluate(x).values
     assert np.allclose(C.T @ vals, x.T)

@@ -35,6 +35,8 @@ from koopgen.models import (
     analytic_ou_generator,
     double_well_2d,
     exact_sample_set,
+    integrate_em,
+    kramers_moyal,
     ornstein_uhlenbeck,
     ou_invariant_density,
     sample_uniform,
@@ -102,6 +104,22 @@ def test_reversible_estimator_symmetry_and_spectrum():
         assert abs(ev[i] - target) <= 0.05 * max(abs(target), 1.0)
 
 
+def test_reversible_estimator_reads_kramers_moyal_diffusion():
+    # walkers start in the OU invariant law N(0, 1/(alpha beta)), so the sample stays in it
+    model = ornstein_uhlenbeck(1.0, 4.0)
+    x0 = np.random.Generator(np.random.Philox(7)).normal(0.0, 0.5, (2000, 1))
+    paths = integrate_em(model, x0, 0.01, 100, seed=8)
+    walkers = [kramers_moyal(paths[:, w], 0.01) for w in range(paths.shape[1])]
+    sample = SampleSet(
+        points=np.concatenate([s.points for s in walkers]),
+        drift_samples=np.concatenate([s.drift_samples for s in walkers]),
+        diffusion_samples=np.concatenate([s.diffusion_samples for s in walkers]),
+    )
+    est = gedmd_reversible(Monomials(1, 4), sample)
+    ev = np.sort(np.linalg.eigvals(est.L).real)[::-1]
+    assert np.all(np.abs(ev[:3] - [0.0, -1.0, -2.0]) <= 0.1)
+
+
 def test_reversible_rank_is_that_of_the_value_matrix():
     # cond(Psi) is about 1.5e5, so cond(G_hat) about 2e10 sits at the 1e-10 cutoff
     rng = np.random.Generator(np.random.Philox(3))
@@ -151,7 +169,7 @@ def test_perron_frobenius_warns_when_gram_loses_rank():
     assert np.all(np.isfinite(pf.M))
 
 
-def test_reversible_requires_sigma_samples():
+def test_reversible_requires_diffusion_samples():
     pts = sample_uniform([[-1, 1]], 50, seed=0)
     s = SampleSet(points=pts, drift_samples=-pts)
     with pytest.raises(InputError):
@@ -355,7 +373,7 @@ def _streamed_and_dense(basis, sample, lag=0.01):
     # quartic drift targets leave the cubic span, so the regression has a residual
     quartic = SampleSet(points=sample.points, drift_samples=sample.drift_samples * sample.points)
     B = np.linalg.lstsq(values.T, quartic.drift_samples, rcond=1e-10)[0].T
-    W = np.einsum("kli,lis->kls", block.gradients, sample.sigma_samples).reshape(len(G), -1)
+    A = np.einsum("kli,lij,qlj->kq", block.gradients, sample.diffusion_samples, block.gradients)
     P = np.linalg.pinv(values.T, rcond=1e-10)  # G^+ = m P P^T
     stochastic = gedmd_stochastic(basis, sample)
     reversible = gedmd_reversible(basis, sample)
@@ -366,7 +384,7 @@ def _streamed_and_dense(basis, sample, lag=0.01):
         (sysid.sindy_coefficients(basis, quartic), B),
         (edmd_with_log(sample.points, lagged, basis, lag).M, linalg.logm(K).real / lag),
         (reversible.G_hat, G),
-        (reversible.M, (-W @ W.T / (2 * m)) @ (m * P @ P.T)),
+        (reversible.M, (-A / (2 * m)) @ (m * P @ P.T)),
     ]
 
 
@@ -386,7 +404,6 @@ def test_streaming_fit_matches_dense_lstsq_under_permutation(m, seed):
         points=sample.points[perm],
         drift_samples=sample.drift_samples[perm],
         diffusion_samples=sample.diffusion_samples[perm],
-        sigma_samples=sample.sigma_samples[perm],
     )
     pairs = zip(_streamed_and_dense(basis, sample), _streamed_and_dense(basis, shuffled))
     for (got, want), (got_shuffled, _) in pairs:

@@ -134,7 +134,6 @@ def test_exact_sample_set_psd_invariant():
     pts = sample_uniform([[-2, 2], [-1, 1]], 200, seed=1)
     s = exact_sample_set(dw, pts)
     assert s.min_diffusion_eigenvalue() >= -1e-10
-    assert s.sigma_samples.shape == (200, 2, 2)
     # symmetry is exact after construction
     assert np.array_equal(s.diffusion_samples, np.transpose(s.diffusion_samples, (0, 2, 1)))
 
@@ -199,13 +198,6 @@ def test_sample_set_validation():
         SampleSet(points=np.array([[0.0]]), drift_samples=np.array([[np.nan]]))
     with pytest.raises(InputError):
         SampleSet(points=np.zeros((3, 2)), drift_samples=np.zeros((2, 2)))
-
-
-def test_sample_set_rejects_nonfinite_sigma():
-    sigma = np.ones((3, 1, 1))
-    sigma[1, 0, 0] = np.nan
-    with pytest.raises(InputError, match="sigma_samples"):
-        SampleSet(points=np.zeros((3, 1)), drift_samples=np.zeros((3, 1)), sigma_samples=sigma)
 
 
 def test_lemon_slice_gradient_matches_fd():
