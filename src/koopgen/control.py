@@ -72,6 +72,11 @@ class SurrogateFamily:
             frozen = np.array(getattr(self, name), dtype=float)
             frozen.flags.writeable = False
             object.__setattr__(self, name, frozen)
+        n_c, n = len(self.inputs), self.dictionary.size
+        if n_c < 1 or self.matrices.shape != (n_c, n, n):
+            raise InputError(f"need n_c >= 1 matrices ({n_c}, {n}, {n}), got {self.matrices.shape}")
+        if self.readout.ndim != 2 or self.readout.shape[0] < 1 or self.readout.shape[1] != n:
+            raise InputError(f"need a readout of shape (r >= 1, {n}), got {self.readout.shape}")
         object.__setattr__(self, "_search_rows", {})
 
     @property
@@ -132,6 +137,8 @@ def fit_surrogates(
     """
     if len(inputs) != len(samples):
         raise InputError(f"{len(inputs)} inputs but {len(samples)} sample sets")
+    if len(inputs) == 0:
+        raise InputError("need at least one input")
     # only M is kept, so at most one estimate and its R are alive at a time
     matrices = []
     for sample in samples:
@@ -548,7 +555,6 @@ def _sto(problem: ControlProblem, z0, tau, hessian: bool = False):
 def switching_time_optimize(
     problem: ControlProblem,
     p: int,
-    initial_schedule=None,
     *,
     x0,
     max_iter: int = 300,
@@ -556,13 +562,14 @@ def switching_time_optimize(
     """Optimize the switch times of a cyclic input sequence.
 
     Projected Newton steps (Bertsekas, SIAM J. Control Optim. 1982) in the
-    segment durations delta >= 0, sum(delta) = horizon length, with the
-    exact Hessian of the discretized objective.  Each iteration eliminates
-    the longest segment, so only the bounds delta >= 0 remain.  Durations
-    within min(projected-gradient norm, 1e-3 mean duration) of zero whose
-    gradient pushes them down are held on the bound, the rest take a Newton
-    step, and an Armijo backtracking search along the projection arc picks
-    the step.
+    segment durations delta >= 0, sum(delta) = horizon length, from the
+    uniform grid over the horizon, with the exact Hessian of the discretized
+    objective; each schedule visited is evaluated once, objective, gradient
+    and Hessian together.  Each iteration eliminates the longest segment, so
+    only the bounds delta >= 0 remain.  Durations within
+    min(projected-gradient norm, 1e-3 mean duration) of zero whose gradient
+    pushes them down are held on the bound, the rest take a Newton step, and
+    an Armijo backtracking search along the projection arc picks the step.
     Every iterate is a feasible nondecreasing schedule.  The optimizer has
     converged once its step moves no switch time by more than 1e-9 of the
     horizon (``STO_TOL``).
@@ -574,9 +581,6 @@ def switching_time_optimize(
     p : int
         Number of passes through the cyclic input sequence; the schedule
         carries ``n_inputs * p`` free switch times.
-    initial_schedule : (n_inputs * p,) array_like, optional
-        Defaults to a uniform grid over the horizon; otherwise sorted and
-        clipped to the horizon.
     x0 : (d,) array_like
         Plant initial state, lifted through the dictionary.
 
@@ -598,27 +602,18 @@ def switching_time_optimize(
     span = te - t0
     n_free = problem.surrogates.n_inputs * p
     z0 = problem.surrogates.lift(np.asarray(x0, dtype=float)[np.newaxis, :])[0]
-    if initial_schedule is None:
-        tau = np.linspace(t0, te, n_free + 2)[1:-1]
-    else:
-        tau = np.asarray(initial_schedule, dtype=float)
-        if tau.shape != (n_free,):
-            raise InputError(
-                f"initial schedule must have {n_free} switch times, got {tau.shape}"
-            )
-        tau = np.clip(np.sort(tau), t0, te)
-    J, g = sto_objective_and_gradient(problem, z0, tau)
+    tau = np.linspace(t0, te, n_free + 2)[1:-1]
+    J, g, H = _sto(problem, z0, tau, hessian=True)
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        _, _, H = _sto(problem, z0, tau, hessian=True)
         y, gy, keep, m = _reduced(tau, g, t0, te)
-        H = H[np.ix_(keep, keep)] - H[keep, m][:, None] - H[m, keep] + H[m, m]
+        Hy = H[np.ix_(keep, keep)] - H[keep, m][:, None] - H[m, keep] + H[m, m]
         pg = np.minimum(y, gy)
         held = (y <= min(np.linalg.norm(pg), 1e-3 * span / (n_free + 1))) & (gy > 0)
         free = ~held
         d = y.copy()  # held durations shrink linearly to zero along the arc
-        d[free] = _newton_direction(H[np.ix_(free, free)], gy[free])
+        d[free] = _newton_direction(Hy[np.ix_(free, free)], gy[free])
         for alpha in 0.5 ** np.arange(60.0):
             trial = np.maximum(y - alpha * d, 0.0)
             rest = span - trial.sum()  # the eliminated duration
@@ -628,10 +623,10 @@ def switching_time_optimize(
             converged = np.abs(cand - tau).max() <= STO_TOL * span
             if converged:
                 break
-            Jc, gc = sto_objective_and_gradient(problem, z0, cand)
+            Jc, gc, Hc = _sto(problem, z0, cand, hessian=True)
             decrease = alpha * gy[free] @ d[free] + gy[held] @ (y - trial)[held]
             if J - Jc >= 1e-4 * decrease:
-                tau, J, g = cand, Jc, gc
+                tau, J, g, H = cand, Jc, gc, Hc
                 break
         else:
             converged = True  # no step length lowers J: stationary to rounding

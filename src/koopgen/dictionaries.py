@@ -190,9 +190,6 @@ class Dictionary:
         """Index of the constant basis function, or None if absent."""
         return None
 
-    def __len__(self) -> int:
-        return self.size
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(dimension={self.dimension}, size={self.size})"
 

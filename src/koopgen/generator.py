@@ -379,14 +379,15 @@ def edmd_with_log(
 
 
 def estimate_to_dict(est: GeneratorEstimate) -> dict:
-    """JSON-ready dict with dense row-major matrices and provenance."""
+    """JSON-ready dict with dense row-major matrices and provenance; a
+    non-finite ``condition`` is written as None."""
     return {
         "kind": est.kind,
         "M": est.M.tolist(),
         "A_hat": est.A_hat.tolist(),
         "R": est.R.tolist(),
         "rank": est.rank,
-        "condition": est.condition,
+        "condition": est.condition if np.isfinite(est.condition) else None,
         "sample_count": est.sample_count,
         "rank_deficient": bool(est.rank_deficient),
         "dictionary": est.dictionary.spec() if est.dictionary is not None else None,
@@ -394,7 +395,11 @@ def estimate_to_dict(est: GeneratorEstimate) -> dict:
 
 
 def estimate_from_dict(payload: dict) -> GeneratorEstimate:
+    """Inverse of ``estimate_to_dict``; a None condition is inf at rank 0, else nan."""
     spec = payload.get("dictionary")
+    condition = payload.get("condition", np.nan)
+    if condition is None:
+        condition = np.inf if int(payload["rank"]) == 0 else np.nan
     return GeneratorEstimate(
         M=np.asarray(payload["M"], dtype=np.float64),
         A_hat=np.asarray(payload["A_hat"], dtype=np.float64),
@@ -403,5 +408,5 @@ def estimate_from_dict(payload: dict) -> GeneratorEstimate:
         dictionary=dictionary_from_spec(spec) if spec else None,
         sample_count=int(payload["sample_count"]),
         kind=payload.get("kind", "deterministic"),
-        condition=float(payload.get("condition", np.nan)),
+        condition=float(condition),
     )

@@ -90,14 +90,12 @@ def write_eigenvalue_csv(path, decomposition) -> Path:
     return write_csv(path, ["index", "real", "imag", "timescale"], rows)
 
 
-def write_eigenfunction_csv(path, decomposition, dictionary, points, indices=None) -> Path:
-    """Eigenfunction values on evaluation points, split into Re/Im columns."""
+def write_eigenfunction_csv(path, decomposition, dictionary, points, indices) -> Path:
+    """Values of eigenfunctions ``indices`` on evaluation points, in Re/Im columns."""
     from .spectral import eigenfunction_values
 
     points = np.asarray(points, dtype=float)
     values = eigenfunction_values(decomposition, dictionary, points)
-    if indices is None:
-        indices = range(values.shape[1])
     indices = list(indices)
     header = [f"x{j + 1}" for j in range(points.shape[1])]
     for l in indices:

@@ -199,18 +199,12 @@ def double_well_2d() -> SdeModel:
         S[:, 1, 1] = 0.5
         return S
 
-    def sigma_jacobian(x):
-        J = np.zeros((x.shape[0], 2, 2, 2))
-        J[:, 0, 1, 0] = 1.0  # d sigma_12 / d x1
-        return J
-
     return SdeModel(
         dimension=2,
         drift=drift,
         sigma=sigma,
         noise_dim=2,
         potential=lambda x: (x[:, 0] ** 2 - 1.0) ** 2 + x[:, 1] ** 2,
-        sigma_jacobian=sigma_jacobian,
         name="double_well_2d",
     )
 
@@ -383,18 +377,21 @@ def kramers_moyal(trajectory, lag: float) -> SampleSet:
     """First/second conditional-moment estimates from trajectory increments.
 
     b(x_l) ~ (x_{l+1} - x_l) / lag and a(x_l) ~ outer(x_{l+1} - x_l) / lag;
-    the last point has no successor and is dropped.
+    the last point has no successor and is dropped.  The trajectory is
+    (T,) or (T, d), or an ensemble (T, r, d) as ``integrate_em`` returns
+    it, whose increments are pooled walker by walker.
     """
     X = np.asarray(trajectory, dtype=np.float64)
     if X.ndim == 1:
         X = X.reshape(-1, 1)
-    if X.shape[0] < 2:
-        raise InputError("need at least two trajectory points")
+    if X.ndim not in (2, 3) or X.shape[0] < 2:
+        raise InputError("need at least two trajectory points of shape (d,) or (r, d)")
     if not 0 < lag < np.inf:
         raise InputError("lag must be positive and finite")
-    diff = np.diff(X, axis=0)
+    X = X.reshape(X.shape[0], -1, X.shape[-1]).swapaxes(0, 1)  # (r, T, d)
+    diff = np.diff(X, axis=1).reshape(-1, X.shape[2])
     return SampleSet(
-        points=X[:-1],
+        points=X[:, :-1].reshape(-1, X.shape[2]),
         drift_samples=diff / lag,
         diffusion_samples=np.einsum("li,lj->lij", diff, diff) / lag,
     )

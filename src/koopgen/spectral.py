@@ -303,23 +303,19 @@ def reconstruct_drift(
     return out.real.T
 
 
-def conserved_quantities(
-    dec: SpectralDecomposition, zero_tol: float | None = None
-) -> list[np.ndarray]:
+def conserved_quantities(dec: SpectralDecomposition) -> list[np.ndarray]:
     """Coefficient vectors of conserved quantities from the lambda = 0 space.
 
-    Collects eigenvectors with |lambda_l| below the threshold, removes the
-    constant-function direction (the constant is conserved for any system),
-    and returns a real orthogonal basis of what remains, each vector scaled
-    so its largest-magnitude entry is 1.  Every returned vector c defines
+    Collects eigenvectors with |lambda_l| below 1e-6 times the spectral
+    radius (1e-12 for a zero spectrum), removes the constant-function
+    direction (the constant is conserved for any system), and returns a
+    real orthogonal basis of what remains, each vector scaled so its
+    largest-magnitude entry is 1.  Every returned vector c defines
     E(x) = c^T psi(x) with L c ~= 0.
 
     Parameters
     ----------
     dec : SpectralDecomposition
-    zero_tol : float, optional
-        Absolute threshold on |lambda_l|.  Defaults to 1e-6 times the
-        spectral radius.
 
     Returns
     -------
@@ -328,9 +324,7 @@ def conserved_quantities(
     """
     values = dec.eigenvalues
     radius = np.abs(values).max() if values.size else 0.0
-    if zero_tol is None:
-        zero_tol = 1e-6 * radius if radius > 0 else 1e-12
-    mask = np.abs(values) < zero_tol
+    mask = np.abs(values) < (1e-6 * radius if radius > 0 else 1e-12)
     if not np.any(mask):
         return []
     group = dec.eigenvectors[:, mask]

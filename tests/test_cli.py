@@ -1,13 +1,14 @@
 """Command line front end: exit codes, validation messages, artifacts."""
 
 import json
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from koopgen import cli, io
-from koopgen.errors import NumericalError
+from koopgen.errors import ConfigError, NumericalError
 
 
 def run_cli(argv):
@@ -130,6 +131,30 @@ class TestConfigErrors:
 
 
     @pytest.mark.parametrize(
+        "name, path, value, match",
+        [
+            ("ou_spectrum", "model.alpha", 10**400, "'model.alpha': expected a finite number"),
+            ("ou_spectrum", "model.alpha", "one", "'model.alpha': expected a number"),
+            ("ou_spectrum", "sampling.noise_std", -1, "'sampling.noise_std': must be >= 0"),
+            ("ou_spectrum", "sampling.m", 0, "'sampling.m': must be >= 1"),
+            ("ou_spectrum", "dictionary.type", 3, "'dictionary.type': expected a string"),
+            ("ou_mpc", "control.horizon", [5, 1], "'control.horizon': expected [start, end]"),
+            ("ou_mpc", "plant.inputs", [], "'plant.inputs': expected a non-empty list"),
+            ("ou_spectrum", "sampling.invariant", True, "'sampling.invariant': only supported"),
+            ("lemonslice_coarsegrain", "model.name", "ou", "coarsegrain expects a 2D model"),
+        ],
+        ids=["int-beyond-float", "not-a-number", "below-minimum", "integer-below-minimum",
+             "not-a-string", "reversed-pair", "empty-list", "invariant-not-lemon",
+             "coarsegrain-1d"],
+    )
+    def test_invalid_field_raises(self, tmp_path, name, path, value, match):
+        config = json.loads(json.dumps(cli.bundled_configs()[name]))
+        section, field = path.split(".")
+        config[section][field] = value
+        with pytest.raises(ConfigError, match=re.escape(match)):
+            cli.run_experiment(config, tmp_path / "out")
+
+    @pytest.mark.parametrize(
         "name, section, field, value",
         [
             ("ou_mpc", "plant", "dt", float("nan")),
@@ -215,8 +240,6 @@ class TestRun:
         ).read_bytes()
 
     def test_run_experiment_rejects_non_object_config(self, tmp_path):
-        from koopgen.errors import ConfigError
-
         with pytest.raises(ConfigError, match="JSON object"):
             cli.run_experiment([1, 2, 3], tmp_path / "out")
 
@@ -284,6 +307,20 @@ class TestRunKinds:
         drift = {entry["term"]: entry["coefficient"] for entry in model["drift"][0]}
         assert drift["x1"] == pytest.approx(4.0, abs=0.05)
         assert drift["x1^3"] == pytest.approx(-4.0, abs=0.05)
+
+    def test_legendre_estimate_labels_generator_rows(self, tmp_path, capsys):
+        config = dict(
+            SMALL_SPECTRUM,
+            kind="estimate",
+            dictionary={"type": "legendre", "degree": 2, "domain": [[-2.0, 2.0]]},
+        )
+        path = write_config(tmp_path, "legendre.json", config)
+        out = tmp_path / "out"
+        assert run_cli(["run", path, "--out", str(out)]) == 0
+        capsys.readouterr()
+        lines = (out / "generator.csv").read_text("utf-8").splitlines()
+        assert lines[0].split(",") == ["function", "P0", "P1", "P2"]
+        assert [line.split(",")[0] for line in lines[1:]] == ["P0", "P1", "P2"]
 
     def test_legendre_spectrum_writes_modes(self, tmp_path, capsys):
         config = dict(

@@ -14,6 +14,22 @@ from koopgen.dictionaries import GaussianBasis, LegendreBasis, Monomials, evalua
 from koopgen.errors import InputError
 
 
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: cg.linear_map([1.0, 0.0]), r"\(p, d\) matrix"),
+        (lambda: cg.force_matching(
+            models.SampleSet(points=np.zeros((3, 2)), drift_samples=np.zeros((3, 2))),
+            models.slow_manifold_system(), cg.linear_map([[1.0, 0.0]]), Monomials(1, 2),
+        ), "no potential gradient"),
+    ],
+    ids=["linear-map-1d", "model-without-potential-gradient"],
+)
+def test_invalid_arguments_raise(build, match):
+    with pytest.raises(InputError, match=match):
+        build()
+
+
 def test_package_import_leaves_scipy_optimize_unloaded():
     # fit_diffusion imports scipy.optimize on first use; the package import
     # must not pull it (and scipy.sparse, spatial, special) in
@@ -134,6 +150,16 @@ class TestCoarseDpsi:
         assert np.array_equal(
             rsample.drift_samples, np.einsum("li,lip->lp", sample.drift_samples, J)
         )
+
+    def test_deterministic_linear_map_is_plain_gedmd(self):
+        # z = x1 of the slow-manifold ODE: the reduced drift is b_1 exactly
+        model = models.slow_manifold_system()
+        points = models.sample_uniform([[-1.0, 1.0]] * 2, 300, seed=6)
+        sample = models.exact_sample_set(model, points)
+        hand = models.SampleSet(points=points[:, :1], drift_samples=sample.drift_samples[:, :1])
+        est = cg.coarse_gedmd(cg.linear_map([[1.0, 0.0]]), Monomials(1, 3), sample)
+        assert est.kind == "deterministic"
+        assert np.array_equal(est.M, generator.gedmd_deterministic(Monomials(1, 3), hand).M)
 
     def test_polar_hand_value(self):
         # for psi(z) = z at x = (1, 0): b . grad(phi) = b_2 and

@@ -86,6 +86,27 @@ class TestSurrogates:
         with pytest.raises(InputError, match="sample sets"):
             fit_surrogates(family.dictionary, [1.0, 2.0], [sample])
 
+    @pytest.mark.parametrize(
+        "build, error, match",
+        [
+            (lambda d: SurrogateFamily(
+                inputs=(0.0,), matrices=np.zeros((2, d.size, d.size)),
+                dictionary=d, readout=d.full_state_selector().T,
+            ), InputError, r"matrices \(1, 3, 3\), got \(2, 3, 3\)"),
+            (lambda d: SurrogateFamily(
+                inputs=(0.0,), matrices=np.zeros((1, d.size, d.size)),
+                dictionary=d, readout=np.eye(d.size)[1],
+            ), InputError, "readout of shape"),
+            (lambda d: fit_surrogates(d, [], []), InputError, "at least one input"),
+            (lambda d: switching_time_optimize(_problem(), 0, x0=np.array([0.0])),
+             ConfigError, "at least one pass"),
+        ],
+        ids=["inputs-vs-matrices", "1d-readout", "no-inputs", "no-passes"],
+    )
+    def test_invalid_arguments_raise(self, build, error, match):
+        with pytest.raises(error, match=match):
+            build(Monomials(1, 2))
+
 
 def _three_input_family(seed, readout):
     rng = np.random.default_rng(seed)
@@ -518,13 +539,13 @@ class TestSwitchingTime:
         _, family = ou_setup
         problem = _tanh_problem(family, horizon=(0.0, 4.0), center=2.0)
         seen = []
-        original = control.sto_objective_and_gradient
+        original = control._sto
 
         def recording(prob, z0, tau, **kwargs):
             seen.append(np.asarray(tau, dtype=float).copy())
             return original(prob, z0, tau, **kwargs)
 
-        monkeypatch.setattr(control, "sto_objective_and_gradient", recording)
+        monkeypatch.setattr(control, "_sto", recording)
         schedule = switching_time_optimize(problem, 5, x0=np.array([0.0]), max_iter=30)
         assert schedule.converged
         assert len(seen) > 2
@@ -552,13 +573,22 @@ class TestSwitchingTime:
         with pytest.raises(InputError, match="reference_derivative"):
             sto_objective_and_gradient(problem, np.zeros(family.size), [0.5])
 
-    def test_initial_schedule_length_checked(self, ou_setup):
+    def test_each_schedule_evaluated_once_with_hessian(self, ou_setup, monkeypatch):
         _, family = ou_setup
         problem = _tanh_problem(family)
-        with pytest.raises(InputError, match="switch times"):
-            switching_time_optimize(
-                problem, 2, initial_schedule=[1.0, 2.0], x0=np.array([0.0])
-            )
+        calls = []
+        original = control._sto
+
+        def recording(prob, z0, tau, hessian=False):
+            calls.append((tuple(np.asarray(tau, dtype=float)), hessian))
+            return original(prob, z0, tau, hessian=hessian)
+
+        monkeypatch.setattr(control, "_sto", recording)
+        schedule = switching_time_optimize(problem, 40, x0=np.array([0.0]), max_iter=200)
+        assert schedule.converged
+        assert len(calls) > 2
+        assert all(hessian for _, hessian in calls)
+        assert len({tau for tau, _ in calls}) == len(calls)
 
     def test_schedule_validate_rejects_decreasing(self):
         schedule = SwitchingSchedule(

@@ -14,6 +14,7 @@ from koopgen.dictionaries import (
     evaluate,
 )
 from koopgen.errors import DomainError, InputError, UnsupportedDictionaryError
+from koopgen.models import sample_uniform
 
 BOX3 = [(-2.0, 3.0), (-1.5, 2.0), (-3.0, 1.5)]
 
@@ -92,6 +93,49 @@ def test_non_finite_points_rejected():
 def test_non_finite_parameters_rejected(factory):
     with pytest.raises(InputError, match="finite"):
         factory()
+
+
+@pytest.mark.parametrize(
+    "build, error, match",
+    [
+        (lambda: Monomials(2, 2).values(np.zeros((3, 3))), InputError, "points of shape"),
+        (lambda: Monomials(0, 2), InputError, "dimension must be >= 1"),
+        (lambda: Monomials(1, -1), InputError, "max_degree must be >= 0"),
+        (lambda: LegendreBasis(0, (-1.0, 1.0)).full_state_selector(),
+         UnsupportedDictionaryError, "max_degree >= 1"),
+        (lambda: LegendreBasis(2, BOX3).function_coefficients([1.0]),
+         UnsupportedDictionaryError, "needs d = 1"),
+        (lambda: LegendreBasis(2, (-1.0, 1.0)).function_coefficients([1.0, 0.0, 0.0, 1.0]),
+         DomainError, "exceeds max_degree"),
+        (lambda: GaussianBasis(np.zeros((0, 1)), 1.0), InputError, "centers must be"),
+        (lambda: GaussianBasis([[np.nan]], 1.0), InputError, "non-finite"),
+        (lambda: dictionary_from_spec({"kind": "bogus"}), InputError, "unknown dictionary kind"),
+    ],
+    ids=["point-columns", "dimension-0", "degree-negative", "legendre-degree-0-selector",
+         "coefficients-2d", "coefficients-degree", "no-centers", "nan-center", "unknown-kind"],
+)
+def test_invalid_arguments_raise(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
+
+
+def test_labels_name_each_function():
+    assert LegendreBasis(2, (-1.0, 1.0)).labels() == ["P0", "P1", "P2"]
+    assert LegendreBasis(2, [(-1.0, 1.0), (0.0, 2.0)]).labels() == [
+        "P0", "P1(x1)", "P1(x2)", "P2(x1)", "P1(x1) P1(x2)", "P2(x2)"
+    ]
+    assert GaussianBasis([[0.0, 1.5]], 1.0).labels() == ["g(0,1.5)"]
+    assert PeriodicGaussianBasis([-1.0, 0.5], 1.0, 2.0).labels() == ["gp(-1)", "gp(0.5)"]
+
+
+def test_single_pair_box_for_one_dimension():
+    pair = LegendreBasis(3, (-1.0, 1.0))
+    assert pair.domain.tolist() == [[-1.0, 1.0]]
+    x = np.linspace(-1.0, 1.0, 7)
+    assert np.array_equal(pair.values(x), LegendreBasis(3, [(-1.0, 1.0)]).values(x))
+    assert np.array_equal(
+        sample_uniform((0.0, 1.0), 5, seed=0), sample_uniform([[0.0, 1.0]], 5, seed=0)
+    )
 
 
 def test_periodic_wrap_equivalence():

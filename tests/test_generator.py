@@ -1,3 +1,4 @@
+import json
 import sys
 import threading
 import warnings
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from scipy import linalg
 
 import helpers
-from koopgen import generator, sysid
+from koopgen import generator, io, sysid
 from koopgen.dictionaries import (
     GaussianBasis,
     LegendreBasis,
@@ -109,12 +110,7 @@ def test_reversible_estimator_reads_kramers_moyal_diffusion():
     model = ornstein_uhlenbeck(1.0, 4.0)
     x0 = np.random.Generator(np.random.Philox(7)).normal(0.0, 0.5, (2000, 1))
     paths = integrate_em(model, x0, 0.01, 100, seed=8)
-    walkers = [kramers_moyal(paths[:, w], 0.01) for w in range(paths.shape[1])]
-    sample = SampleSet(
-        points=np.concatenate([s.points for s in walkers]),
-        drift_samples=np.concatenate([s.drift_samples for s in walkers]),
-        diffusion_samples=np.concatenate([s.diffusion_samples for s in walkers]),
-    )
+    sample = kramers_moyal(paths, 0.01)
     est = gedmd_reversible(Monomials(1, 4), sample)
     ev = np.sort(np.linalg.eigvals(est.L).real)[::-1]
     assert np.all(np.abs(ev[:3] - [0.0, -1.0, -2.0]) <= 0.1)
@@ -220,6 +216,24 @@ def test_edmd_log_branch_error():
     y = -x  # transfer matrix has eigenvalue -1 on odd monomials
     with pytest.raises(LogBranchError):
         edmd_with_log(x, y, Monomials(1, 3), 0.1)
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: apply_generator_values(
+            Monomials(1, 2).evaluate(np.zeros((2, 1))),
+            SampleSet(points=np.zeros((2, 1)), drift_samples=np.zeros((2, 1)),
+                      diffusion_samples=np.ones((2, 1, 1))),
+        ), "no Hessians"),
+        (lambda: edmd_with_log(np.zeros((3, 1)), np.zeros((2, 1)), Monomials(1, 2), 0.1),
+         "equal counts"),
+    ],
+    ids=["diffusion-without-hessians", "lagged-count"],
+)
+def test_invalid_arguments_raise(build, match):
+    with pytest.raises(InputError, match=match):
+        build()
 
 
 @pytest.mark.parametrize("lag", [np.nan, np.inf])
@@ -534,6 +548,36 @@ def test_condition_is_that_of_psi():
     payload = estimate_to_dict(est)
     del payload["condition"]
     assert np.isnan(estimate_from_dict(payload).condition)
+
+
+def _far_gaussian_estimate():
+    # every value underflows to 0, so Psi has rank 0 and condition inf
+    pts = np.array([[100.0], [101.0], [102.0]])
+    with pytest.warns(UserWarning, match="rank deficient"):
+        return gedmd_deterministic(
+            GaussianBasis([[0.0]], 0.1), SampleSet(points=pts, drift_samples=-pts)
+        )
+
+
+@pytest.mark.parametrize(
+    "build, check",
+    [
+        (lambda: GeneratorEstimate(
+            M=np.eye(2), A_hat=np.eye(2), R=np.eye(4), rank=2,
+            dictionary=None, sample_count=5,
+        ), np.isnan),
+        (_far_gaussian_estimate, np.isposinf),
+    ],
+    ids=["hand-built-nan", "rank-0-inf"],
+)
+def test_nonfinite_condition_round_trips_through_json(tmp_path, build, check):
+    est = build()
+    assert check(est.condition)
+    path = io.write_json(tmp_path / "estimate.json", estimate_to_dict(est))
+    back = estimate_from_dict(json.loads(path.read_text()))
+    assert check(back.condition)
+    assert back.rank == est.rank
+    assert np.array_equal(back.R, est.R)
 
 
 def test_stochastic_fit_builds_no_hessian_tensor(monkeypatch):

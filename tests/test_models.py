@@ -129,6 +129,29 @@ def test_sampling_and_lag_scalars_checked(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: slow_manifold_system().sigma_at(np.zeros((1, 2))), "has no diffusion"),
+        (lambda: SampleSet(points=np.zeros((3, 1)), drift_samples=np.zeros((3, 1)),
+                           diffusion_samples=np.zeros((3, 2, 2))), r"shape \(m, d, d\)"),
+        (lambda: SampleSet(points=np.zeros((3, 1)), drift_samples=np.zeros((3, 1)),
+                           diffusion_samples=np.full((3, 1, 1), np.nan)), "non-finite"),
+        (lambda: SampleSet(points=np.zeros((3, 1)), drift_samples=np.zeros((3, 1)))
+         .min_diffusion_eigenvalue(), "no diffusion samples"),
+        (lambda: integrate_em(ornstein_uhlenbeck(), np.zeros(2), 0.01, 3, seed=0),
+         "x0 dimension 2 != model dimension 1"),
+        (lambda: kramers_moyal(np.zeros((1, 3, 1)), 0.01), "two trajectory points"),
+        (lambda: finite_difference_drift(np.arange(2.0), 0.1), "three trajectory points"),
+    ],
+    ids=["sigma-of-ode", "diffusion-shape", "diffusion-nan", "psd-without-diffusion",
+         "em-x0-dimension", "km-one-time-point", "fd-two-points"],
+)
+def test_invalid_arguments_raise(build, match):
+    with pytest.raises(InputError, match=match):
+        build()
+
+
 def test_exact_sample_set_psd_invariant():
     dw = double_well_2d()
     pts = sample_uniform([[-2, 2], [-1, 1]], 200, seed=1)
@@ -149,6 +172,15 @@ def test_kramers_moyal_recovers_ou_statistics():
     assert abs(slope - (-1.0)) < 0.05
     # mean second conditional moment close to 2/beta = 0.5
     assert abs(np.mean(km.diffusion_samples[:, 0, 0]) - 0.5) < 0.05
+
+
+def test_kramers_moyal_pools_an_ensemble_walker_by_walker():
+    paths = integrate_em(double_well_2d(), np.zeros((3, 2)), 0.01, 6, seed=4)
+    pooled = kramers_moyal(paths, 0.01)
+    walkers = [kramers_moyal(paths[:, w], 0.01) for w in range(3)]
+    for field in ("points", "drift_samples", "diffusion_samples"):
+        want = np.concatenate([getattr(s, field) for s in walkers])
+        assert np.array_equal(getattr(pooled, field), want)
 
 
 def test_finite_difference_drift_second_order():

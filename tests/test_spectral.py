@@ -10,6 +10,19 @@ from koopgen.dictionaries import Monomials, evaluate
 from koopgen.errors import InputError
 
 
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: spectral.decompose(np.zeros((2, 3))), "square matrix"),
+        (lambda: spectral.koopman_modes(spectral.decompose(np.eye(2))), "no dictionary"),
+    ],
+    ids=["non-square", "modes-without-dictionary"],
+)
+def test_invalid_arguments_raise(build, match):
+    with pytest.raises(InputError, match=match):
+        build()
+
+
 def ou_decomposition(alpha=1.0, beta=4.0, max_degree=10, m=2000, seed=3):
     model = models.ornstein_uhlenbeck(alpha, beta)
     points = models.sample_uniform([[-2.0, 2.0]], m, seed=seed)
@@ -269,6 +282,6 @@ class TestConservedQuantities:
         assert near_zero.sum() == 1
         assert spectral.conserved_quantities(dec) == []
 
-    def test_explicit_zero_tol(self):
-        dec = spectral.decompose(np.diag([0.0, -1e-9, -1.0]))
-        assert len(spectral.conserved_quantities(dec, zero_tol=1e-12)) == 1
+    def test_no_near_zero_eigenvalue_gives_none(self):
+        dec = spectral.decompose(np.diag([-1.0, -2.0]))
+        assert spectral.conserved_quantities(dec) == []

@@ -394,6 +394,23 @@ class TestDiffusionFactor:
             sysid.diffusion_factor(basis, coeffs, np.zeros((1, 2)))
 
 
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: sysid.IdentifiedModel(
+            dictionary=Monomials(1, 2), drift_coeffs=np.zeros((3, 1)),
+            diffusion_coeffs=None, pairs=[], threshold_history=[], residuals={},
+        ).diffusion_at(np.zeros((1, 1))), "identified without diffusion"),
+        (lambda: sysid.diffusion_values(Monomials(2, 2), np.zeros((6, 2)), np.zeros((1, 2))),
+         "expected 3 diffusion columns for dimension 2"),
+    ],
+    ids=["model-without-diffusion", "diffusion-columns"],
+)
+def test_invalid_arguments_raise(build, match):
+    with pytest.raises(InputError, match=match):
+        build()
+
+
 def test_term_list_skips_small_entries():
     basis = Monomials(1, 3)
     coeffs = np.array([0.0, 2.0, 1e-12, -3.0])
