@@ -301,7 +301,7 @@ def force_matching(
     if m == 0:
         raise InputError("every sample was excluded; force matching has no data")
     z = cg_map(sample.points[kept])
-    chunks = _walk(m, lambda sl: (reduced_basis.values(z[sl]), targets[sl].T))
+    chunks = _walk(m, n + 1, lambda sl: (reduced_basis.values(z[sl]), targets[sl].T))
     est = _fit(chunks, n, 1, reduced_basis, m, "force-matching")
     return ForceMatchResult(
         gradient_coeffs=est.M[0],
@@ -332,7 +332,50 @@ def _stiffness_designs(
         chi = diffusion_basis.values(z[sl])  # (n_t, chunk)
         return np.stack([(g * np.repeat(c, grads.shape[2])) @ g.T for c in chi])
 
-    return -0.5 / m * sum(_walk(m, chunk_sums))
+    return -0.5 / m * sum(_walk(m, reduced_dict.size, chunk_sums))
+
+
+def _nnls(D, target, max_iter=None):
+    """argmin ||D x - target|| over x >= 0 by Lawson & Hanson's active-set method.
+
+    Lawson & Hanson, Solving Least Squares Problems (1974), ch. 23. The column
+    with the largest dual w = D^T (target - D x) enters the passive set P (it
+    is rejected if its own entry of the solution on P is not positive); while
+    the solution s on P has a nonpositive entry, x steps towards s up to the
+    boundary and the columns reaching zero leave P. Duals up to 10 eps
+    ||D||_1 max(rows, cols) count as zero. Raises NumericalError after
+    max_iter solves on P (default 3 * cols, as scipy's nnls).
+    """
+    rows, cols = D.shape
+    tol = 10 * np.finfo(float).eps * np.abs(D).sum(axis=0).max(initial=0.0) * max(rows, cols)
+    max_iter = 3 * cols if max_iter is None else max_iter
+    x, passive, solves = np.zeros(cols), np.zeros(cols, dtype=bool), iter(range(max_iter))
+
+    def solve():
+        if next(solves, None) is None:
+            raise NumericalError(f"nonnegative least squares took more than {max_iter} solves")
+        s = np.zeros(cols)
+        s[passive] = np.linalg.lstsq(D[:, passive], target, rcond=None)[0]
+        return s
+
+    w = D.T @ target
+    while not passive.all() and w[~passive].max() > tol:
+        j = np.argmax(np.where(passive, -np.inf, w))
+        passive[j] = True
+        s = solve()
+        if s[j] <= 0:  # w[j] > tol only by rounding
+            passive[j], w[j] = False, 0.0
+            continue
+        while (s[passive] <= 0).any():
+            blocking = passive & (s <= 0)
+            ratios = x[blocking] / (x[blocking] - s[blocking])
+            x = x + ratios.min() * (s - x)
+            x[np.flatnonzero(blocking)[np.argmin(ratios)]] = 0.0
+            passive &= x > 0
+            s = solve()
+        x = s
+        w = D.T @ (target - D @ x)
+    return x
 
 
 def fit_diffusion(
@@ -346,25 +389,16 @@ def fit_diffusion(
     Minimizes the Frobenius error between the sampled stiffness matrix
     ``galerkin_A_hat`` (the reversible estimator's A) and its model
     A(theta)_ij = -1/2 E[ chi(z) grad psi_i . grad psi_j ].  The coefficients
-    are constrained nonnegative, which keeps a(z) >= 0 pointwise when every
-    chi_t is nonnegative.
+    are constrained nonnegative (Lawson and Hanson's active-set method), which
+    keeps a(z) >= 0 pointwise when every chi_t is nonnegative.
 
     Returns
     -------
     theta : (n_t,) ndarray
     """
-    # imported here so that `import koopgen` does not load scipy.optimize
-    # (and with it scipy.sparse, spatial and special)
-    import scipy.optimize
-
     designs = _stiffness_designs(reduced_dict, diffusion_basis, sample.points)
     D = designs.reshape(designs.shape[0], -1).T  # (n^2, n_t)
-    target = np.asarray(galerkin_A_hat, dtype=float).ravel()
-    try:
-        theta, _ = scipy.optimize.nnls(D, target)
-    except RuntimeError as exc:
-        raise NumericalError(f"nonnegative least squares failed: {exc}") from exc
-    return theta
+    return _nnls(D, np.asarray(galerkin_A_hat, dtype=float).ravel())
 
 
 def diffusion_field(diffusion_basis: Dictionary, theta, grid) -> np.ndarray:

@@ -47,9 +47,10 @@ STO_TOL = 1e-9  # largest switch-time step, per unit horizon, that counts as con
 class SurrogateFamily:
     """Per-input surrogate matrices sharing one dictionary.
 
-    The family is immutable: it holds read-only copies of ``matrices`` and
-    ``readout``, so the readout rows cached per (h, q) for the MPC search
-    always belong to the family's own matrices.
+    The family is immutable: it holds read-only C-ordered copies of
+    ``matrices`` and ``readout``, so the readout rows cached per (h, q) for
+    the MPC search always belong to the family's own matrices, and a
+    family's results depend on the values it is given, not on their layout.
 
     Attributes
     ----------
@@ -69,7 +70,7 @@ class SurrogateFamily:
 
     def __post_init__(self):
         for name in ("matrices", "readout"):
-            frozen = np.array(getattr(self, name), dtype=float)
+            frozen = np.array(getattr(self, name), dtype=float, order="C")
             frozen.flags.writeable = False
             object.__setattr__(self, name, frozen)
         n_c, n = len(self.inputs), self.dictionary.size

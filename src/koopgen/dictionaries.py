@@ -16,7 +16,9 @@ Conventions
   of :meth:`Dictionary.evaluate`, without building any derivative.
 * Every method evaluates the whole array it is given in one pass, so its
   temporaries grow with m; a point's results do not depend on the points
-  evaluated with it. The estimators bound m by ``generator.CHUNK``.
+  evaluated with it. The estimators bound m by the panel rule of
+  ``generator._walk``: at most ``CHUNK`` points and, for a fit of width w,
+  at most ``PANEL_ENTRIES // w`` points (at least one).
 * Polynomial-type dictionaries order their terms by total degree first
   (constant term first) and lexicographically descending within a degree,
   so for d = 2: 1, x1, x2, x1^2, x1*x2, x2^2, ...

@@ -9,13 +9,14 @@ and solves the least-squares problem dPsi ~ M Psi for the matrix M. The
 coefficient-space generator is L = M^T: for f = c^T psi, the estimate of the
 generator applied to f has coefficients L c.
 
-One chunk walker feeds (psi, T) for each CHUNK consecutive samples into one
-streaming fit, where T holds k regression targets per point (dpsi for
-gEDMD, psi at the lagged points for EDMD, the drift for SINDy). Only the
-walker splits samples and no dictionary call sees more than CHUNK; memory is
-O((n + k)^2 + (n + k) * CHUNK * d) whatever the sample count m; no (n, m)
-value matrix or (n, m, d, d) Hessian tensor is stored. Per chunk the fit
-folds the chunk into the triangular factor R of the stacked matrix
+One chunk walker feeds (psi, T) for consecutive samples into one streaming
+fit, where T holds k regression targets per point (dpsi for gEDMD, psi at
+the lagged points for EDMD, the drift for SINDy). Only the walker splits
+samples, min(CHUNK, PANEL_ENTRIES // (n + k)) points at a time (at least
+one), so no dictionary call sees more than CHUNK points and memory is
+O((n + k)^2 + PANEL_ENTRIES * d) whatever the sample count m and the basis
+width; no (n, m) value matrix or (n, m, d, d) Hessian tensor is stored.
+Per chunk the fit folds the chunk into the triangular factor R of
 [Psi^T | T^T] with LAPACK's triangular-pentagonal QR dtpqrt, which factors
 R on top of the chunk without touching R's zero lower triangle (sequential
 TSQR; Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 2012), in a
@@ -72,7 +73,8 @@ __all__ = [
     "estimate_from_dict",
 ]
 
-CHUNK = 1024  # panel height of the R-factor fold; fixed, so reruns are bitwise identical
+CHUNK = 1024  # most points per chunk; fixed, so reruns are bitwise identical
+PANEL_ENTRIES = 1 << 18  # most entries per chunk of a wide fit (a 2 MB float64 panel)
 TPQRT_BLOCK = 16  # block size of dtpqrt's compact-WY reflectors
 SVD_CUTOFF = 1e-10  # relative singular-value cutoff of every least-squares fit
 LOG_BRANCH_TOL = 1e-12  # relative distance below which K_hat eigenvalues sit on the log cut
@@ -127,17 +129,19 @@ class GeneratorEstimate:
         return self.rank < self.size
 
 
-def _walk(m, chunk):
-    """Yield chunk(sl) for consecutive CHUNK-point slices sl of m samples."""
-    for start in range(0, m, CHUNK):
-        yield chunk(slice(start, min(start + CHUNK, m)))
+def _walk(m, width, chunk):
+    """Yield chunk(sl) for consecutive slices sl of m samples, `width` chunk rows
+    per point: min(CHUNK, PANEL_ENTRIES // width) points a slice, at least one."""
+    rows = min(CHUNK, max(1, PANEL_ENTRIES // width))
+    for start in range(0, m, rows):
+        yield chunk(slice(start, min(start + rows, m)))
 
 
 def _actions(dictionary, sample, diffusion=None):
     """(psi, dpsi) chunks; dpsi has the 1/2 a : hess psi term when `diffusion` is given."""
     x, b = sample.points, sample.drift_samples
     return _walk(
-        sample.count,
+        sample.count, 2 * dictionary.size,
         lambda sl: dictionary.generator_action(
             x[sl], b[sl], None if diffusion is None else diffusion[sl]
         ),
@@ -313,7 +317,7 @@ def gedmd_reversible(dictionary: Dictionary, sample: SampleSet) -> GeneratorEsti
         A[:] += Ga @ grads.reshape(n, -1).T
         return blk.values, blk.values[:0]
 
-    R = _factor(_walk(m, chunk), n)
+    R = _factor(_walk(m, n, chunk), n)
     A_hat = (A + A.T) / (-4.0 * m)
     M, rank, condition = _times_gram_pinv(A_hat, R, n, m)
     return GeneratorEstimate(
@@ -355,7 +359,7 @@ def edmd_with_log(
     if x.shape != y.shape:
         raise InputError("points and lagged_points must have equal counts")
     n, m = dictionary.size, x.shape[0]
-    chunks = _walk(m, lambda sl: (dictionary.values(x[sl]), dictionary.values(y[sl])))
+    chunks = _walk(m, 2 * n, lambda sl: (dictionary.values(x[sl]), dictionary.values(y[sl])))
     est = _fit(chunks, n, n, dictionary, m, "edmd-log")
     eigs = np.linalg.eigvals(est.M)
     scale = max(np.max(np.abs(eigs)), 1.0)

@@ -314,8 +314,8 @@ def sindy_coefficients(dictionary: Dictionary, sample: SampleSet) -> np.ndarray:
     cutoff, rank rule and rank-deficiency warning as the estimators.
     """
     x, b = sample.points, sample.drift_samples
-    chunks = _walk(sample.count, lambda sl: (dictionary.values(x[sl]), b[sl].T))
     n, d = dictionary.size, b.shape[1]
+    chunks = _walk(sample.count, n + d, lambda sl: (dictionary.values(x[sl]), b[sl].T))
     return _fit(chunks, n, d, dictionary, sample.count, "sindy").M
 
 
@@ -377,7 +377,7 @@ def identify(
 
     def drift_chunks(data):
         x, b = data.points, data.drift_samples
-        return _walk(data.count, lambda sl: (dictionary.values(x[sl]), b[sl].T))
+        return _walk(data.count, n + b.shape[1], lambda sl: (dictionary.values(x[sl]), b[sl].T))
 
     def diffusion_chunks(data):
         # a_ij + (b_i - bhat_i) x_j + (b_j - bhat_j) x_i per point
@@ -389,7 +389,7 @@ def identify(
             T = [a[sl, i, j] + r[:, i] * xs[:, j] + r[:, j] * xs[:, i] for i, j in pairs]
             return psi, np.array(T)
 
-        return _walk(data.count, chunk)
+        return _walk(data.count, n + len(pairs), chunk)
 
     def fit(chunks, k):
         R = _fit(chunks(sample), n, k, dictionary, sample.count, "identify").R

@@ -6,12 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 import helpers
 from koopgen import coarse_grain as cg
 from koopgen import generator, models, spectral
 from koopgen.dictionaries import GaussianBasis, LegendreBasis, Monomials, evaluate
-from koopgen.errors import InputError
+from koopgen.errors import InputError, NumericalError
 
 
 @pytest.mark.parametrize(
@@ -30,15 +31,64 @@ def test_invalid_arguments_raise(build, match):
         build()
 
 
-def test_package_import_leaves_scipy_optimize_unloaded():
-    # fit_diffusion imports scipy.optimize on first use; the package import
-    # must not pull it (and scipy.sparse, spatial, special) in
+def test_package_import_leaves_scipy_optimize_unloaded(tmp_path):
+    # neither the package import nor any bundled config pulls in
+    # scipy.optimize or scipy.sparse (and with them spatial and special)
     src = Path(cg.__file__).resolve().parents[1]
-    code = "import sys, koopgen; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True
+    code = (
+        "import sys\n"
+        "from koopgen import cli\n"
+        "for name in sorted(cli.bundled_configs()):\n"
+        "    assert cli.main(['run', name, '--out', sys.argv[1] + '/' + name]) == 0\n"
+        "loaded = [m in sys.modules for m in ('scipy.optimize', 'scipy.sparse')]\n"
+        "print(len(cli.bundled_configs()), *loaded)"
     )
-    assert out.stdout.strip() == "False"
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)], cwd=src, capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout.splitlines()[-1] == "9 False False"
+
+
+def _nnls_cases():
+    """name -> ((D, target) problems, exact solution or None, whether x is unique)."""
+    rng = np.random.Generator(np.random.Philox(23))
+    tall = []
+    for _ in range(100):
+        rows, cols = int(rng.integers(30, 450)), int(rng.integers(1, 26))
+        tall.append((rng.standard_normal((rows, cols)), rng.standard_normal(rows)))
+    positive = rng.uniform(0.1, 1.0, (60, 8))
+    x_true = np.array([0.0, 1.5, 0.0, 2.0, 0.3, 0.0, 4.0, 1.0])
+    zero_column = rng.standard_normal((50, 5))
+    zero_column[:, 2] = 0.0
+    base = rng.standard_normal((50, 5))
+    duplicated = np.column_stack([base, base[:, 1], base[:, 3]])
+    return {
+        "random-tall": (tall, None, True),
+        "negative-cone": ([(positive, -positive @ rng.uniform(0.0, 1.0, 8))], np.zeros(8), True),
+        "exact-nonnegative": ([(positive, positive @ x_true)], x_true, True),
+        "zero-column": ([(zero_column, rng.standard_normal(50))], None, True),
+        "duplicated-columns": ([(duplicated, rng.standard_normal(50))], None, False),
+        "iteration-cap": ([(positive, positive @ x_true)], None, True),
+    }
+
+
+@pytest.mark.parametrize("case", list(_nnls_cases()))
+def test_nnls_matches_scipy(case):
+    problems, exact, unique = _nnls_cases()[case]
+    if case == "iteration-cap":
+        # five positive entries take at least five solves
+        with pytest.raises(NumericalError, match="more than 4 solves"):
+            cg._nnls(*problems[0], max_iter=4)
+        return
+    for D, target in problems:
+        x, (want, _) = cg._nnls(D, target), scipy.optimize.nnls(D, target)
+        assert x.min(initial=0.0) >= 0.0
+        if exact is not None:
+            assert np.linalg.norm(x - exact) <= 1e-12 * np.linalg.norm(exact)
+        if not unique:  # only the fitted values are unique
+            x, want = D @ x, D @ want
+        assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def map_fd_jacobian(cg_map, x, step=1e-6):
@@ -280,7 +330,7 @@ class TestLemonSlicePipeline:
         # G_hat is read off the streamed R factor of the values alone
         values = lemon["basis"].evaluate(lemon["rsample"].points).values
         n, m = values.shape
-        chunks = generator._walk(m, lambda sl: (values[:, sl], values[:0, sl]))
+        chunks = generator._walk(m, n, lambda sl: (values[:, sl], values[:0, sl]))
         P = generator._factor(chunks, n)[:, :n]
         assert np.array_equal(lemon["est"].G_hat, P.T @ P / m)
 

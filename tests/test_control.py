@@ -86,6 +86,24 @@ class TestSurrogates:
         with pytest.raises(InputError, match="sample sets"):
             fit_surrogates(family.dictionary, [1.0, 2.0], [sample])
 
+    def test_results_do_not_depend_on_array_layout(self, ou_setup):
+        # fit_surrogates stacks Fortran-ordered estimates; C order must give the same bits
+        _, fitted = ou_setup
+        families = [
+            SurrogateFamily(
+                inputs=fitted.inputs, matrices=order(fitted.matrices),
+                dictionary=fitted.dictionary, readout=order(fitted.readout),
+            )
+            for order in (np.ascontiguousarray, np.asfortranarray)
+        ]
+        assert np.array_equal(*[f._readout_rows(0.05, 3) for f in families])
+        c_order, f_order = [
+            switching_time_optimize(_tanh_problem(f), 40, x0=np.array([-1.0]), max_iter=150)
+            for f in families
+        ]
+        assert np.array_equal(c_order.times, f_order.times)
+        assert c_order.objective == f_order.objective
+
     @pytest.mark.parametrize(
         "build, error, match",
         [

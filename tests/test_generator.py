@@ -12,6 +12,7 @@ from scipy import linalg
 
 import helpers
 from koopgen import generator, io, sysid
+from koopgen.control import BurgersPlant
 from koopgen.dictionaries import (
     GaussianBasis,
     LegendreBasis,
@@ -425,9 +426,15 @@ def test_streaming_fit_matches_dense_lstsq_under_permutation(m, seed):
             assert np.linalg.norm(fit - want) <= 1e-12 * np.linalg.norm(want)
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 97, 500, CHUNK])
-def test_streaming_fit_is_chunk_size_invariant(monkeypatch, chunk):
+@pytest.mark.parametrize(
+    "chunk, panel_entries",
+    [pytest.param(c, generator.PANEL_ENTRIES, id=str(c)) for c in (1, 7, 97, 500, CHUNK)]
+    # width-20 fits take 97-point panels, as fits wider than 256 take fewer than CHUNK
+    + [pytest.param(CHUNK, 97 * 20, id="panel-bound")],
+)
+def test_streaming_fit_is_chunk_size_invariant(monkeypatch, chunk, panel_entries):
     monkeypatch.setattr(generator, "CHUNK", chunk)
+    monkeypatch.setattr(generator, "PANEL_ENTRIES", panel_entries)
     basis = Monomials(2, 3)
     points = sample_uniform([[-1.5, 1.5]] * 2, 2100, seed=19)
     sample = exact_sample_set(double_well_2d(), points)
@@ -480,6 +487,33 @@ def test_factor_is_bitwise_the_sequential_fold(width, k, m, order):
 
     want = helpers.tpqrt_fold(chunks(), width, generator.TPQRT_BLOCK)
     assert np.array_equal(generator._factor(chunks(), width), want)
+
+
+def test_wide_fit_panels_hold_at_most_panel_entries(monkeypatch):
+    # Burgers' surrogate fit: 25 nodes, quadratic monomials, width 2 * 351 = 702
+    sample = BurgersPlant().sample_set(-0.025, 800, seed=21, amplitude=0.1)
+    basis = Monomials(25, 2)
+    fold, panels = generator._fold, []
+
+    def spying(R, B, T, work):
+        panels.append(B.shape)
+        fold(R, B, T, work)
+
+    monkeypatch.setattr(generator, "_fold", spying)
+    R = gedmd_deterministic(basis, sample).R
+    assert [rows for rows, _ in panels] == [373, 373, 54]
+    assert all(rows * width <= generator.PANEL_ENTRIES for rows, width in panels)
+    monkeypatch.setattr(generator, "PANEL_ENTRIES", 800 * 702)
+    one_panel = gedmd_deterministic(basis, sample).R
+    assert panels[3:] == [(800, 702)]
+    # Psi has full rank 351, so R's first 351 rows are unique up to their signs; dPsi lies
+    # partly in Psi's span, so the rank-deficient rest is unique only through R^T R
+    n = basis.size
+    signs = np.sign(np.diag(R)[:n] * np.diag(one_panel)[:n])[:, None]
+    top = one_panel[:n]
+    assert np.linalg.norm(R[:n] - signs * top) <= 1e-12 * np.linalg.norm(top)
+    gram = one_panel.T @ one_panel
+    assert np.linalg.norm(R.T @ R - gram) <= 1e-12 * np.linalg.norm(gram)
 
 
 def test_factor_raises_a_chunk_error_and_stops_its_fold_thread():
