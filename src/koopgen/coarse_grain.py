@@ -27,6 +27,7 @@ from .generator import (
 from .models import SampleSet, SdeModel
 
 JACOBIAN_RANK_TOL = 1e-12  # relative eigenvalue of J^T J below which a point is excluded
+NNLS_STEPS = 3  # inner active-set steps per column before the diffusion NNLS gives up
 
 __all__ = [
     "CoarseGrainMap",
@@ -159,7 +160,8 @@ def coarse_dpsi(
     reduced sample set produced by :func:`reduced_sample` (same code path).
     """
     rsample = reduced_sample(cg_map, sample)
-    chunks = _actions(reduced_dict, rsample, rsample.diffusion_samples)
+    chunk = _actions(reduced_dict, rsample, rsample.diffusion_samples)
+    chunks = _walk(rsample.count, 2 * reduced_dict.size, chunk)
     return np.concatenate([dpsi for _, dpsi in chunks], axis=1)
 
 
@@ -301,8 +303,10 @@ def force_matching(
     if m == 0:
         raise InputError("every sample was excluded; force matching has no data")
     z = cg_map(sample.points[kept])
-    chunks = _walk(m, n + 1, lambda sl: (reduced_basis.values(z[sl]), targets[sl].T))
-    est = _fit(chunks, n, 1, reduced_basis, m, "force-matching")
+    est = _fit(
+        lambda sl: (reduced_basis.values(z[sl]), targets[sl].T), m, n, 1, reduced_basis,
+        "force-matching",
+    )
     return ForceMatchResult(
         gradient_coeffs=est.M[0],
         basis=reduced_basis,
@@ -335,7 +339,7 @@ def _stiffness_designs(
     return -0.5 / m * sum(_walk(m, reduced_dict.size, chunk_sums))
 
 
-def _nnls(D, target, max_iter=None):
+def _nnls(D, target):
     """argmin ||D x - target|| over x >= 0 by Lawson & Hanson's active-set method.
 
     Lawson & Hanson, Solving Least Squares Problems (1974), ch. 23. The column
@@ -343,17 +347,14 @@ def _nnls(D, target, max_iter=None):
     is rejected if its own entry of the solution on P is not positive); while
     the solution s on P has a nonpositive entry, x steps towards s up to the
     boundary and the columns reaching zero leave P. Duals up to 10 eps
-    ||D||_1 max(rows, cols) count as zero. Raises NumericalError after
-    max_iter solves on P (default 3 * cols, as scipy's nnls).
+    ||D||_1 max(rows, cols) count as zero. More than NNLS_STEPS * cols such
+    steps raise NumericalError; their code and scipy's count the same steps.
     """
     rows, cols = D.shape
     tol = 10 * np.finfo(float).eps * np.abs(D).sum(axis=0).max(initial=0.0) * max(rows, cols)
-    max_iter = 3 * cols if max_iter is None else max_iter
-    x, passive, solves = np.zeros(cols), np.zeros(cols, dtype=bool), iter(range(max_iter))
+    x, passive, steps = np.zeros(cols), np.zeros(cols, dtype=bool), 0
 
     def solve():
-        if next(solves, None) is None:
-            raise NumericalError(f"nonnegative least squares took more than {max_iter} solves")
         s = np.zeros(cols)
         s[passive] = np.linalg.lstsq(D[:, passive], target, rcond=None)[0]
         return s
@@ -367,6 +368,9 @@ def _nnls(D, target, max_iter=None):
             passive[j], w[j] = False, 0.0
             continue
         while (s[passive] <= 0).any():
+            steps += 1
+            if steps > NNLS_STEPS * cols:
+                raise NumericalError(f"NNLS took more than {NNLS_STEPS * cols} inner steps")
             blocking = passive & (s <= 0)
             ratios = x[blocking] / (x[blocking] - s[blocking])
             x = x + ratios.min() * (s - x)

@@ -138,14 +138,9 @@ def _walk(m, width, chunk):
 
 
 def _actions(dictionary, sample, diffusion=None):
-    """(psi, dpsi) chunks; dpsi has the 1/2 a : hess psi term when `diffusion` is given."""
-    x, b = sample.points, sample.drift_samples
-    return _walk(
-        sample.count, 2 * dictionary.size,
-        lambda sl: dictionary.generator_action(
-            x[sl], b[sl], None if diffusion is None else diffusion[sl]
-        ),
-    )
+    """Chunk sl -> (psi, dpsi); dpsi has the 1/2 a : hess psi term when `diffusion` is given."""
+    x, b, a = sample.points, sample.drift_samples, diffusion
+    return lambda sl: dictionary.generator_action(x[sl], b[sl], None if a is None else a[sl])
 
 
 def _lapack_routine(name, nargs):
@@ -194,8 +189,8 @@ def _fold(R, B, T, work):
         raise NumericalError(f"dtpqrt failed with info = {info.value}")
 
 
-def _factor(chunks, width):
-    """Triangular factor R of the stacked [Psi^T | T^T] over (psi, T) chunks.
+def _factor(chunk, m, width):
+    """Triangular factor R of [Psi^T | T^T] over the (psi, T) chunks of _walk(m, width, chunk).
 
     The calling thread walks the chunks and copies each into a fresh
     Fortran-ordered panel; one worker thread folds the panel into R while
@@ -209,7 +204,7 @@ def _factor(chunks, width):
     T, work = np.empty((nb, width), order="F"), np.empty(nb * width)
     with ThreadPoolExecutor(max_workers=1) as folder:
         folding = None
-        for psi, targets in chunks:
+        for psi, targets in _walk(m, width, chunk):
             if folding is not None:
                 folding.result()
             # filled row by row, so its transpose is Fortran-ordered whatever the chunks' order
@@ -245,18 +240,18 @@ def _times_gram_pinv(X, R, n, m):
     return m * (X @ (V / s**2)) @ V.T, s.size, condition
 
 
-def _fit(chunks, n, k, dictionary, sample_count, kind):
-    """Streaming least-squares fit of k targets T ~ C^T Psi over (psi, T) chunks.
+def _fit(chunk, m, n, k, dictionary, kind):
+    """Streaming least-squares fit of k targets T ~ C^T Psi over _walk(m, n + k, chunk).
 
     The estimate keeps R; M = C^T, and A_hat = T Psi^T / m is read off R.
     """
-    R = _factor(chunks, n + k)
+    R = _factor(chunk, m, n + k)
     # Psi^T = Q R11 and T^T = Q R12 + (orthogonal rest), so C = R11^+ R12
     U, s, V, condition = _svd(R, n)
     return GeneratorEstimate(
         M=(V @ ((U.T @ R[:n, n:]) / s[:, None])).T,
-        A_hat=R[:, n:].T @ R[:, :n] / sample_count,
-        R=R, rank=s.size, dictionary=dictionary, sample_count=sample_count, kind=kind,
+        A_hat=R[:, n:].T @ R[:, :n] / m,
+        R=R, rank=s.size, dictionary=dictionary, sample_count=m, kind=kind,
         condition=condition,
     )
 
@@ -279,8 +274,7 @@ def gedmd_deterministic(dictionary: Dictionary, sample: SampleSet) -> GeneratorE
     :func:`gedmd_stochastic` to include it.
     """
     n = dictionary.size
-    chunks = _actions(dictionary, sample)
-    return _fit(chunks, n, n, dictionary, sample.count, "deterministic")
+    return _fit(_actions(dictionary, sample), sample.count, n, n, dictionary, "deterministic")
 
 
 def gedmd_stochastic(dictionary: Dictionary, sample: SampleSet) -> GeneratorEstimate:
@@ -288,8 +282,8 @@ def gedmd_stochastic(dictionary: Dictionary, sample: SampleSet) -> GeneratorEsti
     if sample.diffusion_samples is None:
         raise InputError("gedmd_stochastic needs diffusion samples; got none")
     n = dictionary.size
-    chunks = _actions(dictionary, sample, sample.diffusion_samples)
-    return _fit(chunks, n, n, dictionary, sample.count, "stochastic")
+    chunk = _actions(dictionary, sample, sample.diffusion_samples)
+    return _fit(chunk, sample.count, n, n, dictionary, "stochastic")
 
 
 def gedmd_reversible(dictionary: Dictionary, sample: SampleSet) -> GeneratorEstimate:
@@ -317,7 +311,7 @@ def gedmd_reversible(dictionary: Dictionary, sample: SampleSet) -> GeneratorEsti
         A[:] += Ga @ grads.reshape(n, -1).T
         return blk.values, blk.values[:0]
 
-    R = _factor(_walk(m, n, chunk), n)
+    R = _factor(chunk, m, n)
     A_hat = (A + A.T) / (-4.0 * m)
     M, rank, condition = _times_gram_pinv(A_hat, R, n, m)
     return GeneratorEstimate(
@@ -359,8 +353,10 @@ def edmd_with_log(
     if x.shape != y.shape:
         raise InputError("points and lagged_points must have equal counts")
     n, m = dictionary.size, x.shape[0]
-    chunks = _walk(m, 2 * n, lambda sl: (dictionary.values(x[sl]), dictionary.values(y[sl])))
-    est = _fit(chunks, n, n, dictionary, m, "edmd-log")
+    est = _fit(
+        lambda sl: (dictionary.values(x[sl]), dictionary.values(y[sl])), m, n, n, dictionary,
+        "edmd-log",
+    )
     eigs = np.linalg.eigvals(est.M)
     scale = max(np.max(np.abs(eigs)), 1.0)
     on_branch_cut = (np.abs(eigs) <= LOG_BRANCH_TOL * scale) | (

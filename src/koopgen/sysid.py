@@ -14,7 +14,7 @@ import numpy as np
 
 from .dictionaries import Dictionary, Monomials
 from .errors import ClosureError, IdentificationError, InputError, UnsupportedDictionaryError, warn
-from .generator import SVD_CUTOFF, GeneratorEstimate, _actions, _factor, _fit, _walk
+from .generator import SVD_CUTOFF, GeneratorEstimate, _actions, _factor, _fit
 from .models import SampleSet
 
 CLOSURE_TOL = 1e-8  # relative size of a b_i * x_j coefficient that may leave the basis
@@ -298,8 +298,8 @@ def threshold_generator(
     stochastic = sample.diffusion_samples is not None
     kind = ("stochastic" if stochastic else "deterministic") + "+threshold"
     n = dictionary.size
-    chunks = _actions(dictionary, sample, sample.diffusion_samples)
-    est = _fit(chunks, n, n, dictionary, sample.count, kind)
+    chunk = _actions(dictionary, sample, sample.diffusion_samples)
+    est = _fit(chunk, sample.count, n, n, dictionary, kind)
     coeffs, _ = hard_threshold(est.R[:, :n], est.R[:, n:], delta)
     return replace(est, M=coeffs.T)
 
@@ -315,8 +315,9 @@ def sindy_coefficients(dictionary: Dictionary, sample: SampleSet) -> np.ndarray:
     """
     x, b = sample.points, sample.drift_samples
     n, d = dictionary.size, b.shape[1]
-    chunks = _walk(sample.count, n + d, lambda sl: (dictionary.values(x[sl]), b[sl].T))
-    return _fit(chunks, n, d, dictionary, sample.count, "sindy").M
+    return _fit(
+        lambda sl: (dictionary.values(x[sl]), b[sl].T), sample.count, n, d, dictionary, "sindy"
+    ).M
 
 
 def _merge_histories(histories: list[list]) -> list:
@@ -375,11 +376,11 @@ def identify(
     pairs = upper_triangle_pairs(dictionary.dimension)
     histories = []
 
-    def drift_chunks(data):
+    def drift_chunk(data):
         x, b = data.points, data.drift_samples
-        return _walk(data.count, n + b.shape[1], lambda sl: (dictionary.values(x[sl]), b[sl].T))
+        return lambda sl: (dictionary.values(x[sl]), b[sl].T)
 
-    def diffusion_chunks(data):
+    def diffusion_chunk(data):
         # a_ij + (b_i - bhat_i) x_j + (b_j - bhat_j) x_i per point
         x, b, a = data.points, data.drift_samples, data.diffusion_samples
 
@@ -389,19 +390,19 @@ def identify(
             T = [a[sl, i, j] + r[:, i] * xs[:, j] + r[:, j] * xs[:, i] for i, j in pairs]
             return psi, np.array(T)
 
-        return _walk(data.count, n + len(pairs), chunk)
+        return chunk
 
-    def fit(chunks, k):
-        R = _fit(chunks(sample), n, k, dictionary, sample.count, "identify").R
+    def fit(chunk_of, k):
+        R = _fit(chunk_of(sample), sample.count, n, k, dictionary, "identify").R
         C, history = hard_threshold(R[:, :n], R[:, n:], delta, iterations=iterations)
         histories.append(history)
-        return chunks, C, R
+        return chunk_of, C, R
 
-    walks = [fit(drift_chunks, dictionary.dimension)]
+    walks = [fit(drift_chunk, dictionary.dimension)]
     drift_coeffs = walks[0][1]
     diffusion_coeffs = None
     if sample.diffusion_samples is not None:
-        walks.append(fit(diffusion_chunks, len(pairs)))
+        walks.append(fit(diffusion_chunk, len(pairs)))
         diffusion_coeffs = walks[1][1]
 
     def rms(factors, count):
@@ -411,7 +412,8 @@ def identify(
 
     residuals = {"training": rms([R for *_, R in walks], sample.count), "validation": None}
     if validation is not None:
-        held_out = [_factor(chunks(validation), n + C.shape[1]) for chunks, C, _ in walks]
+        held_out = [_factor(chunk_of(validation), validation.count, n + C.shape[1])
+                    for chunk_of, C, _ in walks]
         residuals["validation"] = rms(held_out, validation.count)
     return IdentifiedModel(
         dictionary=dictionary,

@@ -69,18 +69,18 @@ def _nnls_cases():
         "exact-nonnegative": ([(positive, positive @ x_true)], x_true, True),
         "zero-column": ([(zero_column, rng.standard_normal(50))], None, True),
         "duplicated-columns": ([(duplicated, rng.standard_normal(50))], None, False),
-        "iteration-cap": ([(positive, positive @ x_true)], None, True),
+        # column 2 enters first; once column 1 joins, column 2's coefficient turns
+        # negative, so the solution takes one inner step
+        "iteration-cap": (
+            [(np.array([[1.0, 3.0], [1.0, 2.0], [1.0, 3.0]]), np.array([1.0, 3.0, 1.0]))],
+            np.array([5.0 / 3.0, 0.0]), True,
+        ),
     }
 
 
 @pytest.mark.parametrize("case", list(_nnls_cases()))
-def test_nnls_matches_scipy(case):
+def test_nnls_matches_scipy(monkeypatch, case):
     problems, exact, unique = _nnls_cases()[case]
-    if case == "iteration-cap":
-        # five positive entries take at least five solves
-        with pytest.raises(NumericalError, match="more than 4 solves"):
-            cg._nnls(*problems[0], max_iter=4)
-        return
     for D, target in problems:
         x, (want, _) = cg._nnls(D, target), scipy.optimize.nnls(D, target)
         assert x.min(initial=0.0) >= 0.0
@@ -89,6 +89,10 @@ def test_nnls_matches_scipy(case):
         if not unique:  # only the fitted values are unique
             x, want = D @ x, D @ want
         assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+    if case == "iteration-cap":
+        monkeypatch.setattr(cg, "NNLS_STEPS", 0)
+        with pytest.raises(NumericalError, match="more than 0 inner steps"):
+            cg._nnls(*problems[0])
 
 
 def map_fd_jacobian(cg_map, x, step=1e-6):
@@ -330,8 +334,7 @@ class TestLemonSlicePipeline:
         # G_hat is read off the streamed R factor of the values alone
         values = lemon["basis"].evaluate(lemon["rsample"].points).values
         n, m = values.shape
-        chunks = generator._walk(m, n, lambda sl: (values[:, sl], values[:0, sl]))
-        P = generator._factor(chunks, n)[:, :n]
+        P = generator._factor(lambda sl: (values[:, sl], values[:0, sl]), m, n)[:, :n]
         assert np.array_equal(lemon["est"].G_hat, P.T @ P / m)
 
 

@@ -451,13 +451,13 @@ def test_streaming_fit_is_chunk_size_invariant(monkeypatch, chunk, panel_entries
         (1, 6, 4, 1),
     ],
 )
-def test_factor_is_triangular_factor_of_stacked_matrix(m, n, k, chunk):
+def test_factor_is_triangular_factor_of_stacked_matrix(monkeypatch, m, n, k, chunk):
+    monkeypatch.setattr(generator, "CHUNK", chunk)
     X = np.random.default_rng(m + n + k).standard_normal((m, n + k))
-    chunks = ((X[i : i + chunk, :n].T, X[i : i + chunk, n:].T) for i in range(0, m, chunk))
     # fewer samples than basis functions: the fit resolves m directions and says so
     expect = pytest.warns(UserWarning, match="rank deficient") if m < n else nullcontext()
     with expect:
-        est = generator._fit(chunks, n, k, None, m, "test")
+        est = generator._fit(lambda sl: (X[sl, :n].T, X[sl, n:].T), m, n, k, None, "test")
     R = est.R
     assert est.rank == min(m, n)
     assert R.shape == (n + k, n + k)
@@ -477,16 +477,16 @@ def test_factor_is_bitwise_the_sequential_fold(width, k, m, order):
     X = np.random.default_rng(width + k + m).standard_normal((m, width))
     n = width - k
 
-    def chunks():
-        for i in range(0, m, CHUNK):
-            # F: transposed views of X; C: fresh row-major copies
-            Y = X[i : i + CHUNK].T
-            if order == "C":
-                Y = np.ascontiguousarray(Y)
-            yield Y[:n], Y[n:]
+    def chunk(sl):
+        # F: transposed views of X; C: fresh row-major copies
+        Y = X[sl].T
+        if order == "C":
+            Y = np.ascontiguousarray(Y)
+        return Y[:n], Y[n:]
 
-    want = helpers.tpqrt_fold(chunks(), width, generator.TPQRT_BLOCK)
-    assert np.array_equal(generator._factor(chunks(), width), want)
+    chunks = (chunk(slice(i, i + CHUNK)) for i in range(0, m, CHUNK))
+    want = helpers.tpqrt_fold(chunks, width, generator.TPQRT_BLOCK)
+    assert np.array_equal(generator._factor(chunk, m, width), want)
 
 
 def test_wide_fit_panels_hold_at_most_panel_entries(monkeypatch):
@@ -516,18 +516,18 @@ def test_wide_fit_panels_hold_at_most_panel_entries(monkeypatch):
     assert np.linalg.norm(R.T @ R - gram) <= 1e-12 * np.linalg.norm(gram)
 
 
-def test_factor_raises_a_chunk_error_and_stops_its_fold_thread():
-    X = np.random.default_rng(4).standard_normal((6, 40))
+def test_factor_raises_a_chunk_error_and_stops_its_fold_thread(monkeypatch):
+    monkeypatch.setattr(generator, "CHUNK", 20)
+    X = np.random.default_rng(4).standard_normal((6, 60))
     before = threading.active_count()
 
-    def chunks():
-        for i in range(3):
-            if i == 2:
-                raise InputError("third chunk is malformed")
-            yield X[:4, 20 * i : 20 * i + 20], X[4:, 20 * i : 20 * i + 20]
+    def chunk(sl):
+        if sl.start == 40:
+            raise InputError("third chunk is malformed")
+        return X[:4, sl], X[4:, sl]
 
     with pytest.raises(InputError, match="third chunk"):
-        generator._factor(chunks(), 6)
+        generator._factor(chunk, 60, 6)
     assert threading.active_count() == before
 
 
@@ -559,13 +559,13 @@ def test_concurrent_fits_match_sequential_fits():
         assert np.array_equal(est.M, ref.M)
 
 
-def test_factor_leaves_chunk_arrays_unchanged():
+def test_factor_leaves_chunk_arrays_unchanged(monkeypatch):
     # the chunks are views of one array, as callers that hold all values pass them
+    monkeypatch.setattr(generator, "CHUNK", 25)
     values = np.random.default_rng(3).standard_normal((9, 50))
     before = values.copy()
     for n in (5, 9):
-        halves = (slice(0, 20), slice(20, 50))
-        generator._factor(((values[:n, sl], values[n:, sl]) for sl in halves), 9)
+        generator._factor(lambda sl: (values[:n, sl], values[n:, sl]), 50, 9)
         assert np.array_equal(values, before)
 
 
