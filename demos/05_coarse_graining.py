@@ -44,18 +44,15 @@ print("reduced-generator timescales (three slow angular transitions):")
 print("  " + "  ".join(f"{ts:.4f}" for ts in dec.timescales[1:4]))
 
 grid = np.linspace(-2.8, 2.8, 201)
-a = reduced.diffusion_on(grid)
+potential, drift, a = reduced.on_grid(grid)
 print(f"\nfitted diffusion a(phi): mean {a.mean():.4f}, std/mean {a.std() / a.mean():.4f}")
-
-potential = reduced.potential_on(grid)
 print(f"free-energy barrier height: {potential.max() - potential.min():.3f}")
 
 # four local minima of the fitted free energy = the four metastable states;
 # the reconstructed drift nearly vanishes there relative to its slope scale
 interior = (potential[1:-1] < potential[:-2]) & (potential[1:-1] < potential[2:])
 wells = grid[1:-1][interior]
-drift = reduced.drift_on(wells)
-scale = np.abs(reduced.drift_on(grid)).max()
+scale = np.abs(drift).max()
 print(f"\nfree-energy minima (angle / pi) and the drift there (scale {scale:.1f}):")
-for w, b in zip(wells, drift):
+for w, b in zip(wells, drift[1:-1][interior]):
     print(f"  {w / np.pi:+.3f}  drift {b:+.4f}")

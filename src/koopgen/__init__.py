@@ -10,7 +10,6 @@ from .coarse_grain import (
     CoarseGrainMap,
     ReducedModel,
     build_reduced_model,
-    identity_map,
     linear_map,
     polar_angle_map,
 )
@@ -150,7 +149,6 @@ __all__ = [
     "identify",
     # coarse-graining
     "CoarseGrainMap",
-    "identity_map",
     "linear_map",
     "polar_angle_map",
     "ReducedModel",

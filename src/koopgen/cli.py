@@ -283,9 +283,11 @@ def _run_coarsegrain(config, out: Path, seed: int):
         [[-np.pi, np.pi]],
     )
     lo, hi = _pair(config, "reduction.span")
+    if lo < -np.pi or hi > np.pi:  # the reduced basis lives on the angle's range
+        raise ConfigError("config field 'reduction.span': must lie within [-pi, pi]")
     centers = np.linspace(lo, hi, _integer(config, "reduction.centers", 25, minimum=2))
     diffusion_basis = GaussianBasis(
-        centers[:, None], _number(config, "reduction.bandwidth", 0.4, minimum=0.0)
+        centers[:, None], _number(config, "reduction.bandwidth", 0.4, minimum=1e-9)
     )
     reduced = coarse_grain.build_reduced_model(
         cg_map, reduced_basis, sample, model, diffusion_basis

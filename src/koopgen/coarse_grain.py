@@ -1,10 +1,12 @@
 """Coarse-grained generator estimation on a reduced coordinate.
 
 A map z = xi(x) turns full-state samples into reduced samples via the chain
-rule; the standard estimators then apply unchanged on the reduced space.
-Effective potentials come from force matching against the local mean force,
-effective diffusions from fitting the reduced stiffness matrix, and the
-reversible drift is rebuilt from the fitted potential and diffusion.
+rule (:func:`reduced_sample`); the standard estimators then apply unchanged
+on the reduced space, e.g. ``gedmd_reversible(basis, reduced_sample(map,
+sample))``.  Effective potentials come from force matching against the local
+mean force, effective diffusions from fitting the reduced stiffness matrix,
+and :meth:`ReducedModel.on_grid` rebuilds the reversible drift from the
+fitted potential and diffusion.
 """
 
 from __future__ import annotations
@@ -15,15 +17,7 @@ import numpy as np
 
 from .dictionaries import Dictionary
 from .errors import InputError, NumericalError, warn
-from .generator import (
-    GeneratorEstimate,
-    _actions,
-    _fit,
-    _walk,
-    gedmd_deterministic,
-    gedmd_reversible,
-    gedmd_stochastic,
-)
+from .generator import GeneratorEstimate, _fit, _walk, gedmd_reversible
 from .models import SampleSet, SdeModel
 
 JACOBIAN_RANK_TOL = 1e-12  # relative eigenvalue of J^T J below which a point is excluded
@@ -31,17 +25,12 @@ NNLS_STEPS = 3  # inner active-set steps per column before the diffusion NNLS gi
 
 __all__ = [
     "CoarseGrainMap",
-    "identity_map",
     "linear_map",
     "polar_angle_map",
     "reduced_sample",
-    "coarse_dpsi",
-    "coarse_gedmd",
     "ForceMatchResult",
     "force_matching",
     "fit_diffusion",
-    "diffusion_field",
-    "drift_from_potential",
     "ReducedModel",
     "build_reduced_model",
 ]
@@ -68,19 +57,6 @@ class CoarseGrainMap:
 
     def __call__(self, points) -> np.ndarray:
         return self.map(np.asarray(points, dtype=float))
-
-
-def identity_map(dimension: int) -> CoarseGrainMap:
-    """xi(x) = x; the reduction that changes nothing."""
-    eye = np.eye(dimension)
-
-    return CoarseGrainMap(
-        map=lambda x: np.asarray(x, dtype=float),
-        jacobian=lambda x: np.broadcast_to(eye, (x.shape[0], dimension, dimension)).copy(),
-        hessians=None,
-        full_dim=dimension,
-        reduced_dim=dimension,
-    )
 
 
 def linear_map(matrix) -> CoarseGrainMap:
@@ -151,42 +127,6 @@ def reduced_sample(cg_map: CoarseGrainMap, sample: SampleSet) -> SampleSet:
     return SampleSet(points=cg_map(x), drift_samples=drift, diffusion_samples=diffusion)
 
 
-def coarse_dpsi(
-    cg_map: CoarseGrainMap, reduced_dict: Dictionary, sample: SampleSet
-) -> np.ndarray:
-    """Values of the generator applied to psi_k(xi(x)) at each sample point.
-
-    Identical to the generator action the estimators use, evaluated on the
-    reduced sample set produced by :func:`reduced_sample` (same code path).
-    """
-    rsample = reduced_sample(cg_map, sample)
-    chunk = _actions(reduced_dict, rsample, rsample.diffusion_samples)
-    chunks = _walk(rsample.count, 2 * reduced_dict.size, chunk)
-    return np.concatenate([dpsi for _, dpsi in chunks], axis=1)
-
-
-def coarse_gedmd(
-    cg_map: CoarseGrainMap,
-    reduced_dict: Dictionary,
-    sample: SampleSet,
-    *,
-    reversible: bool = False,
-) -> GeneratorEstimate:
-    """Generator estimate on the reduced coordinate z = xi(x).
-
-    With ``reversible=True`` the symmetric estimator built from the reduced
-    diffusion (grad xi)^T a (grad xi) is used; it needs ``diffusion_samples``
-    on the input.  Otherwise the deterministic or stochastic estimator is
-    chosen by whether diffusion data is present.
-    """
-    rsample = reduced_sample(cg_map, sample)
-    if reversible:
-        return gedmd_reversible(reduced_dict, rsample)
-    if rsample.diffusion_samples is not None:
-        return gedmd_stochastic(reduced_dict, rsample)
-    return gedmd_deterministic(reduced_dict, rsample)
-
-
 # ---------------------------------------------------------------------------
 # force matching
 
@@ -213,10 +153,14 @@ class ForceMatchResult:
     def potential_on(self, grid) -> np.ndarray:
         """F(z) = -integral of g from the left grid edge (trapezoid rule)."""
         grid = np.asarray(grid, dtype=float)
-        g = self.force_on(grid)
-        out = np.zeros_like(g)
-        np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(grid), out=out[1:])
-        return -out
+        return _potential(grid, self.force_on(grid))
+
+
+def _potential(grid, g) -> np.ndarray:
+    """F = -integral of the force values g from grid[0] by the trapezoid rule."""
+    out = np.zeros_like(g)
+    np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(grid), out=out[1:])
+    return -out
 
 
 def local_mean_force(cg_map: CoarseGrainMap, potential_gradient, points):
@@ -405,28 +349,6 @@ def fit_diffusion(
     return _nnls(D, np.asarray(galerkin_A_hat, dtype=float).ravel())
 
 
-def diffusion_field(diffusion_basis: Dictionary, theta, grid) -> np.ndarray:
-    """Evaluate a(z) = theta . chi(z) on a 1D grid."""
-    grid = np.asarray(grid, dtype=float)
-    values = diffusion_basis.values(grid[:, np.newaxis])
-    return values.T @ np.asarray(theta, dtype=float)
-
-
-def drift_from_potential(
-    force: ForceMatchResult, theta, diffusion_basis: Dictionary, grid
-) -> np.ndarray:
-    """Reversible reduced drift b(z) = -1/2 a dF/dz + 1/2 da/dz.
-
-    Uses the fitted mean force g = -dF/dz, so b = a g / 2 + a' / 2.
-    """
-    grid = np.asarray(grid, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    block = diffusion_basis.evaluate(grid[:, np.newaxis])
-    a = block.values.T @ theta
-    da = block.gradients[:, :, 0].T @ theta
-    return 0.5 * a * force.force_on(grid) + 0.5 * da
-
-
 @dataclass(frozen=True)
 class ReducedModel:
     """Reversible reduced model assembled from one sample set.
@@ -444,14 +366,18 @@ class ReducedModel:
     reduced_basis: Dictionary = field(repr=False)
     estimate: GeneratorEstimate = field(repr=False)
 
-    def potential_on(self, grid) -> np.ndarray:
-        return self.force.potential_on(grid)
+    def on_grid(self, grid):
+        """(potential F, drift b, diffusion a) on a 1D grid, each basis evaluated once.
 
-    def diffusion_on(self, grid) -> np.ndarray:
-        return diffusion_field(self.diffusion_basis, self.theta, grid)
-
-    def drift_on(self, grid) -> np.ndarray:
-        return drift_from_potential(self.force, self.theta, self.diffusion_basis, grid)
+        F = -integral of the mean force g, a = theta . chi, and the reversible
+        drift is b = -1/2 a dF/dz + 1/2 da/dz = a g / 2 + a' / 2.
+        """
+        grid = np.asarray(grid, dtype=float)
+        g = self.force.force_on(grid)
+        block = self.diffusion_basis.evaluate(grid[:, np.newaxis])
+        a = block.values.T @ self.theta
+        da = block.gradients[:, :, 0].T @ self.theta
+        return _potential(grid, g), 0.5 * a * g + 0.5 * da, a
 
     def to_dict(self) -> dict:
         return {

@@ -685,13 +685,14 @@ def whole_steps(horizon, dt: float) -> int:
     """Steps of length dt spanning the horizon (t0, te); InputError unless
     dt is positive and finite and divides the finite horizon to a relative
     tolerance of 1e-9."""
+    bounds = tuple(map(float, horizon))
     if not (0 < dt < np.inf and np.all(np.isfinite(horizon))):
-        raise InputError(f"need dt={dt} positive and finite and horizon {tuple(horizon)} finite")
+        raise InputError(f"need dt={dt} positive and finite and horizon {bounds} finite")
     ratio = (horizon[1] - horizon[0]) / dt
     steps = int(round(ratio))
     if abs(ratio - steps) > 1e-9 * ratio:
         raise InputError(
-            f"dt={dt} does not divide the horizon {tuple(horizon)} into whole steps"
+            f"dt={dt} does not divide the horizon {bounds} into whole steps"
         )
     return steps
 

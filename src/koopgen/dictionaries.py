@@ -452,7 +452,8 @@ class LegendreBasis(_SeparableBasis):
             t = (x[:, j] - self._m0[j]) / self._m1[j]
             if np.any(np.abs(t) > 1.0 + 1e-9):
                 raise DomainError(
-                    f"points outside Legendre domain {tuple(self.domain[j])} in coordinate {j + 1}"
+                    f"points outside Legendre domain {tuple(map(float, self.domain[j]))} "
+                    f"in coordinate {j + 1}"
                 )
             tables[:, j] = _legendre_tables(np.clip(t, -1.0, 1.0), self.max_degree, order)
             # chain rule for x = m0 + m1 * t: the r-th derivative gains (1 / m1)^r

@@ -150,10 +150,7 @@ def write_identified_json(path, model) -> Path:
 def write_reduced_model_csv(path, model, grid) -> Path:
     """Reduced 1D model on a grid: z, potential, drift, diffusion."""
     grid = np.asarray(grid, dtype=float).reshape(-1)
-    potential = model.potential_on(grid)
-    drift = model.drift_on(grid)
-    diffusion = model.diffusion_on(grid)
-    rows = zip(grid, potential, drift, diffusion)
+    rows = zip(grid, *model.on_grid(grid))
     return write_csv(path, ["z", "potential", "drift", "diffusion"], rows)
 
 

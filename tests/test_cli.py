@@ -142,10 +142,14 @@ class TestConfigErrors:
             ("ou_mpc", "plant.inputs", [], "'plant.inputs': expected a non-empty list"),
             ("ou_spectrum", "sampling.invariant", True, "'sampling.invariant': only supported"),
             ("lemonslice_coarsegrain", "model.name", "ou", "coarsegrain expects a 2D model"),
+            ("lemonslice_coarsegrain", "reduction.span", [-3.5, 3.5],
+             "'reduction.span': must lie within [-pi, pi]"),
+            ("lemonslice_coarsegrain", "reduction.bandwidth", 0,
+             "'reduction.bandwidth': must be >= 1e-09"),
         ],
         ids=["int-beyond-float", "not-a-number", "below-minimum", "integer-below-minimum",
              "not-a-string", "reversed-pair", "empty-list", "invariant-not-lemon",
-             "coarsegrain-1d"],
+             "coarsegrain-1d", "coarsegrain-span-beyond-pi", "coarsegrain-bandwidth-0"],
     )
     def test_invalid_field_raises(self, tmp_path, name, path, value, match):
         config = json.loads(json.dumps(cli.bundled_configs()[name]))

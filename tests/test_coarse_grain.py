@@ -10,7 +10,7 @@ import scipy.optimize
 
 import helpers
 from koopgen import coarse_grain as cg
-from koopgen import generator, models, spectral
+from koopgen import generator, io, models, spectral
 from koopgen.dictionaries import GaussianBasis, LegendreBasis, Monomials, evaluate
 from koopgen.errors import InputError, NumericalError
 
@@ -125,8 +125,8 @@ def lemon():
     sample = models.exact_sample_set(model, points)
     pmap = cg.polar_angle_map()
     basis = LegendreBasis(20, [[-np.pi, np.pi]])
-    est = cg.coarse_gedmd(pmap, basis, sample, reversible=True)
     rsample = cg.reduced_sample(pmap, sample)
+    est = generator.gedmd_reversible(basis, rsample)
     return {
         "model": model,
         "sample": sample,
@@ -139,7 +139,7 @@ def lemon():
 
 class TestMaps:
     def test_identity(self, rng):
-        m = cg.identity_map(3)
+        m = cg.linear_map(np.eye(3))
         x = rng.standard_normal((7, 3))
         assert np.array_equal(m(x), x)
         assert np.array_equal(m.jacobian(x)[0], np.eye(3))
@@ -183,13 +183,16 @@ class TestCoarseDpsi:
         points = models.sample_uniform([[-2.0, 2.0]] * 2, 800, seed=3)
         sample = models.exact_sample_set(model, points)
         basis = Monomials(2, 4)
-        imap = cg.identity_map(2)
+        rsample = cg.reduced_sample(cg.linear_map(np.eye(2)), sample)
         direct = basis.generator_action(
             points, sample.drift_samples, sample.diffusion_samples
         )[1]
-        assert np.array_equal(cg.coarse_dpsi(imap, basis, sample), direct)
+        coarse = basis.generator_action(
+            rsample.points, rsample.drift_samples, rsample.diffusion_samples
+        )[1]
+        assert np.array_equal(coarse, direct)
         est_direct = generator.gedmd_stochastic(basis, sample)
-        est_coarse = cg.coarse_gedmd(imap, basis, sample)
+        est_coarse = generator.gedmd_stochastic(basis, rsample)
         assert np.array_equal(est_coarse.M, est_direct.M)
         assert np.array_equal(est_coarse.A_hat, est_direct.A_hat)
         assert np.array_equal(est_coarse.G_hat, est_direct.G_hat)
@@ -211,7 +214,8 @@ class TestCoarseDpsi:
         points = models.sample_uniform([[-1.0, 1.0]] * 2, 300, seed=6)
         sample = models.exact_sample_set(model, points)
         hand = models.SampleSet(points=points[:, :1], drift_samples=sample.drift_samples[:, :1])
-        est = cg.coarse_gedmd(cg.linear_map([[1.0, 0.0]]), Monomials(1, 3), sample)
+        rsample = cg.reduced_sample(cg.linear_map([[1.0, 0.0]]), sample)
+        est = generator.gedmd_deterministic(Monomials(1, 3), rsample)
         assert est.kind == "deterministic"
         assert np.array_equal(est.M, generator.gedmd_deterministic(Monomials(1, 3), hand).M)
 
@@ -223,7 +227,10 @@ class TestCoarseDpsi:
         a = np.array([[[2.0, 0.4], [0.4, 1.0]]])
         sample = models.SampleSet(points=point, drift_samples=b, diffusion_samples=a)
         basis = Monomials(1, 1)
-        dpsi = cg.coarse_dpsi(cg.polar_angle_map(), basis, sample)
+        rsample = cg.reduced_sample(cg.polar_angle_map(), sample)
+        dpsi = basis.generator_action(
+            rsample.points, rsample.drift_samples, rsample.diffusion_samples
+        )[1]
         assert abs(dpsi[1, 0] - (-1.1 - 0.4)) < 1e-12
         assert dpsi[0, 0] == 0.0
 
@@ -247,7 +254,7 @@ class TestLemonSlicePipeline:
             lemon["est"].A_hat, lemon["basis"], lemon["rsample"], dbasis
         )
         grid = np.linspace(-2.8, 2.8, 201)
-        a_fit = cg.diffusion_field(dbasis, theta, grid)
+        a_fit = dbasis.values(grid[:, None]).T @ theta
         assert a_fit.std() / a_fit.mean() < 0.05
         c1, c2 = helpers.lemon_slice_radial_constants()
         assert abs(a_fit.mean() - 2 * c1 / c2) / (2 * c1 / c2) < 0.05
@@ -289,7 +296,7 @@ class TestLemonSlicePipeline:
             GaussianBasis(np.linspace(-2.8, 2.8, 25)[:, None], 0.4),
         )
         grid = np.linspace(-2.8, 2.8, 401)
-        rebuilt = reduced.drift_on(grid)
+        _, rebuilt, _ = reduced.on_grid(grid)
         coeffs = lemon["est"].L @ lemon["basis"].full_state_selector()[:, 0]
         direct = evaluate(lemon["basis"], grid[:, None]).values.T @ coeffs
         rel = np.sqrt(np.mean((rebuilt - direct) ** 2) / np.mean(direct**2))
@@ -321,9 +328,10 @@ class TestLemonSlicePipeline:
         basis = LegendreBasis(8, [[-np.pi, np.pi]])
         dbasis = GaussianBasis(np.linspace(-2.8, 2.8, 9)[:, None], 0.8)
         reduced = cg.build_reduced_model(pmap, basis, sample, model, dbasis)
-        est = cg.coarse_gedmd(pmap, basis, sample, reversible=True)
+        rsample = cg.reduced_sample(pmap, sample)
+        est = generator.gedmd_reversible(basis, rsample)
         force = cg.force_matching(sample, model, pmap, basis)
-        theta = cg.fit_diffusion(est.A_hat, basis, cg.reduced_sample(pmap, sample), dbasis)
+        theta = cg.fit_diffusion(est.A_hat, basis, rsample, dbasis)
         for name in ("M", "A_hat", "G_hat"):
             assert np.array_equal(getattr(reduced.estimate, name), getattr(est, name))
         assert np.array_equal(reduced.force.gradient_coeffs, force.gradient_coeffs)
@@ -423,7 +431,7 @@ class TestForceMatching:
         )
         with pytest.raises(InputError):
             cg.force_matching(
-                sample, lambda p: p, cg.identity_map(2), Monomials(2, 2)
+                sample, lambda p: p, cg.linear_map(np.eye(2)), Monomials(2, 2)
             )
 
 
@@ -477,29 +485,76 @@ class TestFitDiffusion:
         assert np.linalg.norm(designs - dense) <= 1e-13 * np.linalg.norm(dense)
 
 
+def _hand_model(gradient_coeffs, theta, diffusion_basis):
+    """Reduced model from a given mean-force expansion in Monomials(1, 1) and diffusion."""
+    force = cg.ForceMatchResult(
+        gradient_coeffs=np.array(gradient_coeffs),
+        basis=Monomials(1, 1),
+        excluded=0,
+        residual_rms=0.0,
+    )
+    return cg.ReducedModel(
+        force=force,
+        theta=np.array(theta),
+        diffusion_basis=diffusion_basis,
+        reduced_basis=force.basis,
+        estimate=None,
+    )
+
+
 class TestDriftFromPotential:
     def test_constant_diffusion_quadratic_potential(self):
         # F = kappa z^2 / 2, a = 2  ->  b = -kappa z
         kappa = 1.7
-        force = cg.ForceMatchResult(
-            gradient_coeffs=np.array([0.0, -kappa]),
-            basis=Monomials(1, 1),
-            excluded=0,
-            residual_rms=0.0,
-        )
         grid = np.linspace(-2, 2, 11)
-        b = cg.drift_from_potential(force, [2.0], Monomials(1, 0), grid)
+        _, b, _ = _hand_model([0.0, -kappa], [2.0], Monomials(1, 0)).on_grid(grid)
         assert np.allclose(b, -kappa * grid, atol=1e-12)
 
     def test_divergence_term(self):
         # a(z) = z^2, F = 0  ->  b = z
-        force = cg.ForceMatchResult(
-            gradient_coeffs=np.zeros(2),
-            basis=Monomials(1, 1),
-            excluded=0,
-            residual_rms=0.0,
-        )
         grid = np.linspace(-2, 2, 11)
-        b = cg.drift_from_potential(force, [0.0, 0.0, 1.0], Monomials(1, 2), grid)
+        _, b, _ = _hand_model(np.zeros(2), [0.0, 0.0, 1.0], Monomials(1, 2)).on_grid(grid)
         assert np.allclose(b, grid, atol=1e-12)
+
+
+class TestReducedModelOnGrid:
+    @pytest.fixture(scope="class")
+    def reduced(self):
+        model = models.lemon_slice(k=4, beta=1.0)
+        sample = models.exact_sample_set(
+            model, models.lemon_slice_invariant_points(3000, seed=7)
+        )
+        return cg.build_reduced_model(
+            cg.polar_angle_map(),
+            LegendreBasis(8, [[-np.pi, np.pi]]),
+            sample,
+            model,
+            GaussianBasis(np.linspace(-2.8, 2.8, 9)[:, None], 0.8),
+        )
+
+    def test_matches_the_separate_fields(self, reduced):
+        grid = np.linspace(-2.8, 2.8, 201)
+        potential, drift, diffusion = reduced.on_grid(grid)
+        dbasis, theta = reduced.diffusion_basis, reduced.theta
+        block = dbasis.evaluate(grid[:, None])
+        a = block.values.T @ theta
+        da = block.gradients[:, :, 0].T @ theta
+        g = reduced.force.force_on(grid)
+        assert np.array_equal(potential, reduced.force.potential_on(grid))
+        assert np.array_equal(diffusion, dbasis.values(grid[:, None]).T @ theta)
+        assert np.array_equal(drift, 0.5 * a * g + 0.5 * da)
+
+    def test_writer_evaluates_each_basis_once(self, reduced, monkeypatch, tmp_path):
+        grid = np.linspace(-2.8, 2.8, 201)
+        calls = []
+        bases = {"reduced": reduced.reduced_basis, "diffusion": reduced.diffusion_basis}
+        for name, basis in bases.items():
+            for method in ("values", "evaluate"):
+                def spy(points, *args, _inner=getattr(basis, method), _name=name, **kwargs):
+                    calls.append((_name, len(points)))
+                    return _inner(points, *args, **kwargs)
+
+                monkeypatch.setattr(basis, method, spy)
+        io.write_reduced_model_csv(tmp_path / "reduced_model.csv", reduced, grid)
+        assert sorted(calls) == [("diffusion", 201), ("reduced", 201)]
 

@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -118,8 +119,13 @@ class TestSurrogates:
             (lambda d: fit_surrogates(d, [], []), InputError, "at least one input"),
             (lambda d: switching_time_optimize(_problem(), 0, x0=np.array([0.0])),
              ConfigError, "at least one pass"),
+            (lambda d: control.whole_steps(np.array([0.0, 1.0]), 0.3), InputError,
+             re.escape("horizon (0.0, 1.0) into whole steps")),
+            (lambda d: control.whole_steps(np.array([0.0, np.nan]), 0.1), InputError,
+             re.escape("horizon (0.0, nan) finite")),
         ],
-        ids=["inputs-vs-matrices", "1d-readout", "no-inputs", "no-passes"],
+        ids=["inputs-vs-matrices", "1d-readout", "no-inputs", "no-passes",
+             "steps-plain-floats", "steps-nonfinite-plain-floats"],
     )
     def test_invalid_arguments_raise(self, build, error, match):
         with pytest.raises(error, match=match):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -110,9 +112,12 @@ def test_non_finite_parameters_rejected(factory):
         (lambda: GaussianBasis(np.zeros((0, 1)), 1.0), InputError, "centers must be"),
         (lambda: GaussianBasis([[np.nan]], 1.0), InputError, "non-finite"),
         (lambda: dictionary_from_spec({"kind": "bogus"}), InputError, "unknown dictionary kind"),
+        (lambda: LegendreBasis(2, (-np.pi, np.pi)).values([[3.5]]), DomainError,
+         re.escape("domain (-3.141592653589793, 3.141592653589793) in coordinate 1")),
     ],
     ids=["point-columns", "dimension-0", "degree-negative", "legendre-degree-0-selector",
-         "coefficients-2d", "coefficients-degree", "no-centers", "nan-center", "unknown-kind"],
+         "coefficients-2d", "coefficients-degree", "no-centers", "nan-center", "unknown-kind",
+         "legendre-domain-plain-floats"],
 )
 def test_invalid_arguments_raise(build, error, match):
     with pytest.raises(error, match=match):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from koopgen import coarse_grain, control, models, sysid
+from koopgen import coarse_grain, control, generator, models, sysid
 from koopgen.dictionaries import Monomials
 
 
@@ -23,8 +23,9 @@ CALLS = {
     "fit_surrogates-rank": lambda: control.fit_surrogates(
         Monomials(1, 5), [0.0], [_ou_sample(3)]
     ),
-    "coarse_gedmd-rank": lambda: coarse_grain.coarse_gedmd(
-        coarse_grain.linear_map(np.eye(2)[:1]), Monomials(1, 5), _plane_sample(3)
+    "coarse_gedmd-rank": lambda: generator.gedmd_stochastic(
+        Monomials(1, 5),
+        coarse_grain.reduced_sample(coarse_grain.linear_map(np.eye(2)[:1]), _plane_sample(3)),
     ),
     "identify-threshold": lambda: sysid.identify(Monomials(1, 3), _ou_sample(50), delta=1e6),
 }
