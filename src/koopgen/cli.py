@@ -3,7 +3,8 @@
 ``koopgen run <config.json> [--out DIR] [--seed N]`` executes one experiment
 described by a JSON document and writes plot-ready CSV/JSON artifacts plus a
 manifest echoing the configuration as given with the seed in effect (defaults
-applied by the runners are not recorded); ``koopgen list [--json]``
+applied by the runners are not recorded), the numpy version and which
+LAPACK ("numpy" or "scipy") folded the fits; ``koopgen list [--json]``
 shows the bundled experiment configs.  Exit codes: 0 success, 1 runtime or
 configuration error, 2 usage error.
 """
@@ -495,6 +496,9 @@ def run_experiment(config: dict, out_dir, seed=None) -> dict:
         "seed": resolved["seed"],
         "config": resolved,
         "artifacts": sorted(artifacts),
+        # the output bits depend on numpy and on the LAPACK that folded R
+        "numpy": np.__version__,
+        "fold_lapack": generator.fold_lapack(),
     }
     io.write_manifest(out / "manifest.json", manifest)
     return manifest

@@ -4,7 +4,10 @@ For each admissible constant input u the generator of the controlled system
 is estimated once; the lifted state z = psi(x) then evolves by the linear
 system z' = M_u z.  Model predictive control searches exhaustively over
 short input sequences, and switching-time optimization tunes the times at
-which a fixed cyclic input sequence switches.
+which a fixed cyclic input sequence switches.  The propagators expm(M_u t)
+come from a numpy Pade scaling-and-squaring exponential (``_expm``) that
+takes a whole stack of matrices in one call, so the control layer needs no
+scipy.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .dictionaries import Dictionary
 # kept for perfbench test_tracer_records_evaluations_and_restores_bindings,
@@ -41,6 +43,91 @@ __all__ = [
 MAX_MPC_HORIZON = 6  # exhaustive search grows as n_c**q; keep it exact and cheap
 STO_PANELS = 4  # trapezoid panels K per segment of the switching-time objective
 STO_TOL = 1e-9  # largest switch-time step, per unit horizon, that counts as converged
+
+# Pade approximants r_m = q_m(A)^-1 p_m(A) of exp: the coefficients b_0..b_m of
+# p_m(x) = sum_j b_j x^j (q_m(x) = p_m(-x)), and the largest 1-norm theta_m of A
+# for which r_m(A) meets unit roundoff in backward error (Higham, SIAM J.
+# Matrix Anal. Appl. 2005, Table 2.3)
+_PADE = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0, 2162160.0,
+        110880.0, 3960.0, 90.0, 1.0),
+    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+         1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+         33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0),
+}
+_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932e-1,
+          9: 2.097847961257068, 13: 5.371920351148152}
+
+
+def _members(mask):
+    """Indices of mask's True entries; a full slice, which copies nothing, when all are."""
+    return slice(None) if mask.all() else np.flatnonzero(mask)
+
+
+def _combine(coeffs, powers):
+    """sum_j coeffs[j] powers[j], summed from the last term down, so that a 2-D
+    identity powers[0] adds into the stack."""
+    total = coeffs[-1] * powers[len(coeffs) - 1]
+    for j in range(len(coeffs) - 2, -1, -1):
+        total += coeffs[j] * powers[j]
+    return total
+
+
+def _pade(X, m):
+    """r_m(X) of each matrix of the stack X: one solve (V - U) r = V + U each,
+    with V and U the even and odd parts of p_m(X)."""
+    b = _PADE[m]
+    X2 = X @ X
+    evens = [np.eye(X.shape[-1]), X2]  # I, X^2, X^4, ...
+    for _ in range(2, 4 if m == 13 else m // 2 + 1):
+        evens.append(evens[-1] @ X2)
+    if m == 13:  # the powers above X^6 as X^6 times lower ones
+        odd = evens[3] @ _combine(b[9::2], evens[1:])
+        odd += _combine(b[1:8:2], evens)
+        V = evens[3] @ _combine(b[8::2], evens[1:])
+        V += _combine(b[0:8:2], evens)
+    else:
+        odd, V = _combine(b[1::2], evens), _combine(b[0::2], evens)
+    del evens, X2  # the powers go before U is formed: this bounds _expm's peak memory
+    U = X @ odd
+    del odd
+    p = V + U
+    V -= U
+    return np.linalg.solve(V, p)
+
+
+def _expm(A):
+    """exp(A) of a square matrix or of each matrix of a stack (..., n, n).
+
+    Scaling and squaring (Higham 2005): each matrix takes the lowest Pade
+    degree m in 3, 5, 7, 9, 13 whose theta_m bounds its 1-norm, or degree 13
+    after s halvings that bring the norm within theta_13, and r_m is squared
+    s times. The stack is evaluated with stacked products and solves, one
+    group per degree, and each matrix is squared its own number of times, so
+    a matrix comes out bitwise as it does alone.
+    """
+    A = np.asarray(A, dtype=float)
+    n = A.shape[-1]
+    X = A.reshape(-1, n, n)
+    norm = np.abs(X).sum(axis=-2).max(axis=-1)
+    degree = np.full(X.shape[0], 13)
+    for m in (9, 7, 5, 3):
+        degree[norm <= _THETA[m]] = m
+    s = np.ceil(np.log2(np.maximum(norm / _THETA[13], 1.0)))
+    s = np.where(np.isfinite(s), s, 0).astype(int)  # a NaN or inf A comes out NaN
+    X = X * 2.0 ** -s[:, None, None]  # exact: a power of two
+    F = np.empty_like(X)
+    for m in np.unique(degree):
+        i = _members(degree == m)
+        F[i] = _pade(X[i], m)
+    for k in range(s.max(initial=0)):
+        i = _members(s > k)
+        Fi = F[i]
+        F[i] = Fi @ Fi
+    return F.reshape(A.shape)
 
 
 @dataclass(frozen=True)
@@ -94,7 +181,7 @@ class SurrogateFamily:
 
     def propagator(self, index: int, dt: float) -> np.ndarray:
         """expm(M_u dt) of the input with the given index."""
-        return scipy.linalg.expm(self.matrices[index] * dt)
+        return _expm(self.matrices[index] * dt)
 
     def _readout_rows(self, dt: float, depth: int) -> np.ndarray:
         """Readout rows C E_{s_k} ... E_{s_1} of every input sequence s of
@@ -463,7 +550,7 @@ def _sto(problem: ControlProblem, z0, tau, hessian: bool = False):
     which = np.arange(p + 1) % fam.n_inputs
     M = fam.matrices[which]
     cost = problem.alpha * np.asarray(fam.inputs)[which] ** 2
-    F = scipy.linalg.expm(M * h[:, None, None])
+    F = _expm(M * h[:, None, None])
     E = np.linalg.matrix_power(F, K)
     X = np.empty((p + 1, K + 1, fam.size))  # node states z_{j,k} = F_j^k z_j
     z = np.asarray(z0, dtype=float)
@@ -747,7 +834,7 @@ def schedule_trajectory(
     split = [piece for step in pieces if len(step) > 1 for piece in step]
     index = np.array([i for i, _ in split], dtype=int)
     spans = np.array([span for _, span in split])
-    P = scipy.linalg.expm(
+    P = _expm(
         np.concatenate([family.matrices * dt, family.matrices[index] * spans[:, None, None]])
     )
     out = np.empty((times.shape[0], family.size))

@@ -23,12 +23,15 @@ TSQR; Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 2012), in a
 fixed chunk order, so reruns are bitwise identical. The fold overlaps the
 walk: the calling thread builds each chunk and copies it into a
 Fortran-ordered panel, and one worker thread folds that panel into R while
-the caller builds the next chunk. dtpqrt is called through its pointer in
-scipy's Cython LAPACK table by ctypes, which releases the GIL for the call
-(the f2py wrapper holds it, so a thread around it would overlap nothing).
-The caller waits for each fold before it copies the next chunk, so at most
-one chunk and one panel are alive besides R. R is always (n + k) x (n + k);
-when m < n + k its rows past the m-th are zero up to rounding.
+the caller builds the next chunk. dtpqrt is called by ctypes, which
+releases the GIL for the call (scipy's f2py wrapper holds it, so a thread
+around that would overlap nothing), from the LAPACK that numpy links: its
+ILP64 symbol in numpy's linalg extension, so fitting loads no scipy. Only if
+numpy exports none is it taken, at the first fold, from scipy's Cython
+LAPACK table (32-bit integers). The caller waits for each fold before it
+copies the next chunk, so at most one chunk and one panel are alive
+besides R. R is always (n + k) x (n + k); when m < n + k its rows past the
+m-th are zero up to rounding.
 
 R is the one statistic of the data, and every estimate keeps it:
 [Psi^T | T^T] = Q R with orthonormal Q, so ||[Psi^T | T^T] v|| = ||R v|| for
@@ -50,13 +53,12 @@ Perron-Frobenius adjoint M* = A_hat^T G_hat^+ of any estimate.
 from __future__ import annotations
 
 import ctypes
+import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy import linalg
-from scipy.linalg import cython_lapack
 
 from .dictionaries import Dictionary, _check_points, dictionary_from_spec
 from .errors import InputError, LogBranchError, NumericalError, warn
@@ -143,25 +145,44 @@ def _actions(dictionary, sample, diffusion=None):
     return lambda sl: dictionary.generator_action(x[sl], b[sl], None if a is None else a[sl])
 
 
-def _lapack_routine(name, nargs):
-    """LAPACK routine `name` of scipy's Cython table as a ctypes foreign function.
+# dtpqrt's symbols in numpy's linalg extension and the integer type each takes:
+# numpy 2 wheels export the ILP64 OpenBLAS with a scipy_ prefix
+_NUMPY_DTPQRT = (("scipy_dtpqrt_64_", ctypes.c_int64), ("dtpqrt_64_", ctypes.c_int64))
 
-    Every argument is a pointer. A ctypes foreign call releases the GIL, so
-    other Python threads run while it works; the f2py wrappers of
-    scipy.linalg.lapack hold the GIL throughout.
+
+@functools.cache
+def _dtpqrt():
+    """(dtpqrt as a ctypes foreign function, its integer type, "numpy" or "scipy").
+
+    Resolved once, at the first fold: from the LAPACK that numpy links, under
+    the first of _NUMPY_DTPQRT's symbols that numpy's linalg extension exports,
+    else from scipy's Cython LAPACK table with 32-bit integers. Every argument
+    is a pointer. A ctypes foreign call releases the GIL, so other Python
+    threads run while it works.
     """
-    capsule = cython_lapack.__pyx_capi__[name]
+    signature = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 12)
+    numpy_linalg = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for symbol, integer in _NUMPY_DTPQRT:
+        try:
+            address = ctypes.cast(getattr(numpy_linalg, symbol), ctypes.c_void_p).value
+        except AttributeError:
+            continue
+        return signature(address), integer, "numpy"
+    from scipy.linalg import cython_lapack
+
+    capsule = cython_lapack.__pyx_capi__["dtpqrt"]
     get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
         ("PyCapsule_GetName", ctypes.pythonapi)
     )
     get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
         ("PyCapsule_GetPointer", ctypes.pythonapi)
     )
-    address = get_pointer(capsule, get_name(capsule))
-    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * nargs)(address)
+    return signature(get_pointer(capsule, get_name(capsule))), ctypes.c_int, "scipy"
 
 
-_dtpqrt = _lapack_routine("dtpqrt", 12)
+def fold_lapack() -> str:
+    """Which LAPACK folds R: "numpy" or "scipy" (see _dtpqrt); the bits of R depend on it."""
+    return _dtpqrt()[2]
 
 
 def _fold(R, B, T, work):
@@ -177,14 +198,15 @@ def _fold(R, B, T, work):
         R.shape != (width, width) or T.shape[1] != width or work.size < nb * width
     ):
         raise ValueError("dtpqrt needs Fortran-ordered float64 arrays of matching sizes")
-    info = ctypes.c_int()
+    dtpqrt, integer, _ = _dtpqrt()
+    info = integer()
 
     def ref(value):
-        return ctypes.byref(ctypes.c_int(value))
+        return ctypes.byref(integer(value))
 
-    _dtpqrt(ref(rows), ref(width), ref(0), ref(nb), R.ctypes.data, ref(width),
-            B.ctypes.data, ref(max(rows, 1)), T.ctypes.data, ref(nb), work.ctypes.data,
-            ctypes.byref(info))
+    dtpqrt(ref(rows), ref(width), ref(0), ref(nb), R.ctypes.data, ref(width),
+           B.ctypes.data, ref(max(rows, 1)), T.ctypes.data, ref(nb), work.ctypes.data,
+           ctypes.byref(info))
     if info.value:
         raise NumericalError(f"dtpqrt failed with info = {info.value}")
 
@@ -369,7 +391,9 @@ def edmd_with_log(
             "axis; the principal logarithm is undefined (shorten the lag or change "
             "the dictionary)"
         )
-    Lm = linalg.logm(est.M) / lag
+    from scipy.linalg import logm  # imported on use, so importing koopgen loads no scipy
+
+    Lm = logm(est.M) / lag
     if np.iscomplexobj(Lm):
         imag = np.max(np.abs(Lm.imag))
         if imag > 1e-8 * max(np.max(np.abs(Lm.real)), 1.0):

@@ -95,8 +95,10 @@ def tpqrt_fold(chunks, width, block):
     """Triangular factor of the stacked (psi, T) chunks, folded one after another.
 
     Each chunk is stacked into a panel B and folded into R by the f2py
-    wrapper scipy.linalg.lapack.dtpqrt, on the calling thread.  A reference
-    for the pipelined fold of generator._factor, which must agree bitwise.
+    wrapper scipy.linalg.lapack.dtpqrt, on the calling thread.  A
+    cross-library reference for the pipelined fold of generator._factor,
+    which calls the dtpqrt of numpy's LAPACK (scipy's only where numpy
+    exports none) and must agree bitwise on the sizes tested.
     """
     R = np.zeros((width, width), order="F")
     for psi, T in chunks:

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from koopgen import cli, io
+from koopgen import cli, generator, io
 from koopgen.errors import ConfigError, NumericalError
 
 
@@ -188,6 +188,8 @@ class TestRun:
         manifest = json.loads((out / "manifest.json").read_text("utf-8"))
         assert manifest["kind"] == "spectrum"
         assert manifest["seed"] == 1
+        assert manifest["numpy"] == np.__version__
+        assert manifest["fold_lapack"] == generator.fold_lapack() == "numpy"
         for artifact in manifest["artifacts"]:
             assert (out / artifact).exists()
         capsys.readouterr()

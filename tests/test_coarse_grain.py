@@ -32,22 +32,27 @@ def test_invalid_arguments_raise(build, match):
 
 
 def test_package_import_leaves_scipy_optimize_unloaded(tmp_path):
-    # neither the package import nor any bundled config pulls in
+    # neither the package import nor any bundled config loads scipy: not its
+    # linalg (the fold and the exponential run on numpy's LAPACK), nor
     # scipy.optimize or scipy.sparse (and with them spatial and special)
     src = Path(cg.__file__).resolve().parents[1]
     code = (
         "import sys\n"
+        "import koopgen\n"
+        "names = ('scipy', 'scipy.linalg', 'scipy.optimize', 'scipy.sparse')\n"
+        "print(*[m in sys.modules for m in names])\n"
         "from koopgen import cli\n"
         "for name in sorted(cli.bundled_configs()):\n"
         "    assert cli.main(['run', name, '--out', sys.argv[1] + '/' + name]) == 0\n"
-        "loaded = [m in sys.modules for m in ('scipy.optimize', 'scipy.sparse')]\n"
-        "print(len(cli.bundled_configs()), *loaded)"
+        "print(len(cli.bundled_configs()), *[m in sys.modules for m in names])"
     )
     out = subprocess.run(
         [sys.executable, "-c", code, str(tmp_path)], cwd=src, capture_output=True, text=True,
         check=True,
     )
-    assert out.stdout.splitlines()[-1] == "9 False False"
+    lines = out.stdout.splitlines()
+    assert lines[0] == "False False False False"
+    assert lines[-1] == "9 False False False False"
 
 
 def _nnls_cases():

@@ -1,3 +1,4 @@
+import ctypes
 import json
 import sys
 import threading
@@ -487,6 +488,28 @@ def test_factor_is_bitwise_the_sequential_fold(width, k, m, order):
     chunks = (chunk(slice(i, i + CHUNK)) for i in range(0, m, CHUNK))
     want = helpers.tpqrt_fold(chunks, width, generator.TPQRT_BLOCK)
     assert np.array_equal(generator._factor(chunk, m, width), want)
+
+
+def test_fold_falls_back_to_scipys_lapack(monkeypatch):
+    # numpy's wheel exports dtpqrt with 64-bit integers; without it the fold takes
+    # scipy's Cython table with 32-bit ones, and the same LAPACK code gives the same R
+    width, k, m = 140, 70, 2 * CHUNK + 52
+    X = np.random.default_rng(width + k + m).standard_normal((m, width))
+
+    def chunk(sl):
+        return X[sl, : width - k].T, X[sl, width - k :].T
+
+    assert generator._dtpqrt()[1:] == (ctypes.c_int64, "numpy")
+    want = generator._factor(chunk, m, width)
+    monkeypatch.setattr(generator, "_NUMPY_DTPQRT", ())
+    generator._dtpqrt.cache_clear()
+    try:
+        assert generator._dtpqrt()[1:] == (ctypes.c_int, "scipy")
+        assert generator.fold_lapack() == "scipy"
+        got = generator._factor(chunk, m, width)
+    finally:
+        generator._dtpqrt.cache_clear()
+    assert np.array_equal(got, want)
 
 
 def test_wide_fit_panels_hold_at_most_panel_entries(monkeypatch):
