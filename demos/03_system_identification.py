@@ -45,7 +45,7 @@ show("from exact samples:", identify(basis, exact))
 # corrupt drift and diffusion samples with N(0, 0.1^2) noise, then alternate
 # least squares with hard thresholding (delta = 0.1) to prune spurious terms
 noisy = noisy_sample_set(exact, 0.1, seed=113)
-fit = identify(basis, noisy, delta=0.1, iterations=10)
+fit = identify(basis, noisy, delta=0.1)
 show("from noisy samples (sigma = 0.1, threshold 0.1):", fit)
 
 print("surviving coefficients per thresholding iteration:")

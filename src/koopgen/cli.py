@@ -24,16 +24,6 @@ from . import coarse_grain, control, generator, io, models, spectral, sysid
 from .dictionaries import GaussianBasis, LegendreBasis, Monomials
 from .errors import ConfigError, KoopgenError
 
-KINDS = (
-    "estimate",
-    "spectrum",
-    "identify",
-    "conserved",
-    "coarsegrain",
-    "control-mpc",
-    "control-switching",
-)
-
 _MISSING = object()
 
 
@@ -193,10 +183,14 @@ def _build_sample(config, model, seed):
     return sample
 
 
-def _estimate(dictionary, sample):
+def _estimate(config, seed):
+    """(dictionary, estimate): the config's model sampled and fitted (stochastic if sampled so)."""
+    model = _build_model(config)
+    dictionary = _build_dictionary(config, model.dimension)
+    sample = _build_sample(config, model, seed)
     if sample.diffusion_samples is None:
-        return generator.gedmd_deterministic(dictionary, sample)
-    return generator.gedmd_stochastic(dictionary, sample)
+        return dictionary, generator.gedmd_deterministic(dictionary, sample)
+    return dictionary, generator.gedmd_stochastic(dictionary, sample)
 
 
 def _evaluation_grid(config, prefix: str):
@@ -214,9 +208,7 @@ def _evaluation_grid(config, prefix: str):
 
 
 def _run_estimate(config, out: Path, seed: int):
-    model = _build_model(config)
-    dictionary = _build_dictionary(config, model.dimension)
-    estimate = _estimate(dictionary, _build_sample(config, model, seed))
+    dictionary, estimate = _estimate(config, seed)
     labels = dictionary.labels()
     rows = [[labels[i]] + list(estimate.M[i]) for i in range(dictionary.size)]
     io.write_csv(out / "generator.csv", ["function"] + labels, rows)
@@ -225,9 +217,7 @@ def _run_estimate(config, out: Path, seed: int):
 
 
 def _run_spectrum(config, out: Path, seed: int):
-    model = _build_model(config)
-    dictionary = _build_dictionary(config, model.dimension)
-    estimate = _estimate(dictionary, _build_sample(config, model, seed))
+    dictionary, estimate = _estimate(config, seed)
     decomposition = spectral.decompose(estimate)
     io.write_eigenvalue_csv(out / "eigenvalues.csv", decomposition)
     artifacts = ["eigenvalues.csv"]
@@ -250,19 +240,14 @@ def _run_identify(config, out: Path, seed: int):
     dictionary = _build_dictionary(config, model.dimension)
     sample = _build_sample(config, model, seed)
     identified = sysid.identify(
-        dictionary,
-        sample,
-        delta=_number(config, "solver.delta", 0.0, minimum=0.0),
-        iterations=_integer(config, "solver.iterations", 10, minimum=1),
+        dictionary, sample, delta=_number(config, "solver.delta", 0.0, minimum=0.0)
     )
     io.write_identified_json(out / "model.json", identified)
     return ["model.json"]
 
 
 def _run_conserved(config, out: Path, seed: int):
-    model = _build_model(config)
-    dictionary = _build_dictionary(config, model.dimension)
-    estimate = _estimate(dictionary, _build_sample(config, model, seed))
+    dictionary, estimate = _estimate(config, seed)
     decomposition = spectral.decompose(estimate)
     io.write_eigenvalue_csv(out / "eigenvalues.csv", decomposition)
     vectors = spectral.conserved_quantities(decomposition)
@@ -449,6 +434,7 @@ _RUNNERS = {
     "control-mpc": _run_control_mpc,
     "control-switching": _run_control_switching,
 }
+KINDS = tuple(_RUNNERS)
 
 
 # ---------------------------------------------------------------------------

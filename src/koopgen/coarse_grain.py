@@ -17,7 +17,7 @@ import numpy as np
 
 from .dictionaries import Dictionary
 from .errors import InputError, NumericalError, warn
-from .generator import GeneratorEstimate, _fit, _walk, gedmd_reversible
+from .generator import GeneratorEstimate, _fit, _lstsq, _residual, _walk, gedmd_reversible
 from .models import SampleSet, SdeModel
 
 JACOBIAN_RANK_TOL = 1e-12  # relative eigenvalue of J^T J below which a point is excluded
@@ -255,7 +255,7 @@ def force_matching(
         gradient_coeffs=est.M[0],
         basis=reduced_basis,
         excluded=int(sample.count - m),
-        residual_rms=float(np.linalg.norm(est.R[:, :n] @ est.L - est.R[:, n:]) / np.sqrt(m)),
+        residual_rms=_residual(est.R, n, est.L) / np.sqrt(m),
     )
 
 
@@ -293,6 +293,8 @@ def _nnls(D, target):
     boundary and the columns reaching zero leave P. Duals up to 10 eps
     ||D||_1 max(rows, cols) count as zero. More than NNLS_STEPS * cols such
     steps raise NumericalError; their code and scipy's count the same steps.
+    Every passive-set solve is generator._lstsq, under SVD_CUTOFF and warning
+    when the passive columns are rank deficient.
     """
     rows, cols = D.shape
     tol = 10 * np.finfo(float).eps * np.abs(D).sum(axis=0).max(initial=0.0) * max(rows, cols)
@@ -300,7 +302,7 @@ def _nnls(D, target):
 
     def solve():
         s = np.zeros(cols)
-        s[passive] = np.linalg.lstsq(D[:, passive], target, rcond=None)[0]
+        s[passive] = _lstsq(D[:, passive], target)[0]
         return s
 
     w = D.T @ target

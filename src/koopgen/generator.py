@@ -37,11 +37,11 @@ R is the one statistic of the data, and every estimate keeps it:
 [Psi^T | T^T] = Q R with orthonormal Q, so ||[Psi^T | T^T] v|| = ||R v|| for
 every v. Any fit on a subset of columns, and its residual
 ||Psi^T C - T^T||_F = ||R[:, :n] C - R[:, n:]||_F, is therefore exact on the
-n + k rows of R instead of the m rows of the data. With
+n + k rows of R instead of the m rows of the data (_residual). With
 R = [[R11, R12], [0, R22]] and the SVD R11 = U S V^T under the relative
-cutoff SVD_CUTOFF, the coefficients are C = R11^+ R12; for gEDMD M^T = C,
-the least-squares solution M = dPsi Psi^+. Hard thresholding re-solves on
-supports of R. The Galerkin matrices are read off R too: G_hat =
+cutoff SVD_CUTOFF, the coefficients are C = R11^+ R12 (_lstsq, the one
+least-squares rule of the package); for gEDMD M^T = C, the least-squares
+solution M = dPsi Psi^+. The Galerkin matrices are read off R too: G_hat =
 R[:, :n]^T R[:, :n] / m = R11^T R11 / m, A_hat = R[:, n:]^T R[:, :n] / m,
 and G_hat^+ = m V S^-2 V^T. Every product X G_hat^+ goes through that SVD,
 never through G_hat, whose condition number is the square of Psi's: the
@@ -240,25 +240,40 @@ def _factor(chunk, m, width):
     return R
 
 
-def _svd(R, n):
-    """SVD U S V^T of R11 = R[:n, :n] under the SVD_CUTOFF rank rule.
+def _svd(A):
+    """SVD U S V^T of A under the SVD_CUTOFF rank rule.
 
-    Returns U, s, V cut to the rank and Psi's condition s_0 / s_rank; warns below rank n.
+    Returns U, s, V cut to the rank and A's condition s_0 / s_rank; warns below column rank.
     """
-    U, s, Vt = np.linalg.svd(R[:n, :n], full_matrices=False)
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
     rank = int(np.count_nonzero(s > SVD_CUTOFF * s[0])) if s.size else 0
     condition = float(s[0] / s[rank - 1]) if rank else np.inf
-    if rank < n:
+    if rank < A.shape[1]:
         warn(
-            f"dictionary value matrix is rank deficient ({rank} < {n}); "
-            "estimate restricted to the resolved subspace",
+            f"least-squares matrix is rank deficient ({rank} < {A.shape[1]}); "
+            "solution restricted to the resolved subspace",
         )
     return U[:, :rank], s[:rank], Vt[:rank].T, condition
 
 
+def _lstsq(A, B):
+    """Least-squares solution C = A^+ B through _svd(A), with A's rank and condition.
+
+    B is a vector or a matrix; every regression of the package solves here.
+    """
+    U, s, V, condition = _svd(A)
+    scale = s[:, None] if B.ndim == 2 else s
+    return V @ ((U.T @ B) / scale), s.size, condition
+
+
+def _residual(R, n, C) -> float:
+    """||Psi^T C - T^T||_F = ||R[:, :n] C - R[:, n:]||_F, exact on the factor R."""
+    return float(np.linalg.norm(R[:, :n] @ C - R[:, n:]))
+
+
 def _times_gram_pinv(X, R, n, m):
     """X G_hat^+ = m X V S^-2 V^T through the SVD of R11, with rank and condition."""
-    _, s, V, condition = _svd(R, n)
+    _, s, V, condition = _svd(R[:n, :n])
     return m * (X @ (V / s**2)) @ V.T, s.size, condition
 
 
@@ -269,12 +284,10 @@ def _fit(chunk, m, n, k, dictionary, kind):
     """
     R = _factor(chunk, m, n + k)
     # Psi^T = Q R11 and T^T = Q R12 + (orthogonal rest), so C = R11^+ R12
-    U, s, V, condition = _svd(R, n)
+    C, rank, condition = _lstsq(R[:n, :n], R[:n, n:])
     return GeneratorEstimate(
-        M=(V @ ((U.T @ R[:n, n:]) / s[:, None])).T,
-        A_hat=R[:, n:].T @ R[:, :n] / m,
-        R=R, rank=s.size, dictionary=dictionary, sample_count=m, kind=kind,
-        condition=condition,
+        M=C.T, A_hat=R[:, n:].T @ R[:, :n] / m, R=R, rank=rank, dictionary=dictionary,
+        sample_count=m, kind=kind, condition=condition,
     )
 
 

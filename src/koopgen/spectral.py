@@ -75,7 +75,9 @@ class SpectralDecomposition:
             return np.where(re > floor, 1.0 / re, np.inf)
 
     def residuals(self) -> np.ndarray:
-        """Per-eigenpair residual ||L xi_l - lambda_l xi_l||_2."""
+        """Per-eigenpair ||L xi_l - lambda_l xi_l||_2: it checks the eigensolver, not the fit.
+
+        On Duffing it reads at most 3.4e-15 where leading data residuals are 0.75-1.03."""
         R = self.generator @ self.eigenvectors - self.eigenvectors * self.eigenvalues
         return np.linalg.norm(R, axis=0)
 

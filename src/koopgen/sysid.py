@@ -14,11 +14,12 @@ import numpy as np
 
 from .dictionaries import Dictionary, Monomials
 from .errors import ClosureError, IdentificationError, InputError, UnsupportedDictionaryError, warn
-from .generator import SVD_CUTOFF, GeneratorEstimate, _actions, _factor, _fit
+from .generator import GeneratorEstimate, _actions, _factor, _fit, _lstsq, _residual
 from .models import SampleSet
 
 CLOSURE_TOL = 1e-8  # relative size of a b_i * x_j coefficient that may leave the basis
 INDEFINITE_TOL = 1e-6  # relative negative eigenvalue of a(x) that is an error
+THRESHOLD_ROUNDS = 10  # most threshold/re-solve rounds of iterative hard thresholding
 
 __all__ = [
     "IdentifiedModel",
@@ -207,29 +208,23 @@ def identify_diffusion(est: GeneratorEstimate) -> np.ndarray:
     return out
 
 
-def hard_threshold(
-    features: np.ndarray,
-    targets: np.ndarray,
-    delta: float,
-    *,
-    iterations: int = 10,
-):
+def hard_threshold(features: np.ndarray, targets: np.ndarray, delta: float):
     """Iterative hard thresholding: zero small coefficients, re-solve on support.
 
     Parameters
     ----------
     features : (m, n) ndarray
-        Design matrix (basis values at the data points), or any matrix with
-        the same column inner products together with `targets`, such as the
-        R factor columns of a streamed fit.
+        Design matrix (basis values at the data points), or any pair with the
+        same inner products of features with features and with targets, such
+        as the blocks R[:n, :n] and R[:n, n:] of a streamed fit's R factor.
     targets : (m,) or (m, k) ndarray
     delta : float
         Coefficients with magnitude below this are removed.
-    iterations : int
-        Number of threshold/re-solve rounds; stops early once every support
-        is stable (further rounds are no-ops).
 
-    Every least-squares solve cuts singular values at SVD_CUTOFF.
+    At most THRESHOLD_ROUNDS threshold/re-solve rounds run; they stop early
+    once every support is stable (further rounds are no-ops). Every
+    least-squares solve is generator._lstsq: it cuts singular values at
+    SVD_CUTOFF and warns when its design is rank deficient.
 
     Returns
     -------
@@ -239,7 +234,8 @@ def hard_threshold(
     Warns
     -----
     UserWarning
-        If the threshold empties a column's support; that column is zero.
+        If a design is rank deficient, or if the threshold empties a
+        column's support; that column is zero.
     """
     if not 0 <= delta < np.inf:
         raise InputError("threshold must be 0 or positive and finite")
@@ -249,10 +245,10 @@ def hard_threshold(
     T = targets[:, np.newaxis] if single else targets
     n = features.shape[1]
     k = T.shape[1]
-    coeffs = np.linalg.lstsq(features, T, rcond=SVD_CUTOFF)[0]
+    coeffs = _lstsq(features, T)[0]
     history = [(0, int(np.count_nonzero(coeffs)))]
     supports = [np.ones(n, dtype=bool)] * k
-    for it in range(1, iterations + 1):
+    for it in range(1, THRESHOLD_ROUNDS + 1):
         changed = False
         for col in range(k):
             keep = np.abs(coeffs[:, col]) >= delta
@@ -268,7 +264,7 @@ def hard_threshold(
                 continue
             if np.array_equal(keep, supports[col]):
                 continue
-            sub = np.linalg.lstsq(features[:, keep], T[:, col], rcond=SVD_CUTOFF)[0]
+            sub = _lstsq(features[:, keep], T[:, col])[0]
             coeffs[:, col] = 0.0
             coeffs[keep, col] = sub
             supports[col] = keep
@@ -288,19 +284,20 @@ def threshold_generator(
     """Generator estimate with hard-thresholded rows.
 
     Each row of M (the coefficients of the generator applied to one basis
-    function) is fitted by at most ten rounds of iterative hard thresholding
-    instead of a plain least-squares solve.  With ``delta=0`` this equals the
-    standard estimate.
+    function) is fitted by at most THRESHOLD_ROUNDS rounds of iterative hard
+    thresholding instead of a plain least-squares solve.  With ``delta=0``
+    this is bitwise the standard estimate.
     The fit streams the sample once; thresholding then works on the
-    (2n, 2n) R factor of [Psi^T | dPsi^T], which poses every support's
-    least-squares problem exactly, so memory does not grow with the sample.
+    blocks R11 = R[:n, :n] and R12 = R[:n, n:] of the R factor of
+    [Psi^T | dPsi^T], whose zero rows below R11 only add a constant to every
+    support's residual, so memory does not grow with the sample.
     """
     stochastic = sample.diffusion_samples is not None
     kind = ("stochastic" if stochastic else "deterministic") + "+threshold"
     n = dictionary.size
     chunk = _actions(dictionary, sample, sample.diffusion_samples)
     est = _fit(chunk, sample.count, n, n, dictionary, kind)
-    coeffs, _ = hard_threshold(est.R[:, :n], est.R[:, n:], delta)
+    coeffs, _ = hard_threshold(est.R[:n, :n], est.R[:n, n:], delta)
     return replace(est, M=coeffs.T)
 
 
@@ -335,7 +332,6 @@ def identify(
     sample: SampleSet,
     *,
     delta: float = 0.0,
-    iterations: int = 10,
     validation: SampleSet | None = None,
 ) -> IdentifiedModel:
     """Identify drift (and diffusion) directly from pointwise data.
@@ -349,10 +345,10 @@ def identify(
 
     The sample is streamed twice: the first walk fits the drift, the second
     the diffusion targets, which need the thresholded drift.  Thresholding
-    works on each walk's R factor, which also gives the residuals exactly,
-    ||Psi^T C - T^T||_F = ||R[:, :n] C - R[:, n:]||_F, so no (m, n) design
-    matrix is held.  Both walks warn on a rank-deficient Psi like every
-    streamed fit.
+    works on the blocks R[:n, :n] and R[:n, n:] of each walk's R factor,
+    which also gives the residuals exactly (generator._residual), so no
+    (m, n) design matrix is held.  Both walks warn on a rank-deficient Psi
+    like every least-squares solve.
 
     Parameters
     ----------
@@ -393,8 +389,8 @@ def identify(
         return chunk
 
     def fit(chunk_of, k):
-        R = _fit(chunk_of(sample), sample.count, n, k, dictionary, "identify").R
-        C, history = hard_threshold(R[:, :n], R[:, n:], delta, iterations=iterations)
+        R = _factor(chunk_of(sample), sample.count, n + k)
+        C, history = hard_threshold(R[:n, :n], R[:n, n:], delta)
         histories.append(history)
         return chunk_of, C, R
 
@@ -407,7 +403,7 @@ def identify(
 
     def rms(factors, count):
         fits = zip(factors, (C for _, C, _ in walks))
-        squares = sum(np.sum((R[:, :n] @ C - R[:, n:]) ** 2) for R, C in fits)
+        squares = sum(_residual(R, n, C) ** 2 for R, C in fits)
         return float(np.sqrt(squares / (count * sum(C.shape[1] for _, C, _ in walks))))
 
     residuals = {"training": rms([R for *_, R in walks], sample.count), "validation": None}

@@ -132,7 +132,7 @@ def test_criterion_03_double_well_identification():
     _check(failures, diff_err < 1e-6, f"exact diffusion error {diff_err:.2e} >= 1e-6")
 
     noisy = models.noisy_sample_set(exact, 0.1, seed=113)
-    noisy_fit = sysid.identify(basis, noisy, delta=0.1, iterations=10)
+    noisy_fit = sysid.identify(basis, noisy, delta=0.1)
     noisy_err = np.abs(noisy_fit.drift_coeffs - true_drift).max()
     _check(failures, noisy_err < 0.05, f"noisy drift error {noisy_err:.3f} >= 0.05")
     elapsed = time.perf_counter() - start
@@ -434,7 +434,7 @@ def test_criterion_10_property_suites(tmp_path):
         seed=113,
     )
     basis = Monomials(2, 4)
-    fit = sysid.identify(basis, dw_sample, delta=0.1, iterations=10)
+    fit = sysid.identify(basis, dw_sample, delta=0.1)
     grid = models.sample_uniform([[-2.0, 2.0]] * 2, 200, seed=8)
     factor = sysid.diffusion_factor(basis, fit.diffusion_coeffs, grid)
     a_clipped = factor @ np.swapaxes(factor, 1, 2)

@@ -283,7 +283,7 @@ class TestRunKinds:
             "model": {"name": "double_well"},
             "dictionary": {"type": "monomials", "degree": 4},
             "sampling": {"box": [[-2.0, 2.0], [-2.0, 2.0]], "m": 500},
-            "solver": {"delta": 0.0, "iterations": 5},
+            "solver": {"delta": 0.0},
         }
         path = write_config(tmp_path, "identify.json", config)
         out = tmp_path / "out"
@@ -303,7 +303,7 @@ class TestRunKinds:
             "model": {"name": "double_well"},
             "dictionary": {"type": "monomials", "degree": 4},
             "sampling": {"box": [[-2.0, 2.0], [-2.0, 2.0]], "m": 4000, "noise_std": 0.1},
-            "solver": {"delta": 0.1, "iterations": 10},
+            "solver": {"delta": 0.1},
         }
         path = write_config(tmp_path, "noisy.json", config)
         out = tmp_path / "out"

@@ -17,7 +17,8 @@ def _plane_sample(m):
     return models.exact_sample_set(models.double_well_2d(), points)
 
 
-# three points cannot resolve six basis functions; delta = 1e6 removes every term
+# three points cannot resolve six basis functions; a duplicated column leaves a
+# design rank deficient; delta = 1e6 removes every term
 CALLS = {
     "identify-rank": lambda: sysid.identify(Monomials(1, 5), _ou_sample(3)),
     "fit_surrogates-rank": lambda: control.fit_surrogates(
@@ -26,6 +27,9 @@ CALLS = {
     "coarse_gedmd-rank": lambda: generator.gedmd_stochastic(
         Monomials(1, 5),
         coarse_grain.reduced_sample(coarse_grain.linear_map(np.eye(2)[:1]), _plane_sample(3)),
+    ),
+    "hard_threshold-rank": lambda: sysid.hard_threshold(
+        np.repeat(np.arange(1.0, 6.0)[:, None], 2, axis=1), np.arange(5.0), 0.0
     ),
     "identify-threshold": lambda: sysid.identify(Monomials(1, 3), _ou_sample(50), delta=1e6),
 }

@@ -330,12 +330,18 @@ class TestSindyEquivalence:
         assert np.abs(ms @ values - via_generator).max() < 1e-10
         assert np.abs((ms @ values).T - sample.drift_samples).max() < 1e-8
 
+    def test_unthresholded_identify_drift_is_bitwise_the_direct_fit(self):
+        # both fold the same [Psi^T | b] and solve on its R by the same rule
+        _, basis, sample = double_well_setup(m=3000)
+        drift = sysid.identify(basis, sample).drift_coeffs
+        assert np.array_equal(drift, sysid.sindy_coefficients(basis, sample).T)
+
 
 class TestThresholdGenerator:
     def test_zero_delta_matches_plain_estimate(self):
         est, basis, sample = double_well_setup()
         thr = sysid.threshold_generator(basis, sample, 0.0)
-        assert np.allclose(thr.M, est.M, atol=1e-10)
+        assert np.array_equal(thr.M, est.M)
         assert thr.kind == "stochastic+threshold"
         assert np.allclose(thr.A_hat, est.A_hat) and np.allclose(thr.G_hat, est.G_hat)
 
