@@ -3,10 +3,15 @@
 ``koopgen run <config.json> [--out DIR] [--seed N]`` executes one experiment
 described by a JSON document and writes plot-ready CSV/JSON artifacts plus a
 manifest echoing the configuration as given with the seed in effect (defaults
-applied by the runners are not recorded), the numpy version and which
-LAPACK ("numpy" or "scipy") folded the fits; ``koopgen list [--json]``
-shows the bundled experiment configs.  Exit codes: 0 success, 1 runtime or
-configuration error, 2 usage error.
+applied by the runners are not recorded), the numpy version, which LAPACK
+("numpy" or "scipy") folded the fits and the thread count of numpy's
+OpenBLAS; ``koopgen list [--json]`` shows the bundled experiment configs.
+Exit codes: 0 success, 1 runtime or configuration error, 2 usage error.
+
+``main`` owns its process: before a run it pins numpy's OpenBLAS to one
+thread, so the output bytes do not depend on the host's core count (it
+warns, and the manifest records null threads, where numpy exports no thread
+control). Importing koopgen pins nothing.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import numpy as np
 
 from . import coarse_grain, control, generator, io, models, spectral, sysid
 from .dictionaries import GaussianBasis, LegendreBasis, Monomials
-from .errors import ConfigError, KoopgenError
+from .errors import ConfigError, KoopgenError, warn
 
 _MISSING = object()
 
@@ -482,9 +487,10 @@ def run_experiment(config: dict, out_dir, seed=None) -> dict:
         "seed": resolved["seed"],
         "config": resolved,
         "artifacts": sorted(artifacts),
-        # the output bits depend on numpy and on the LAPACK that folded R
+        # the output bits depend on numpy, on the LAPACK that folded R and on BLAS threading
         "numpy": np.__version__,
         "fold_lapack": generator.fold_lapack(),
+        "blas_threads": generator.blas_threads(),
     }
     io.write_manifest(out / "manifest.json", manifest)
     return manifest
@@ -528,6 +534,8 @@ def main(argv=None) -> int:
             for e in entries:
                 print(f"{e['name']:<{width}}  {e['kind']:<{kind_width}}  {e['description']}")
         return 0
+    if generator.blas_threads(pin=True) is None:
+        warn("numpy exports no OpenBLAS thread control; the output bits may depend on the host")
     try:
         name, config = _resolve_config(args.config)
         out_dir = Path(args.out) if args.out else Path.cwd() / name

@@ -5,9 +5,12 @@ is estimated once; the lifted state z = psi(x) then evolves by the linear
 system z' = M_u z.  Model predictive control searches exhaustively over
 short input sequences, and switching-time optimization tunes the times at
 which a fixed cyclic input sequence switches.  The propagators expm(M_u t)
-come from a numpy Pade scaling-and-squaring exponential (``_expm``) that
-takes a whole stack of matrices in one call, so the control layer needs no
-scipy.
+of prediction and switching come from a numpy Pade scaling-and-squaring
+exponential (``_expm``) that takes a whole stack of matrices in one call.
+The MPC search reads only the readout rows C expm(M_u h) ..., so it builds
+them from the exponential's action on the rows (``_expm_action``, a
+truncated Taylor series applied by matrix-vector products), never forming
+an n x n propagator.  The control layer needs no scipy.
 """
 
 from __future__ import annotations
@@ -130,6 +133,61 @@ def _expm(A):
     return F.reshape(A.shape)
 
 
+# theta_m: the largest 1-norm of A for which s steps of the degree-m truncated
+# Taylor series of exp(A / s) meet backward error 2^-53 once ||A||_1 <= s theta_m
+# (Higham & Al-Mohy, Acta Numer. 2010, Table A.3, for m <= 30; Al-Mohy & Higham,
+# SIAM J. Sci. Comput. 2011, Table 3.1, above)
+_TAYLOR_THETA = {
+    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3, 6: 9.07e-3, 7: 2.38e-2,
+    8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1, 11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1,
+    14: 5.14e-1, 15: 6.41e-1, 16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
+    21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43, 26: 2.64, 27: 2.86, 28: 3.08,
+    29: 3.31, 30: 3.54, 35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
+}
+
+
+def _expm_action(A, V):
+    """exp(A) V of a square matrix A and a vector or matrix V, from products A X only.
+
+    Al-Mohy & Higham (SIAM J. Sci. Comput. 2011), Algorithm 3.2: A is shifted
+    by mu = trace(A) / n, and exp(A - mu I) is applied as s steps of its
+    degree-m Taylor series, with (m, s) the pair of least cost m s among
+    s = ceil(||A - mu I||_1 / theta_m), m <= 55; each series stops once two
+    consecutive terms are below unit roundoff relative to the sum, and each
+    step is scaled by exp(mu / s). No n x n matrix beyond the shifted A is
+    formed, so a few columns cost O(n^2 m s) instead of _expm's O(n^3). A
+    NaN or inf A comes out NaN.
+    """
+    A = np.asarray(A, dtype=float)
+    V = np.asarray(V, dtype=float)
+    if not np.isfinite(A).all():
+        return np.full(V.shape, np.nan)
+    n = A.shape[0]
+    mu = np.trace(A) / n
+    A = A - mu * np.eye(n)
+    norm = np.abs(A).sum(axis=0).max()
+    m, s = 0, 1
+    if norm > 0:
+        m, s = min(
+            ((k, int(np.ceil(norm / theta))) for k, theta in _TAYLOR_THETA.items()),
+            key=lambda pair: pair[0] * pair[1],
+        )
+    eta = np.exp(mu / s)
+    F = V.reshape(n, -1)
+    for _ in range(s):
+        term = F
+        c1 = np.abs(term).sum(axis=1).max()
+        for j in range(m):
+            term = (1.0 / (s * (j + 1))) * (A @ term)
+            c2 = np.abs(term).sum(axis=1).max()
+            F = F + term
+            if c1 + c2 <= 2.0**-53 * np.abs(F).sum(axis=1).max():
+                break
+            c1 = c2
+        F = eta * F
+    return F.reshape(V.shape)
+
+
 @dataclass(frozen=True)
 class SurrogateFamily:
     """Per-input surrogate matrices sharing one dictionary.
@@ -190,14 +248,15 @@ class SurrogateFamily:
 
         The block of length k follows those of the shorter lengths and
         lists its sequences in itertools.product order over input indices,
-        row block (i, rest) = rows(rest) @ E_i.
+        row block (i, rest) = rows(rest) @ E_i. Each block is the action
+        (expm(M_i^T dt) rows(rest)^T)^T (``_expm_action``), so no E_i is
+        formed: n_c * depth actions on n_c**(k-1) * r columns each.
         """
         key = (float(dt), int(depth))
         if key not in self._search_rows:
-            E = [self.propagator(i, dt) for i in range(self.n_inputs)]
             level, blocks = self.readout, []
             for _ in range(depth):
-                level = np.concatenate([level @ E_i for E_i in E])
+                level = np.concatenate([_expm_action(M.T * dt, level.T).T for M in self.matrices])
                 blocks.append(level)
             self._search_rows[key] = np.concatenate(blocks)
         return self._search_rows[key]
@@ -945,6 +1004,9 @@ class BurgersPlant:
         width = self.length / 8.0
         self.chi = np.exp(-0.5 * ((self.grid - 0.5 * self.length) / width) ** 2)
         self.dimension = self.nodes
+        # indices of the periodic neighbours y[i + 1] and y[i - 1]
+        self._up = np.roll(np.arange(self.nodes), -1)
+        self._dn = np.roll(np.arange(self.nodes), 1)
 
     def check_stability(self, dt: float, y: np.ndarray):
         """Explicit-step bound: diffusion plus advection rates must fit."""
@@ -957,19 +1019,24 @@ class BurgersPlant:
 
     def rhs(self, y: np.ndarray, u) -> np.ndarray:
         """Semi-discretized right-hand side; vectorized over (R, nodes)."""
-        # periodic neighbours y[i + 1] and y[i - 1]
-        up = np.concatenate((y[..., 1:], y[..., :1]), axis=-1)
-        dn = np.concatenate((y[..., -1:], y[..., :-1]), axis=-1)
+        return self._rhs(y, self._force(u))
+
+    def _force(self, u) -> np.ndarray:
+        """u chi, one row per input when u is an array."""
+        return np.multiply.outer(np.asarray(u, dtype=float), self.chi) if np.ndim(u) else u * self.chi
+
+    def _rhs(self, y: np.ndarray, force: np.ndarray) -> np.ndarray:
+        up, dn = y.take(self._up, axis=-1), y.take(self._dn, axis=-1)
         lap = (up - 2.0 * y + dn) / self.spacing**2
         adv = y * (up - dn) / (2.0 * self.spacing)
-        force = np.multiply.outer(np.asarray(u, dtype=float), self.chi) if np.ndim(u) else u * self.chi
         return self.nu * lap - adv + force
 
-    def _rk4(self, y: np.ndarray, u, dt: float) -> np.ndarray:
-        k1 = self.rhs(y, u)
-        k2 = self.rhs(y + 0.5 * dt * k1, u)
-        k3 = self.rhs(y + 0.5 * dt * k2, u)
-        k4 = self.rhs(y + dt * k3, u)
+    def _rk4(self, y: np.ndarray, force: np.ndarray, dt: float) -> np.ndarray:
+        """One classic Runge-Kutta step under a forcing held over the step."""
+        k1 = self._rhs(y, force)
+        k2 = self._rhs(y + 0.5 * dt * k1, force)
+        k3 = self._rhs(y + 0.5 * dt * k2, force)
+        k4 = self._rhs(y + dt * k3, force)
         return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     def advance(self, states, u, h, rng=None):
@@ -977,8 +1044,9 @@ class BurgersPlant:
         nsub = max(1, int(round(h / self.dt)))
         dt = h / nsub
         self.check_stability(dt, y)
+        force = self._force(u)
         for _ in range(nsub):
-            y = self._rk4(y, u, dt)
+            y = self._rk4(y, force, dt)
         return y, y[:, np.newaxis, :]
 
     def simulate(self, y0, input_fn, T: float, dt: float | None = None):
@@ -990,7 +1058,7 @@ class BurgersPlant:
         out[0] = np.asarray(y0, dtype=float)
         for k in range(steps):
             self.check_stability(dt, out[k])
-            out[k + 1] = self._rk4(out[k], float(input_fn(k * dt)), dt)
+            out[k + 1] = self._rk4(out[k], self._force(float(input_fn(k * dt))), dt)
         return np.arange(steps + 1) * dt, out
 
     def energy(self, y: np.ndarray) -> np.ndarray:

@@ -150,6 +150,19 @@ def _actions(dictionary, sample, diffusion=None):
 _NUMPY_DTPQRT = (("scipy_dtpqrt_64_", ctypes.c_int64), ("dtpqrt_64_", ctypes.c_int64))
 
 
+# OpenBLAS's thread-count setter and getter in numpy's linalg extension, by wheel
+_NUMPY_BLAS_THREADS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+)
+
+
+@functools.cache
+def _numpy_linalg():
+    """numpy's linalg extension opened by ctypes: the LAPACK and BLAS that numpy links."""
+    return ctypes.CDLL(np.linalg._umath_linalg.__file__)
+
+
 @functools.cache
 def _dtpqrt():
     """(dtpqrt as a ctypes foreign function, its integer type, "numpy" or "scipy").
@@ -161,10 +174,9 @@ def _dtpqrt():
     threads run while it works.
     """
     signature = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 12)
-    numpy_linalg = ctypes.CDLL(np.linalg._umath_linalg.__file__)
     for symbol, integer in _NUMPY_DTPQRT:
         try:
-            address = ctypes.cast(getattr(numpy_linalg, symbol), ctypes.c_void_p).value
+            address = ctypes.cast(getattr(_numpy_linalg(), symbol), ctypes.c_void_p).value
         except AttributeError:
             continue
         return signature(address), integer, "numpy"
@@ -183,6 +195,24 @@ def _dtpqrt():
 def fold_lapack() -> str:
     """Which LAPACK folds R: "numpy" or "scipy" (see _dtpqrt); the bits of R depend on it."""
     return _dtpqrt()[2]
+
+
+def blas_threads(pin: bool = False) -> int | None:
+    """Threads of numpy's OpenBLAS, first set to one, process-wide, if ``pin``.
+
+    The bits of sums and products in BLAS depend on the thread count, and so
+    do those of every fit. None when numpy's linalg extension exports none of
+    _NUMPY_BLAS_THREADS's pairs; nothing is pinned then.
+    """
+    for setter, getter in _NUMPY_BLAS_THREADS:
+        try:
+            set_threads, get_threads = getattr(_numpy_linalg(), setter), getattr(_numpy_linalg(), getter)
+        except AttributeError:
+            continue
+        if pin:
+            set_threads(1)  # C int in, C int out: ctypes' default conversions
+        return get_threads()
+    return None
 
 
 def _fold(R, B, T, work):

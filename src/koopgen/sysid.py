@@ -243,9 +243,15 @@ def hard_threshold(features: np.ndarray, targets: np.ndarray, delta: float):
     targets = np.asarray(targets, dtype=float)
     single = targets.ndim == 1
     T = targets[:, np.newaxis] if single else targets
-    n = features.shape[1]
-    k = T.shape[1]
-    coeffs = _lstsq(features, T)[0]
+    coeffs, history = _threshold_rounds(features, T, _lstsq(features, T)[0], delta)
+    out = coeffs[:, 0] if single else coeffs
+    return out, history
+
+
+def _threshold_rounds(features, T, coeffs, delta):
+    """hard_threshold's rounds from the round-0 least-squares solution ``coeffs``
+    (n, k) of features C ~ T, which they overwrite; returns (coeffs, history)."""
+    n, k = coeffs.shape
     history = [(0, int(np.count_nonzero(coeffs)))]
     supports = [np.ones(n, dtype=bool)] * k
     for it in range(1, THRESHOLD_ROUNDS + 1):
@@ -272,8 +278,7 @@ def hard_threshold(features: np.ndarray, targets: np.ndarray, delta: float):
         history.append((it, int(np.count_nonzero(coeffs))))
         if not changed:
             break
-    out = coeffs[:, 0] if single else coeffs
-    return out, history
+    return coeffs, history
 
 
 def threshold_generator(
@@ -292,12 +297,15 @@ def threshold_generator(
     [Psi^T | dPsi^T], whose zero rows below R11 only add a constant to every
     support's residual, so memory does not grow with the sample.
     """
+    if not 0 <= delta < np.inf:
+        raise InputError("threshold must be 0 or positive and finite")
     stochastic = sample.diffusion_samples is not None
     kind = ("stochastic" if stochastic else "deterministic") + "+threshold"
     n = dictionary.size
     chunk = _actions(dictionary, sample, sample.diffusion_samples)
     est = _fit(chunk, sample.count, n, n, dictionary, kind)
-    coeffs, _ = hard_threshold(est.R[:n, :n], est.R[:n, n:], delta)
+    # the rounds start from the fit's own solve, so a rank-deficient Psi warns once
+    coeffs, _ = _threshold_rounds(est.R[:n, :n], est.R[:n, n:], est.M.T.copy(), delta)
     return replace(est, M=coeffs.T)
 
 

@@ -91,6 +91,20 @@ def full_state_sequence_costs(problem, z, t):
     return costs[:, 0]
 
 
+def propagator_readout_rows(family, dt, depth):
+    """The search rows of ``SurrogateFamily._readout_rows`` from full propagators.
+
+    Every E_i = expm(M_i dt) is formed, and the block of length k is the
+    rows of length k - 1 times each E_i, in itertools.product order.
+    """
+    E = [family.propagator(i, dt) for i in range(family.n_inputs)]
+    level, blocks = family.readout, []
+    for _ in range(depth):
+        level = np.concatenate([level @ E_i for E_i in E])
+        blocks.append(level)
+    return np.concatenate(blocks)
+
+
 def tpqrt_fold(chunks, width, block):
     """Triangular factor of the stacked (psi, T) chunks, folded one after another.
 

@@ -1,8 +1,12 @@
 """Command line front end: exit codes, validation messages, artifacts."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -190,9 +194,47 @@ class TestRun:
         assert manifest["seed"] == 1
         assert manifest["numpy"] == np.__version__
         assert manifest["fold_lapack"] == generator.fold_lapack() == "numpy"
+        assert manifest["blas_threads"] == generator.blas_threads() == 1
         for artifact in manifest["artifacts"]:
             assert (out / artifact).exists()
         capsys.readouterr()
+
+    def test_missing_blas_thread_control_warns_and_writes_null(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(generator, "_NUMPY_BLAS_THREADS", ())
+        path = write_config(tmp_path, "small.json", SMALL_SPECTRUM)
+        out = tmp_path / "artifacts"
+        with pytest.warns(UserWarning, match="no OpenBLAS thread control"):
+            assert run_cli(["run", path, "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text("utf-8"))["blas_threads"] is None
+        capsys.readouterr()
+
+    def test_outputs_do_not_depend_on_blas_threads(self, tmp_path):
+        # without main's pin these two configs differ between one and two
+        # OpenBLAS threads: slow_manifold_modes' eigenpairs by up to 1.9e-12,
+        # ou_switching's schedule and tracking by up to 4e-15
+        src = Path(cli.__file__).resolve().parents[1]
+        code = (
+            "import sys\n"
+            "from koopgen import cli, generator\n"
+            "print(generator.blas_threads())\n"  # the import pins nothing
+            "for name in ('slow_manifold_modes', 'ou_switching'):\n"
+            "    assert cli.main(['run', name, '--out', sys.argv[1] + '/' + name]) == 0\n"
+        )
+        outputs = {}
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            run = subprocess.run(
+                [sys.executable, "-c", code, str(out)], cwd=src, capture_output=True, text=True,
+                check=True, env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+            )
+            assert run.stdout.splitlines()[0] == threads
+            outputs[threads] = {
+                str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()
+            }
+        assert len(outputs["1"]) == 7
+        assert outputs["2"] == outputs["1"]
 
     def test_eigenvalue_csv_shape(self, tmp_path, capsys):
         path = write_config(tmp_path, "small.json", SMALL_SPECTRUM)

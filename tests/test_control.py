@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -222,6 +223,54 @@ class TestExpm:
         assert np.array_equal(got[1], control._expm(stack[1]))
 
 
+def _action_cases():
+    """name -> (A, V): 1-norms 0 to 300, one column and four, drawn in this order from one seed."""
+    rng = np.random.default_rng(27)
+    cases = {}
+    for norm in (0.0, 1e-8, 1e-3, 0.1, 1.0, 10.0, 100.0, 300.0):
+        B = rng.standard_normal((12, 12))
+        A = norm * B / np.abs(B).sum(axis=0).max()
+        cases[f"norm-{norm:g}-vector"] = (A, rng.standard_normal(12))
+        cases[f"norm-{norm:g}-columns"] = (A, rng.standard_normal((12, 4)))
+    return cases
+
+
+class TestExpmAction:
+    # relative Frobenius distance to _expm(A) @ V and to scipy's expm_multiply,
+    # fixed from the measured worst of these cases: 4.4e-15 from _expm on
+    # norm-100 and 4.5e-15 from expm_multiply on norm-300, both on one column
+    RTOL = 2e-14
+    # the families' worst: 2.3e-15 from _expm and 4.9e-16 from expm_multiply,
+    # on Burgers (shifted 1-norm 33 and 34, 351 x 351)
+    FAMILY_RTOL = 1e-14
+
+    def _check(self, A, V, rtol):
+        got = control._expm_action(A, V)
+        assert got.shape == V.shape
+        for want in (control._expm(A) @ V, scipy.sparse.linalg.expm_multiply(A, V)):
+            assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("name", list(_action_cases()))
+    def test_matches_expm_and_expm_multiply(self, name):
+        self._check(*_action_cases()[name], self.RTOL)
+
+    @pytest.mark.parametrize("setup", ["ou_setup", "burgers_setup"])
+    def test_surrogate_families_match(self, setup, request):
+        # the search's actions: M^T h on the readout columns, and on a few more
+        _, family = request.getfixturevalue(setup)
+        columns = np.random.default_rng(28).standard_normal((family.size, 3))
+        for M in family.matrices:
+            for V in (family.readout.T, columns):
+                self._check(M.T * 0.05, V, self.FAMILY_RTOL)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_gives_nan(self, bad):
+        A = np.eye(3)
+        A[0, 2] = bad
+        got = control._expm_action(A, np.ones((3, 2)))  # warnings are errors in the suite
+        assert got.shape == (3, 2) and np.isnan(got).all()
+
+
 class TestPredict:
     def test_zero_matrix_constant(self):
         family = _toy_family()
@@ -427,26 +476,42 @@ class TestMpc:
         assert result.inputs.shape == (40, 20)
         assert np.array_equal(result.inputs, reference.inputs)
 
-    def test_propagators_built_once_per_run(self, ou_setup, monkeypatch):
+    def test_search_rows_built_once_per_h_and_q(self, ou_setup, monkeypatch):
         _, trained = ou_setup
         family = SurrogateFamily(
             inputs=trained.inputs, matrices=trained.matrices,
             dictionary=trained.dictionary, readout=trained.readout,
         )
-        original = SurrogateFamily.propagator
         calls = []
 
-        def counting(self, index, dt):
-            calls.append((index, dt))
-            return original(self, index, dt)
+        def counting(name, original):
+            def wrapper(*args):
+                calls.append(name)
+                return original(*args)
+            return wrapper
 
-        monkeypatch.setattr(SurrogateFamily, "propagator", counting)
+        monkeypatch.setattr(control, "_expm_action", counting("action", control._expm_action))
+        monkeypatch.setattr(control, "_expm", counting("expm", control._expm))
+        monkeypatch.setattr(
+            SurrogateFamily, "propagator", counting("propagator", SurrogateFamily.propagator)
+        )
         problem = ControlProblem(
             surrogates=family, reference=lambda t: np.array([1.0]),
             horizon=(0.0, 1.0), h=0.05, q=3,
         )
         mpc(problem, ControlledOUPlant(), np.zeros((4, 1)), seed=2)
-        assert sorted(calls) == [(i, 0.05) for i in range(family.n_inputs)]
+        # one action per input and depth, and no n x n propagator
+        assert calls == ["action"] * (family.n_inputs * problem.q)
+
+    @pytest.mark.parametrize("setup, depth", [("ou_setup", 3), ("burgers_setup", 2)])
+    def test_search_rows_match_propagator_rows(self, setup, depth, request):
+        # relative Frobenius distance, fixed from the measured 6.0e-16 (OU, 13
+        # wide, q = 3) and 2.7e-15 (Burgers, 351 wide, q = 2)
+        _, family = request.getfixturevalue(setup)
+        got = family._readout_rows(0.05, depth)
+        want = helpers.propagator_readout_rows(family, 0.05, depth)
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
     def test_cost_gaps_match_enumeration(self):
         family = _three_input_family(8, np.eye(3)[1:2])

@@ -161,6 +161,9 @@ class TestHardThreshold:
     def test_negative_delta_rejected(self, rng):
         with pytest.raises(InputError):
             sysid.hard_threshold(np.eye(3), np.ones(3), -0.1)
+        sample = models.exact_sample_set(models.ornstein_uhlenbeck(), np.linspace(-1.0, 1.0, 9)[:, None])
+        with pytest.raises(InputError, match="threshold must be"):
+            sysid.threshold_generator(Monomials(1, 2), sample, np.nan)
 
     def test_deterministic(self, rng):
         features = rng.standard_normal((50, 6))
@@ -344,6 +347,18 @@ class TestThresholdGenerator:
         assert np.array_equal(thr.M, est.M)
         assert thr.kind == "stochastic+threshold"
         assert np.allclose(thr.A_hat, est.A_hat) and np.allclose(thr.G_hat, est.G_hat)
+
+    def test_rank_deficient_fit_warns_once(self):
+        # six monomials on three points: the rounds start from the fit's solve,
+        # so the one rank-deficient Psi gives one warning, not one per solve
+        sample = models.exact_sample_set(models.ornstein_uhlenbeck(), np.array([[-1.0], [0.2], [0.9]]))
+        with pytest.warns(UserWarning) as records:
+            thr = sysid.threshold_generator(Monomials(1, 5), sample, 0.0)
+        assert [str(r.message) for r in records] == ["least-squares matrix is rank deficient (3 < 6); "
+                                                     "solution restricted to the resolved subspace"]
+        with pytest.warns(UserWarning, match="rank deficient"):
+            plain = generator.gedmd_stochastic(Monomials(1, 5), sample)
+        assert np.array_equal(thr.M, plain.M)
 
     def test_threshold_sparsifies_rows(self):
         est, basis, sample = double_well_setup()
