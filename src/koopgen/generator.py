@@ -15,7 +15,9 @@ the lagged points for EDMD, the drift for SINDy). Only the walker splits
 samples, min(CHUNK, PANEL_ENTRIES // (n + k)) points at a time (at least
 one), so no dictionary call sees more than CHUNK points and memory is
 O((n + k)^2 + PANEL_ENTRIES * d) whatever the sample count m and the basis
-width; no (n, m) value matrix or (n, m, d, d) Hessian tensor is stored.
+width: a panel holds at most 1 MB, and every fit wider than 128 columns
+takes fewer than CHUNK points a chunk. No (n, m) value matrix or
+(n, m, d, d) Hessian tensor is stored.
 Per chunk the fit folds the chunk into the triangular factor R of
 [Psi^T | T^T] with LAPACK's triangular-pentagonal QR dtpqrt, which factors
 R on top of the chunk without touching R's zero lower triangle (sequential
@@ -38,16 +40,23 @@ R is the one statistic of the data, and every estimate keeps it:
 every v. Any fit on a subset of columns, and its residual
 ||Psi^T C - T^T||_F = ||R[:, :n] C - R[:, n:]||_F, is therefore exact on the
 n + k rows of R instead of the m rows of the data (_residual). With
-R = [[R11, R12], [0, R22]] and the SVD R11 = U S V^T under the relative
-cutoff SVD_CUTOFF, the coefficients are C = R11^+ R12 (_lstsq, the one
-least-squares rule of the package); for gEDMD M^T = C, the least-squares
-solution M = dPsi Psi^+. The Galerkin matrices are read off R too: G_hat =
-R[:, :n]^T R[:, :n] / m = R11^T R11 / m, A_hat = R[:, n:]^T R[:, :n] / m,
-and G_hat^+ = m V S^-2 V^T. Every product X G_hat^+ goes through that SVD,
-never through G_hat, whose condition number is the square of Psi's: the
-reversible estimate M = A_hat G_hat^+, whose symmetric A_hat =
--(1/2m) sum_l grad Psi a grad Psi^T needs no Hessians, and the
-Perron-Frobenius adjoint M* = A_hat^T G_hat^+ of any estimate.
+R = [[R11, R12], [0, R22]], the coefficients are C = R11^+ R12 (_lstsq, the
+one least-squares rule of the package); for gEDMD M^T = C, the
+least-squares solution M = dPsi Psi^+. Rank and condition come from the
+singular values of R11 under the relative cutoff SVD_CUTOFF. At full rank
+C is one back substitution, R11 C = R12, by LAPACK's dtrtrs (the QR
+least-squares solve; Golub & Van Loan, Matrix Computations, 5.3), taken
+from the same LAPACK as dtpqrt; below it C = V S^-1 U^T R12 through the
+SVD R11 = U S V^T, restricted to the resolved subspace. The Galerkin
+matrices are read off R too: G_hat = R[:, :n]^T R[:, :n] / m =
+R11^T R11 / m, A_hat = R[:, n:]^T R[:, :n] / m, and G_hat^+ =
+m R11^-1 R11^-T at full rank, m V S^-2 V^T below it. Every product
+X G_hat^+ goes through R11 by the same rule (_times_gram_pinv: two
+triangular solves, or that SVD), never through G_hat, whose condition
+number is the square of Psi's: the reversible estimate M = A_hat G_hat^+,
+whose symmetric A_hat = -(1/2m) sum_l grad Psi a grad Psi^T needs no
+Hessians, and the Perron-Frobenius adjoint M* = A_hat^T G_hat^+ of any
+estimate.
 """
 
 from __future__ import annotations
@@ -76,7 +85,7 @@ __all__ = [
 ]
 
 CHUNK = 1024  # most points per chunk; fixed, so reruns are bitwise identical
-PANEL_ENTRIES = 1 << 18  # most entries per chunk of a wide fit (a 2 MB float64 panel)
+PANEL_ENTRIES = 1 << 17  # most entries per chunk of a wide fit (a 1 MB float64 panel)
 TPQRT_BLOCK = 16  # block size of dtpqrt's compact-WY reflectors
 SVD_CUTOFF = 1e-10  # relative singular-value cutoff of every least-squares fit
 LOG_BRANCH_TOL = 1e-12  # relative distance below which K_hat eigenvalues sit on the log cut
@@ -145,9 +154,16 @@ def _actions(dictionary, sample, diffusion=None):
     return lambda sl: dictionary.generator_action(x[sl], b[sl], None if a is None else a[sl])
 
 
-# dtpqrt's symbols in numpy's linalg extension and the integer type each takes:
-# numpy 2 wheels export the ILP64 OpenBLAS with a scipy_ prefix
-_NUMPY_DTPQRT = (("scipy_dtpqrt_64_", ctypes.c_int64), ("dtpqrt_64_", ctypes.c_int64))
+# the symbols of a LAPACK routine in numpy's linalg extension and the integer type
+# each takes: numpy 2 wheels export the ILP64 OpenBLAS with a scipy_ prefix
+_NUMPY_LAPACK = (("scipy_{}_64_", ctypes.c_int64), ("{}_64_", ctypes.c_int64))
+
+# the arguments of each LAPACK routine called here: pointers, except the
+# character flags, whose lengths Fortran takes as hidden trailing arguments
+_LAPACK_ARGUMENTS = {
+    "dtpqrt": [ctypes.c_void_p] * 12,
+    "dtrtrs": [ctypes.c_char_p] * 3 + [ctypes.c_void_p] * 7 + [ctypes.c_size_t] * 3,
+}
 
 
 # OpenBLAS's thread-count setter and getter in numpy's linalg extension, by wheel
@@ -164,25 +180,25 @@ def _numpy_linalg():
 
 
 @functools.cache
-def _dtpqrt():
-    """(dtpqrt as a ctypes foreign function, its integer type, "numpy" or "scipy").
+def _lapack(routine):
+    """(LAPACK `routine` as a ctypes foreign function, its integer type, "numpy" or "scipy").
 
-    Resolved once, at the first fold: from the LAPACK that numpy links, under
-    the first of _NUMPY_DTPQRT's symbols that numpy's linalg extension exports,
-    else from scipy's Cython LAPACK table with 32-bit integers. Every argument
-    is a pointer. A ctypes foreign call releases the GIL, so other Python
-    threads run while it works.
+    Resolved once per routine, at its first call: from the LAPACK that numpy
+    links, under the first of _NUMPY_LAPACK's symbols that numpy's linalg
+    extension exports, else from scipy's Cython LAPACK table with 32-bit
+    integers. The arguments are _LAPACK_ARGUMENTS[routine]. A ctypes foreign
+    call releases the GIL, so other Python threads run while it works.
     """
-    signature = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 12)
-    for symbol, integer in _NUMPY_DTPQRT:
+    signature = ctypes.CFUNCTYPE(None, *_LAPACK_ARGUMENTS[routine])
+    for pattern, integer in _NUMPY_LAPACK:
         try:
-            address = ctypes.cast(getattr(_numpy_linalg(), symbol), ctypes.c_void_p).value
+            function = getattr(_numpy_linalg(), pattern.format(routine))
         except AttributeError:
             continue
-        return signature(address), integer, "numpy"
+        return signature(ctypes.cast(function, ctypes.c_void_p).value), integer, "numpy"
     from scipy.linalg import cython_lapack
 
-    capsule = cython_lapack.__pyx_capi__["dtpqrt"]
+    capsule = cython_lapack.__pyx_capi__[routine]
     get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
         ("PyCapsule_GetName", ctypes.pythonapi)
     )
@@ -193,8 +209,8 @@ def _dtpqrt():
 
 
 def fold_lapack() -> str:
-    """Which LAPACK folds R: "numpy" or "scipy" (see _dtpqrt); the bits of R depend on it."""
-    return _dtpqrt()[2]
+    """Which LAPACK folds R: "numpy" or "scipy" (see _lapack); the bits of R depend on it."""
+    return _lapack("dtpqrt")[2]
 
 
 def blas_threads(pin: bool = False) -> int | None:
@@ -228,7 +244,7 @@ def _fold(R, B, T, work):
         R.shape != (width, width) or T.shape[1] != width or work.size < nb * width
     ):
         raise ValueError("dtpqrt needs Fortran-ordered float64 arrays of matching sizes")
-    dtpqrt, integer, _ = _dtpqrt()
+    dtpqrt, integer, _ = _lapack("dtpqrt")
     info = integer()
 
     def ref(value):
@@ -286,11 +302,49 @@ def _svd(A):
     return U[:, :rank], s[:rank], Vt[:rank].T, condition
 
 
-def _lstsq(A, B):
-    """Least-squares solution C = A^+ B through _svd(A), with A's rank and condition.
+def _full_rank_triangular(A):
+    """Condition s_0 / s_-1 of a square upper-triangular A that has full rank under
+    the SVD_CUTOFF rule, from A's singular values alone; None for any other A."""
+    n = A.shape[1]
+    if A.shape[0] != n or not n or np.tril(A, -1).any():
+        return None
+    s = np.linalg.svd(A, compute_uv=False)
+    return float(s[0] / s[-1]) if s[-1] > SVD_CUTOFF * s[0] else None
 
-    B is a vector or a matrix; every regression of the package solves here.
+
+def _trtrs(A, B, trans=b"N"):
+    """X with A X = B (trans b"N") or A^T X = B (b"T") by LAPACK's dtrtrs, for a
+    square upper-triangular A of full rank; B, a vector or a matrix, is kept."""
+    n = A.shape[0]
+    # a column-major A, such as R11 inside the factor R, is read in place
+    if A.dtype != np.float64 or A.strides[0] != 8 or A.strides[1] < 8 * n:
+        A = np.asfortranarray(A, dtype=np.float64)
+    X = np.array(B.reshape(n, -1), dtype=np.float64, order="F")
+    dtrtrs, integer, _ = _lapack("dtrtrs")
+    info = integer()
+
+    def ref(value):
+        return ctypes.byref(integer(value))
+
+    dtrtrs(b"U", trans, b"N", ref(n), ref(X.shape[1]), A.ctypes.data,
+           ref(max(A.strides[1] // 8, 1)), X.ctypes.data, ref(max(n, 1)),
+           ctypes.byref(info), 1, 1, 1)
+    if info.value:
+        raise NumericalError(f"dtrtrs failed with info = {info.value}")
+    return X.reshape(B.shape)
+
+
+def _lstsq(A, B):
+    """Least-squares solution C = A^+ B, with A's rank and condition.
+
+    B is a vector or a matrix; every regression of the package solves here. A
+    square upper-triangular A of full rank (R11 of a fit) is solved by back
+    substitution, its rank and condition taken from its singular values
+    alone; any other A, and a rank-deficient one, through _svd(A).
     """
+    condition = _full_rank_triangular(A)
+    if condition is not None:
+        return _trtrs(A, B), A.shape[1], condition
     U, s, V, condition = _svd(A)
     scale = s[:, None] if B.ndim == 2 else s
     return V @ ((U.T @ B) / scale), s.size, condition
@@ -302,8 +356,14 @@ def _residual(R, n, C) -> float:
 
 
 def _times_gram_pinv(X, R, n, m):
-    """X G_hat^+ = m X V S^-2 V^T through the SVD of R11, with rank and condition."""
-    _, s, V, condition = _svd(R[:n, :n])
+    """X G_hat^+ with rank and condition, under _lstsq's rule for R11: m X R11^-1 R11^-T
+    by two triangular solves at full rank, else m X V S^-2 V^T through the SVD of R11."""
+    R11 = R[:n, :n]
+    condition = _full_rank_triangular(R11)
+    if condition is not None:
+        # (X R11^-1)^T solves R11^T Y = X^T, and (X R11^-1 R11^-T)^T solves R11 Z = Y
+        return m * _trtrs(R11, _trtrs(R11, X.T, b"T")).T, n, condition
+    _, s, V, condition = _svd(R11)
     return m * (X @ (V / s**2)) @ V.T, s.size, condition
 
 
@@ -359,8 +419,8 @@ def gedmd_reversible(dictionary: Dictionary, sample: SampleSet) -> GeneratorEsti
     a = sigma sigma^T on the sample set, exact or Kramers-Moyal estimates;
     A_hat is symmetrized, so it is symmetric to the last bit. The walk
     streams Psi alone (no targets) into R, and M = A_hat G_hat^+ is taken
-    through the SVD of R11, so the cutoff and rank are those of Psi, as for
-    the other estimators, not those of G_hat.
+    through R11 (_times_gram_pinv), so the cutoff and rank are those of Psi,
+    as for the other estimators, not those of G_hat.
     """
     if sample.diffusion_samples is None:
         raise InputError("gedmd_reversible needs diffusion samples on the sample set")
@@ -389,9 +449,10 @@ def perron_frobenius_estimate(est: GeneratorEstimate) -> GeneratorEstimate:
     """Adjoint (Perron-Frobenius) generator, M* = A_hat^T G_hat^+.
 
     Built from the A_hat and R of a Koopman estimate; the returned object's
-    `L` is the coefficient action on densities. G_hat^+ is taken through the
-    SVD of R11 under the rank rule of the fit, so the adjoint keeps the
-    estimate's rank, that of Psi, and shares its R, rank and condition.
+    `L` is the coefficient action on densities. G_hat^+ is taken through
+    R11 under the rank rule of the fit (_times_gram_pinv), so the adjoint
+    keeps the estimate's rank, that of Psi, and shares its R, rank and
+    condition.
     """
     n = est.M.shape[1]
     M = _times_gram_pinv(est.A_hat.T, est.R, n, est.sample_count)[0]

@@ -1,9 +1,23 @@
+import os
+import sys
 import time
 
-import numpy as np
-import pytest
+# Both OpenBLAS libraries run at one thread for the whole session, so the bits
+# of a test do not depend on the tests run before it (cli.main pins numpy's for
+# good).  scipy's library reads this variable when it loads, after this file;
+# numpy's is already loaded here and is pinned in pytest_configure.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+assert "scipy.linalg" not in sys.modules, "scipy's OpenBLAS loaded before the thread pin"
 
-from koopgen.control import BurgersPlant, ControlProblem, fit_surrogates, mpc
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from koopgen import generator  # noqa: E402
+from koopgen.control import BurgersPlant, ControlProblem, fit_surrogates, mpc  # noqa: E402
+
+
+def pytest_configure(config):
+    assert generator.blas_threads(pin=True) in (1, None)
 from koopgen.dictionaries import Monomials
 
 

@@ -121,3 +121,16 @@ def tpqrt_fold(chunks, width, block):
             0, min(block, width), R, B, overwrite_a=1, overwrite_b=1
         )[0]
     return R
+
+
+def svd_lstsq(A, B, cutoff):
+    """Least-squares solution A^+ B through the thin SVD of A, with rank and condition.
+
+    Singular values at or below ``cutoff`` times the largest are dropped.  The
+    reference for generator._lstsq, which solves a full-rank triangular A by
+    back substitution; the condition is s_0 / s_rank.
+    """
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    rank = int(np.count_nonzero(s > cutoff * s[0]))
+    scale = s[:rank, None] if B.ndim == 2 else s[:rank]
+    return Vt[:rank].T @ ((U[:, :rank].T @ B) / scale), rank, s[0] / s[rank - 1]

@@ -37,6 +37,7 @@ from koopgen.models import (
     SampleSet,
     analytic_ou_generator,
     double_well_2d,
+    duffing_oscillator,
     exact_sample_set,
     integrate_em,
     kramers_moyal,
@@ -44,6 +45,7 @@ from koopgen.models import (
     ou_invariant_density,
     sample_uniform,
     slow_manifold_system,
+    stratonovich_to_ito,
 )
 
 
@@ -430,7 +432,7 @@ def test_streaming_fit_matches_dense_lstsq_under_permutation(m, seed):
 @pytest.mark.parametrize(
     "chunk, panel_entries",
     [pytest.param(c, generator.PANEL_ENTRIES, id=str(c)) for c in (1, 7, 97, 500, CHUNK)]
-    # width-20 fits take 97-point panels, as fits wider than 256 take fewer than CHUNK
+    # width-20 fits take 97-point panels, as fits wider than 128 take fewer than CHUNK
     + [pytest.param(CHUNK, 97 * 20, id="panel-bound")],
 )
 def test_streaming_fit_is_chunk_size_invariant(monkeypatch, chunk, panel_entries):
@@ -471,6 +473,11 @@ def test_factor_is_triangular_factor_of_stacked_matrix(monkeypatch, m, n, k, chu
         R[0, 0] = 1.0
 
 
+def _panel_rows(width):
+    """Points per panel of a width-`width` fit: the walk's row rule."""
+    return min(CHUNK, generator.PANEL_ENTRIES // width)
+
+
 @pytest.mark.parametrize("width, k", [(6, 0), (6, 3), (140, 0), (140, 70)])
 @pytest.mark.parametrize("m", [3, 2 * CHUNK + 52])  # m < width; a short last chunk
 @pytest.mark.parametrize("order", ["C", "F"])
@@ -485,31 +492,41 @@ def test_factor_is_bitwise_the_sequential_fold(width, k, m, order):
             Y = np.ascontiguousarray(Y)
         return Y[:n], Y[n:]
 
-    chunks = (chunk(slice(i, i + CHUNK)) for i in range(0, m, CHUNK))
+    rows = _panel_rows(width)
+    chunks = (chunk(slice(i, i + rows)) for i in range(0, m, rows))
     want = helpers.tpqrt_fold(chunks, width, generator.TPQRT_BLOCK)
     assert np.array_equal(generator._factor(chunk, m, width), want)
 
 
 def test_fold_falls_back_to_scipys_lapack(monkeypatch):
-    # numpy's wheel exports dtpqrt with 64-bit integers; without it the fold takes
-    # scipy's Cython table with 32-bit ones, and the same LAPACK code gives the same R
+    # numpy's wheel exports dtpqrt and dtrtrs with 64-bit integers; without them the
+    # fit takes scipy's Cython table with 32-bit ones, and the same LAPACK code gives
+    # the same R and the same back substitution
     width, k, m = 140, 70, 2 * CHUNK + 52
+    n = width - k
     X = np.random.default_rng(width + k + m).standard_normal((m, width))
 
     def chunk(sl):
-        return X[sl, : width - k].T, X[sl, width - k :].T
+        return X[sl, :n].T, X[sl, n:].T
 
-    assert generator._dtpqrt()[1:] == (ctypes.c_int64, "numpy")
-    want = generator._factor(chunk, m, width)
-    monkeypatch.setattr(generator, "_NUMPY_DTPQRT", ())
-    generator._dtpqrt.cache_clear()
+    def fit():
+        R = generator._factor(chunk, m, width)
+        return R, generator._lstsq(R[:n, :n], R[:n, n:])[0]
+
+    for routine in ("dtpqrt", "dtrtrs"):
+        assert generator._lapack(routine)[1:] == (ctypes.c_int64, "numpy")
+    want = fit()
+    monkeypatch.setattr(generator, "_NUMPY_LAPACK", ())
+    generator._lapack.cache_clear()
     try:
-        assert generator._dtpqrt()[1:] == (ctypes.c_int, "scipy")
+        got = fit()
+        for routine in ("dtpqrt", "dtrtrs"):
+            assert generator._lapack(routine)[1:] == (ctypes.c_int, "scipy")
         assert generator.fold_lapack() == "scipy"
-        got = generator._factor(chunk, m, width)
     finally:
-        generator._dtpqrt.cache_clear()
-    assert np.array_equal(got, want)
+        generator._lapack.cache_clear()
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
 
 
 def test_wide_fit_panels_hold_at_most_panel_entries(monkeypatch):
@@ -524,11 +541,13 @@ def test_wide_fit_panels_hold_at_most_panel_entries(monkeypatch):
 
     monkeypatch.setattr(generator, "_fold", spying)
     R = gedmd_deterministic(basis, sample).R
-    assert [rows for rows, _ in panels] == [373, 373, 54]
+    rows = _panel_rows(702)
+    expected = [rows] * (800 // rows) + [800 % rows]
+    assert [rows for rows, _ in panels] == expected
     assert all(rows * width <= generator.PANEL_ENTRIES for rows, width in panels)
     monkeypatch.setattr(generator, "PANEL_ENTRIES", 800 * 702)
     one_panel = gedmd_deterministic(basis, sample).R
-    assert panels[3:] == [(800, 702)]
+    assert panels[len(expected) :] == [(800, 702)]
     # Psi has full rank 351, so R's first 351 rows are unique up to their signs; dPsi lies
     # partly in Psi's span, so the rank-deficient rest is unique only through R^T R
     n = basis.size
@@ -590,6 +609,83 @@ def test_factor_leaves_chunk_arrays_unchanged(monkeypatch):
     for n in (5, 9):
         generator._factor(lambda sl: (values[:n, sl], values[n:, sl]), 50, 9)
         assert np.array_equal(values, before)
+
+
+def _spy_svds(monkeypatch):
+    """Record compute_uv of every np.linalg.svd call from here on."""
+    svd, calls = np.linalg.svd, []
+
+    def spying(a, *args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spying)
+    return calls
+
+
+def _duffing_fit():
+    model = stratonovich_to_ito(duffing_oscillator(-1.1, 1.1, 0.05))
+    sample = exact_sample_set(model, sample_uniform([[-2.0, 2.0]] * 2, 3000, seed=11))
+    return Monomials(2, 4), sample, gedmd_stochastic
+
+
+def _burgers_fit():
+    sample = BurgersPlant().sample_set(-0.025, 800, seed=21, amplitude=0.1)
+    return Monomials(25, 2), sample, gedmd_deterministic
+
+
+@pytest.mark.parametrize(
+    "setup",
+    [lambda: (Monomials(1, 10), ou_sample(), gedmd_stochastic), _duffing_fit, _burgers_fit],
+    ids=["ou", "duffing", "burgers"],
+)
+def test_full_rank_r11_is_solved_by_back_substitution(monkeypatch, setup):
+    # cond(R11) = 1.2e4, 30 and 2.0e3; against the SVD solves C moved by at most
+    # 1.7e-14 and A_hat^T G_hat^+ by at most 3.7e-14 relative, the condition by 9e-16
+    basis, sample, fit = setup()
+    calls = _spy_svds(monkeypatch)
+    est = fit(basis, sample)
+    pf = perron_frobenius_estimate(est)
+    assert calls == [False, False]  # singular values alone, once per R11 rule
+    n, m, R = basis.size, sample.count, est.R
+    want, rank, condition = helpers.svd_lstsq(R[:n, :n], R[:n, n:], generator.SVD_CUTOFF)
+    assert est.rank == pf.rank == rank == n
+    assert est.condition == pytest.approx(condition, rel=1e-14)
+    assert np.linalg.norm(est.M.T - want) <= 1e-13 * np.linalg.norm(want)
+    # A_hat^T G_hat^+ = m A_hat^T V S^-2 V^T through the full SVD R11 = U S V^T
+    _, s, Vt = np.linalg.svd(R[:n, :n])
+    adjoint = m * (est.A_hat.T @ (Vt.T / s**2)) @ Vt
+    assert np.linalg.norm(pf.M - adjoint) <= 2e-13 * np.linalg.norm(adjoint)
+
+
+def test_rank_deficient_r11_keeps_the_svd_solve(monkeypatch):
+    # six monomials on three points: R11's last three rows are zero up to rounding
+    sample = exact_sample_set(ornstein_uhlenbeck(), np.array([[-1.0], [0.2], [0.9]]))
+    calls = _spy_svds(monkeypatch)
+    with pytest.warns(UserWarning) as records:
+        est = gedmd_stochastic(Monomials(1, 5), sample)
+    assert [str(r.message) for r in records] == [
+        "least-squares matrix is rank deficient (3 < 6); solution restricted to the resolved subspace"
+    ]
+    assert calls == [False, True]
+    R = est.R
+    want, rank, condition = helpers.svd_lstsq(R[:6, :6], R[:6, 6:], generator.SVD_CUTOFF)
+    assert est.rank == rank == 3
+    assert est.condition == condition
+    assert np.array_equal(est.M.T, want)
+
+
+@pytest.mark.parametrize(
+    "A",
+    [np.array([[2.0, 1.0], [1.0, 3.0]]), np.array([[2.0, 1.0], [0.0, 3.0], [0.0, 0.0]])],
+    ids=["square-not-triangular", "not-square"],
+)
+def test_other_designs_keep_the_svd_solve(monkeypatch, A):
+    calls = _spy_svds(monkeypatch)
+    C, rank, _ = generator._lstsq(A, np.ones(A.shape[0]))
+    assert calls == [True]
+    assert rank == 2
+    assert np.array_equal(C, helpers.svd_lstsq(A, np.ones(A.shape[0]), generator.SVD_CUTOFF)[0])
 
 
 def test_condition_is_that_of_psi():
