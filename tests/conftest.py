@@ -14,11 +14,11 @@ import pytest  # noqa: E402
 
 from koopgen import generator  # noqa: E402
 from koopgen.control import BurgersPlant, ControlProblem, fit_surrogates, mpc  # noqa: E402
+from koopgen.dictionaries import Monomials  # noqa: E402
 
 
 def pytest_configure(config):
     assert generator.blas_threads(pin=True) in (1, None)
-from koopgen.dictionaries import Monomials
 
 
 def fd_gradient(dictionary, points, step=1e-5):

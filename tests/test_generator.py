@@ -541,8 +541,8 @@ def test_wide_fit_panels_hold_at_most_panel_entries(monkeypatch):
 
     monkeypatch.setattr(generator, "_fold", spying)
     R = gedmd_deterministic(basis, sample).R
-    rows = _panel_rows(702)
-    expected = [rows] * (800 // rows) + [800 % rows]
+    per_panel = _panel_rows(702)
+    expected = [min(per_panel, 800 - start) for start in range(0, 800, per_panel)]
     assert [rows for rows, _ in panels] == expected
     assert all(rows * width <= generator.PANEL_ENTRIES for rows, width in panels)
     monkeypatch.setattr(generator, "PANEL_ENTRIES", 800 * 702)
