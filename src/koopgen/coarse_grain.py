@@ -247,9 +247,9 @@ def force_matching(
     if m == 0:
         raise InputError("every sample was excluded; force matching has no data")
     z = cg_map(sample.points[kept])
+    values = reduced_basis._chunk_evaluate()
     est = _fit(
-        lambda sl: (reduced_basis.values(z[sl]), targets[sl].T), m, n, 1, reduced_basis,
-        "force-matching",
+        lambda sl: (values(z[sl]), targets[sl].T), m, n, 1, reduced_basis, "force-matching"
     )
     return ForceMatchResult(
         gradient_coeffs=est.M[0],
@@ -273,11 +273,13 @@ def _stiffness_designs(
     """
     z = np.asarray(points, dtype=float)
     m = z.shape[0]
+    evaluate = reduced_dict._chunk_evaluate(gradients=True)
+    values = diffusion_basis._chunk_evaluate()
 
     def chunk_sums(sl):
-        grads = reduced_dict.evaluate(z[sl]).gradients  # (n, chunk, p)
+        grads = evaluate(z[sl])[1]  # (n, chunk, p)
         g = grads.reshape(grads.shape[0], -1)
-        chi = diffusion_basis.values(z[sl])  # (n_t, chunk)
+        chi = values(z[sl])  # (n_t, chunk)
         return np.stack([(g * np.repeat(c, grads.shape[2])) @ g.T for c in chi])
 
     return -0.5 / m * sum(_walk(m, reduced_dict.size, chunk_sums))

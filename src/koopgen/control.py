@@ -938,10 +938,12 @@ class ControlledOUPlant:
         amp = np.sqrt(2.0 / self.beta * dt) if self.noise else 0.0
         u_col = np.broadcast_to(np.asarray(u, dtype=float), (x.shape[0],))[:, None]
         window = np.empty((x.shape[0], nsub, 1))
+        # one draw for every sub-step: the Generator stream of nsub draws of x.shape
+        noise = amp * rng.standard_normal((nsub,) + x.shape) if self.noise else None
         for k in range(nsub):
             x = x + (-self.alpha * (x - u_col)) * dt
             if self.noise:
-                x = x + amp * rng.standard_normal(x.shape)
+                x = x + noise[k]
             window[:, k, :] = x
         return x, window if self.noise else x[:, np.newaxis, :]
 
@@ -950,7 +952,7 @@ class ControlledOUPlant:
         from .models import sample_uniform
 
         points = sample_uniform(box, m, seed=seed)
-        a = np.full((m, 1, 1), 2.0 / self.beta) if self.noise else None
+        a = np.broadcast_to(np.full((1, 1), 2.0 / self.beta), (m, 1, 1)) if self.noise else None
         return SampleSet(
             points=points, drift_samples=-self.alpha * (points - u), diffusion_samples=a
         )

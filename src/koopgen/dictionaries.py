@@ -18,7 +18,11 @@ Conventions
   temporaries grow with m; a point's results do not depend on the points
   evaluated with it. The estimators bound m by the panel rule of
   ``generator._walk``: at most ``CHUNK`` points and, for a fit of width w,
-  at most ``PANEL_ENTRIES // w`` points (at least one).
+  at most ``PANEL_ENTRIES // w`` points (at least one). A walk evaluates
+  a tensor basis chunk after chunk in one block of work arrays, allocated
+  at its first chunk and refilled for the rest (``_chunk_evaluate`` and
+  ``_chunk_action``); Gaussian bases, and Hessians, are allocated afresh on
+  every call.
 * Polynomial-type dictionaries order their terms by total degree first
   (constant term first) and lexicographically descending within a degree,
   so for d = 2: 1, x1, x2, x1^2, x1*x2, x2^2, ...
@@ -33,6 +37,7 @@ Conventions
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +54,8 @@ __all__ = [
     "evaluate",
     "dictionary_from_spec",
 ]
+
+LEVEL_BLOCK = 64  # most rows of a plan level that a tensor basis gathers at once
 
 
 @dataclass(frozen=True)
@@ -113,6 +120,27 @@ def _action_coefficients(drift, diffusion, shape):
     return b, a
 
 
+class _Work:
+    """One float64 block split into named buffers, for arrays refilled chunk after chunk.
+
+    ``sizes`` maps each name to its entries; ``view(name, shape)`` is the
+    leading prod(shape) entries of that buffer as a C-ordered array, so a
+    shorter chunk reuses the buffers of a longer one.
+    """
+
+    def __init__(self, sizes: dict):
+        self.sizes = sizes
+        self._block = np.empty(sum(sizes.values()))
+        self._start = dict(zip(sizes, itertools.accumulate(sizes.values(), initial=0)))
+
+    def holds(self, sizes: dict) -> bool:
+        return all(size <= self.sizes.get(name, -1) for name, size in sizes.items())
+
+    def view(self, name, shape):
+        start = self._start[name]
+        return self._block[start : start + math.prod(shape)].reshape(shape)
+
+
 def _graded_exponents(dimension: int, max_degree: int) -> np.ndarray:
     """Exponent tuples sorted by total degree, descending lex within a degree."""
     # a degree-k monomial is a k-multiset of coordinates; multisets in
@@ -169,6 +197,28 @@ class Dictionary:
         """
         raise NotImplementedError
 
+    def _chunk_evaluate(self, gradients=False):
+        """:meth:`values` (or, with ``gradients``, the values and gradients of
+        :meth:`evaluate`) for the consecutive chunks of one walk.
+
+        The arrays returned for a chunk may be overwritten by the next call,
+        and no chunk may be longer than the first. Tensor bases refill work
+        arrays allocated at the first chunk; here every call allocates.
+        """
+        if not gradients:
+            return self.values
+
+        def evaluate(points):
+            block = self.evaluate(points)
+            return block.values, block.gradients
+
+        return evaluate
+
+    def _chunk_action(self):
+        """:meth:`generator_action` for the consecutive chunks of one walk,
+        under the terms of :meth:`_chunk_evaluate`."""
+        return self.generator_action
+
     def labels(self) -> list[str]:
         raise NotImplementedError
 
@@ -202,8 +252,8 @@ class _SeparableBasis(Dictionary):
     A graded product plan evaluates it: each non-constant e has the parent
     p, e with its last nonzero coordinate w set to 0, so psi_e = psi_p * phi
     with phi = f_{e_w}(x_w) (factors multiply left to right), and each level
-    of exponents with equally many nonzero coordinates is one gather-multiply
-    from the level below.  Gradients follow d_i psi_e = phi d_i psi_p +
+    of exponents with equally many nonzero coordinates is gathered and
+    multiplied from the level below, at most LEVEL_BLOCK rows at a time.  Gradients follow d_i psi_e = phi d_i psi_p +
     delta_iw psi_p phi', and the generator action the carre-du-champ identity
     L(fg) = f Lg + g Lf + grad f . a grad g, which needs no Hessians:
     L psi_e = phi L psi_p + psi_p L phi + phi' (a_sym grad psi_p)_w with
@@ -220,9 +270,10 @@ class _SeparableBasis(Dictionary):
         self.exponents = E = _graded_exponents(self.dimension, self.max_degree)
         self.size = n = E.shape[0]
         self._index = {tuple(e): i for i, e in enumerate(E)}
-        # per level: rows, their parents, the coordinate w each adds, the
-        # row of f_{e_w}(x_w) in the stacked tables of _tables, and the
-        # parents' nonzero coordinates (rows, level - 1)
+        # per block of at most LEVEL_BLOCK rows of one level (a level's rows
+        # do not depend on each other): rows, their parents, the coordinate w
+        # each adds, the row of f_{e_w}(x_w) in the stacked tables of _tables,
+        # and the parents' nonzero coordinates (rows, level - 1)
         nonzero = E != 0
         level = nonzero.sum(axis=1)
         last = self.dimension - 1 - np.argmax(nonzero[:, ::-1], axis=1)
@@ -234,7 +285,30 @@ class _SeparableBasis(Dictionary):
         for k in range(1, level.max() + 1):
             rows = np.flatnonzero(level == k)
             support = np.nonzero(base[rows])[1].reshape(rows.size, k - 1)
-            self._plan.append((rows, parent[rows], factor[rows], last[rows], support))
+            for block in range(0, rows.size, LEVEL_BLOCK):
+                sl = slice(block, block + LEVEL_BLOCK)
+                r = rows[sl]
+                self._plan.append((r, parent[r], factor[r], last[r], support[sl]))
+        self._widest = max((rows.size for rows, *_ in self._plan), default=1)
+        # the action needs gradients only of parents: rows below the top
+        # degree, which come first.  _act keeps them block by block at
+        # consecutive positions after row 0's, so a block's gradients are one
+        # slice past its parents'.  Per block: the parents' positions, the
+        # block's first position, the count g of its rows with gradients,
+        # their rows i * d + w in a (g, d, m) array, and per nonzero parent
+        # coordinate i the rows i * d + w of a_sym (d, d, m) and
+        # position(p) * d + i of the gradients (., d, m)
+        d = self.dimension
+        self._low = low = max(1, int(np.searchsorted(E.sum(axis=1), self.max_degree)))
+        position = np.zeros(low, dtype=np.intp)
+        self._action_plan, start = [], 1
+        for rows, parents, _, w, support in self._plan:
+            g = int(np.searchsorted(rows, low))
+            position[rows[:g]] = np.arange(start, start + g)
+            at = position[parents]
+            couplings = [(i * d + w, at * d + i) for i in support.T]
+            self._action_plan.append((at, start, g, np.arange(g) * d + w[:g], couplings))
+            start += g
 
     @property
     def constant_index(self) -> int:
@@ -248,87 +322,208 @@ class _SeparableBasis(Dictionary):
         except KeyError:
             raise KeyError(f"exponent {key} not in basis (max_degree={self.max_degree})")
 
-    def _tables(self, x: np.ndarray, order: int) -> np.ndarray:
-        """Univariate factors, shape (order + 1, d, max_degree + 1, m):
+    def _tables(self, x: np.ndarray, tables: np.ndarray) -> None:
+        """Fill the univariate factors, shape (order + 1, d, max_degree + 1, m):
         ``tables[r, j, k]`` is the r-th derivative of f_k at coordinate j."""
         raise NotImplementedError
 
-    def _walk(self, tables, values, gradients=None, hessians=None, action=None) -> None:
-        """Fill values (n, m) and any of gradients (n', m, d), Hessians
-        (n, m, d, d) and ``action = (dpsi, L phi stacked like the tables,
-        a_sym (d, d, m) or None)`` level by level along the plan.  Derivative
-        arrays and dpsi are zero in row 0; gradients cover the first n' rows,
-        a prefix of each level as its rows ascend."""
-        tables = tables.reshape(len(tables), -1, values.shape[1])
+    def _tables_in(self, x, order, work):
+        """The tables of x up to derivative ``order``, in the "tables" buffer of ``work``."""
+        shape = (order + 1, self.dimension, self.max_degree + 1, x.shape[0])
+        tables = work.view("tables", shape)
+        self._tables(x, tables)
+        return tables
+
+    def _walk_sizes(self, m, order):
+        """Buffer entries of _walk and its tables for m points, derivatives to ``order``."""
+        level = self._widest * m
+        sizes = {"tables": (order + 1) * self.dimension * (self.max_degree + 1) * m,
+                 "phi": level, "psi": level}
+        if order:
+            sizes.update(dphi=level, grad=level * self.dimension)
+        return sizes
+
+    def _walk(self, tables, values, work, gradients=None, hessians=None) -> None:
+        """Fill values (n, m) and any of gradients (n', m, d) and Hessians
+        (n, m, d, d) block by block along the plan.  Gathers and products go
+        through the buffers of ``work`` (_walk_sizes), the Hessians' through
+        new arrays.  Derivative arrays are zero in row 0; gradients cover the
+        first n' rows, a prefix of each block as its rows ascend."""
+        m, d = values.shape[1], self.dimension
+        tables = tables.reshape(len(tables), -1, m)
         values[0] = 1.0
-        if action is not None:
-            dpsi, lphi, asym = action
-        for rows, parents, factor, w, support in self._plan:
-            phi = tables[0][factor]
-            psi = values[parents]
-            if action is not None:
-                term = phi * dpsi[parents]
-                term += psi * lphi[factor]
-                if asym is not None and support.shape[1]:
-                    # (a_sym grad psi_p)_w over the parent's nonzero coordinates
-                    coupling = 0.0
-                    for i in support.T:
-                        coupling += asym[i, w] * gradients[parents, :, i]
-                    term += coupling * tables[1][factor]
-                dpsi[rows] = term
+        for rows, parents, factor, w, _ in self._plan:
+            phi, psi = (work.view(name, (rows.size, m)) for name in ("phi", "psi"))
+            tables[0].take(factor, axis=0, out=phi, mode="clip")
+            values.take(parents, axis=0, out=psi, mode="clip")
             if gradients is not None:
                 g = np.searchsorted(rows, len(gradients))
-                dphi = tables[1][factor[:g]]
+                dphi = work.view("dphi", (g, m))
+                tables[1].take(factor[:g], axis=0, out=dphi, mode="clip")
                 at = np.arange(g)
                 # psi_p does not depend on x_w: its column and row w are 0
-                grad = gradients[parents[:g]]
+                grad = work.view("grad", (g, m, d))
+                parent_rows = gradients.reshape(len(gradients), -1)
+                parent_rows.take(parents[:g], axis=0, out=grad.reshape(g, -1), mode="clip")
                 if hessians is not None:
                     hess = hessians[parents]
                     hess *= phi[:, :, None, None]
                     hess[at, :, w, :] = hess[at, :, :, w] = grad * dphi[:, :, None]
                     hess[at, :, w, w] = psi * tables[2][factor]
                     hessians[rows] = hess
-                grad *= phi[:g, :, None]
-                grad[at, :, w[:g]] = psi[:g] * dphi
+                np.multiply(grad, phi[:g, :, None], out=grad)
+                grad[at, :, w[:g]] = np.multiply(psi[:g], dphi, out=dphi)
                 gradients[rows[:g]] = grad
-            psi *= phi
-            values[rows] = psi
+            values[rows] = np.multiply(psi, phi, out=psi)
 
     def evaluate(self, points, with_hessians: bool = False) -> EvaluationBlock:
         x = _check_points(points, self.dimension)
         n, (m, d) = self.size, x.shape
+        order = 2 if with_hessians else 1
+        work = _Work(self._walk_sizes(m, order))
         values = np.empty((n, m))
         gradients = np.zeros((n, m, d))
         hessians = np.zeros((n, m, d, d)) if with_hessians else None
-        self._walk(self._tables(x, 2 if with_hessians else 1), values, gradients, hessians)
+        self._walk(self._tables_in(x, order, work), values, work, gradients, hessians)
         return EvaluationBlock(values, gradients, hessians)
 
     def values(self, points) -> np.ndarray:
         # the value recurrence of _walk does not read the derivative arrays
         x = _check_points(points, self.dimension)
+        work = _Work(self._walk_sizes(x.shape[0], 0))
         values = np.empty((self.size, x.shape[0]))
-        self._walk(self._tables(x, 0), values)
+        self._walk(self._tables_in(x, 0, work), values, work)
         return values
 
     def generator_action(self, points, drift, diffusion=None):
         x = _check_points(points, self.dimension)
         b, a = _action_coefficients(drift, diffusion, x.shape)
-        n, (m, d) = self.size, x.shape
-        values = np.empty((n, m))
-        dpsi = np.zeros((n, m))
-        # only the diffusion term needs gradients, and only those of parents:
-        # rows below the top degree, which come first
-        low = max(1, np.searchsorted(self.exponents.sum(axis=1), self.max_degree))
-        tables = self._tables(x, 1 if a is None else 2)
+        values, dpsi = np.empty((self.size, x.shape[0])), np.empty((self.size, x.shape[0]))
+        self._act(x, b, a, _Work(self._action_sizes(x.shape[0], a is not None)), values, dpsi)
+        return values, dpsi
+
+    def _chunk_call(self, sizes, fill):
+        """fill(x, *args, work=work) for the consecutive chunks of one walk, x
+        the checked points: one _Work of sizes(m, *args) entries for m points
+        serves every chunk, since none is longer than the first."""
+        work = None
+
+        def call(points, *args):
+            nonlocal work
+            x = _check_points(points, self.dimension)
+            need = sizes(x.shape[0], *args)
+            if work is None or not work.holds(need):
+                work = _Work(need)
+            return fill(x, *args, work=work)
+
+        return call
+
+    def _chunk_evaluate(self, gradients=False):
+        n, d, order = self.size, self.dimension, int(gradients)
+
+        def sizes(m):
+            return {**self._walk_sizes(m, order), "values": n * m, "gradients": order * n * m * d}
+
+        def fill(x, work):
+            m = x.shape[0]
+            values, grads = work.view("values", (n, m)), None
+            if gradients:
+                grads = work.view("gradients", (n, m, d))
+                grads[0] = 0.0
+            self._walk(self._tables_in(x, order, work), values, work, grads)
+            return (values, grads) if gradients else values
+
+        return self._chunk_call(sizes, fill)
+
+    def _chunk_action(self):
+        n = self.size
+
+        def sizes(m, drift, diffusion=None):
+            return {**self._action_sizes(m, diffusion is not None), "values": n * m, "dpsi": n * m}
+
+        def fill(x, drift, diffusion=None, *, work):
+            b, a = _action_coefficients(drift, diffusion, x.shape)
+            values, dpsi = (work.view(name, (n, x.shape[0])) for name in ("values", "dpsi"))
+            self._act(x, b, a, work, values, dpsi)
+            return values, dpsi
+
+        return self._chunk_call(sizes, fill)
+
+    def _action_sizes(self, m, stochastic):
+        """Buffer entries of _act for m points, with or without a diffusion."""
+        d = self.dimension
+        factors = d * (self.max_degree + 1)
+        level = self._widest * m
+        sizes = {"tables": (2 + stochastic) * factors * m, "lphi": factors * m,
+                 "phi": level, "psi": level, "term": level, "gather": level}
+        if stochastic:
+            sizes.update(half=d * m, second=factors * m, asym=d * d * m,
+                         gradients=self._low * d * m, coupling=level, other=level)
+        return sizes
+
+    def _act(self, x, b, a, work, values, dpsi):
+        """Fill values and dpsi (n, m) at points x (m, d) under drift b and
+        diffusion a (or None), through the buffers of ``work`` (_action_sizes).
+
+        The carre-du-champ recurrence of the class docstring, block by block:
+        gathers are np.take and products ufuncs with out=, so no array is
+        allocated (numpy's ufunc iterator may take its own buffers, of at
+        most 8192 entries each), and each value is formed by the same
+        operations in the same order whatever the buffers. The parents'
+        gradients are kept as (low, d, m) in the positions of the action plan.
+        """
+        m, d = x.shape
+        order = 1 if a is None else 2
+        factors = d * (self.max_degree + 1)
+        tables = self._tables_in(x, order, work)
+        values[0], dpsi[0] = 1.0, 0.0
         # L phi = b_w phi' + 1/2 a_ww phi'' for every univariate factor
-        lphi = tables[1] * b.T[:, None, :]
+        lphi = np.multiply(tables[1], b.T[:, None, :], out=work.view("lphi", tables.shape[1:]))
         grads = asym = None
         if a is not None:
-            lphi += tables[2] * (0.5 * np.diagonal(a, axis1=1, axis2=2).T)[:, None, :]
-            asym = np.moveaxis(0.5 * (a + np.swapaxes(a, 1, 2)), 0, -1).copy()
-            grads = np.zeros((low, m, d))
-        self._walk(tables, values, grads, action=(dpsi, lphi.reshape(-1, m), asym))
-        return values, dpsi
+            half = work.view("half", (d, m))
+            np.multiply(0.5, np.diagonal(a, axis1=1, axis2=2).T, out=half)
+            second = work.view("second", tables.shape[1:])
+            np.add(lphi, np.multiply(tables[2], half[:, None, :], out=second), out=lphi)
+            moved = np.moveaxis(a, 0, -1)
+            asym = np.add(moved, np.swapaxes(moved, 0, 1), out=work.view("asym", (d, d, m)))
+            asym = np.multiply(0.5, asym, out=asym).reshape(d * d, m)
+            grads = work.view("gradients", (self._low, d * m))
+            grads[0] = 0.0
+        tables = tables.reshape(order + 1, factors, m)
+        lphi = lphi.reshape(factors, m)
+        for (rows, parents, factor, _, _), (at, start, g, grad_at, couplings) in zip(
+            self._plan, self._action_plan
+        ):
+            phi, psi, term, gather = (
+                work.view(name, (rows.size, m)) for name in ("phi", "psi", "term", "gather")
+            )
+            tables[0].take(factor, axis=0, out=phi, mode="clip")
+            values.take(parents, axis=0, out=psi, mode="clip")
+            dpsi.take(parents, axis=0, out=term, mode="clip")
+            np.multiply(phi, term, out=term)
+            lphi.take(factor, axis=0, out=gather, mode="clip")
+            np.add(term, np.multiply(psi, gather, out=gather), out=term)
+            if asym is not None and couplings:
+                # (a_sym grad psi_p)_w over the parent's nonzero coordinates
+                coupling = work.view("coupling", (rows.size, m))
+                other = work.view("other", (rows.size, m))
+                coupling[:] = 0.0
+                for asym_rows, grad_rows in couplings:
+                    asym.take(asym_rows, axis=0, out=gather, mode="clip")
+                    grads.reshape(-1, m).take(grad_rows, axis=0, out=other, mode="clip")
+                    np.add(coupling, np.multiply(gather, other, out=gather), out=coupling)
+                tables[1].take(factor, axis=0, out=gather, mode="clip")
+                np.add(term, np.multiply(coupling, gather, out=gather), out=term)
+            dpsi[rows] = term
+            if grads is not None and g:
+                # d_i psi_e = phi d_i psi_p, but psi_p phi' at i = w (psi_p does not depend on x_w)
+                dphi = tables[1].take(factor[:g], axis=0, out=gather[:g], mode="clip")
+                grad = grads[start : start + g]
+                grads[:start].take(at[:g], axis=0, out=grad, mode="clip")
+                np.multiply(grad.reshape(g, d, m), phi[:g, None, :], out=grad.reshape(g, d, m))
+                grad.reshape(g * d, m)[grad_at] = np.multiply(psi[:g], dphi, out=dphi)
+            values[rows] = np.multiply(psi, phi, out=psi)
 
 
 class Monomials(_SeparableBasis):
@@ -338,15 +533,15 @@ class Monomials(_SeparableBasis):
     first. ``index_of((2, 1))`` locates x1^2 * x2, etc.
     """
 
-    def _tables(self, x: np.ndarray, order: int) -> np.ndarray:
-        tables = np.zeros((order + 1, self.dimension, self.max_degree + 1, x.shape[0]))
+    def _tables(self, x: np.ndarray, tables: np.ndarray) -> None:
+        order = len(tables) - 1
         tables[0, :, 0] = 1.0
+        tables[1:, :, 0] = 0.0
         # running products x^k = x^(k-1) x; (x^k)^(r) = k (x^(k-1))^(r-1)
         for k in range(1, self.max_degree + 1):
             np.multiply(tables[0, :, k - 1], x.T, out=tables[0, :, k])
             for r in range(1, order + 1):
                 np.multiply(k, tables[r - 1, :, k - 1], out=tables[r, :, k])
-        return tables
 
     def labels(self) -> list[str]:
         out = []
@@ -405,26 +600,23 @@ class Monomials(_SeparableBasis):
         return out, dropped
 
 
-def _legendre_tables(t: np.ndarray, K: int, order: int):
-    """Legendre P_k(t) and its derivatives up to ``order`` for k = 0..K via
-    the standard recurrences, one (K + 1, m) table per order."""
-    m = t.shape[0]
-    P = np.empty((K + 1, m))
+def _legendre_tables(t: np.ndarray, K: int, tables: np.ndarray) -> None:
+    """Legendre P_k(t) and its derivatives for k = 0..K via the standard
+    recurrences, written into ``tables`` (order + 1, K + 1, m), one table per order."""
+    P = tables[0]
     P[0] = 1.0
     if K >= 1:
         P[1] = t
     for k in range(1, K):
         P[k + 1] = ((2 * k + 1) * t * P[k] - k * P[k - 1]) / (k + 1)
-    tables = [P]
-    for r in range(1, order + 1):
+    for r in range(1, len(tables)):
         # P^(r)_{k+1} = P^(r)_{k-1} + (2k + 1) P^(r-1)_k, with P'_1 = 1
-        D = np.zeros((K + 1, m))
+        D = tables[r]
+        D[:2] = 0.0
         if r == 1 and K >= 1:
             D[1] = 1.0
         for k in range(1, K):
             D[k + 1] = D[k - 1] + (2 * k + 1) * tables[r - 1][k]
-        tables.append(D)
-    return tables
 
 
 class LegendreBasis(_SeparableBasis):
@@ -446,8 +638,8 @@ class LegendreBasis(_SeparableBasis):
         self._m0 = 0.5 * (dom[:, 0] + dom[:, 1])
         self._m1 = 0.5 * (dom[:, 1] - dom[:, 0])
 
-    def _tables(self, x: np.ndarray, order: int) -> np.ndarray:
-        tables = np.empty((order + 1, self.dimension, self.max_degree + 1, x.shape[0]))
+    def _tables(self, x: np.ndarray, tables: np.ndarray) -> None:
+        order = len(tables) - 1
         for j in range(self.dimension):
             t = (x[:, j] - self._m0[j]) / self._m1[j]
             if np.any(np.abs(t) > 1.0 + 1e-9):
@@ -455,12 +647,11 @@ class LegendreBasis(_SeparableBasis):
                     f"points outside Legendre domain {tuple(map(float, self.domain[j]))} "
                     f"in coordinate {j + 1}"
                 )
-            tables[:, j] = _legendre_tables(np.clip(t, -1.0, 1.0), self.max_degree, order)
+            _legendre_tables(np.clip(t, -1.0, 1.0), self.max_degree, tables[:, j])
             # chain rule for x = m0 + m1 * t: the r-th derivative gains (1 / m1)^r
             s = 1.0 / self._m1[j]
             for r in range(1, order + 1):
                 tables[r:, j] *= s
-        return tables
 
     def labels(self) -> list[str]:
         out = []

@@ -23,17 +23,22 @@ Per chunk the fit folds the chunk into the triangular factor R of
 R on top of the chunk without touching R's zero lower triangle (sequential
 TSQR; Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 2012), in a
 fixed chunk order, so reruns are bitwise identical. The fold overlaps the
-walk: the calling thread builds each chunk and copies it into a
-Fortran-ordered panel, and one worker thread folds that panel into R while
-the caller builds the next chunk. dtpqrt is called by ctypes, which
+walk: the calling thread builds chunk i and copies it into panel i % 2 of
+two Fortran-ordered panels, while one worker thread folds chunk i - 1 from
+the other panel into R; the caller waits only for fold i - 2 before it
+refills a panel. dtpqrt is called by ctypes, which
 releases the GIL for the call (scipy's f2py wrapper holds it, so a thread
 around that would overlap nothing), from the LAPACK that numpy links: its
 ILP64 symbol in numpy's linalg extension, so fitting loads no scipy. Only if
 numpy exports none is it taken, at the first fold, from scipy's Cython
-LAPACK table (32-bit integers). The caller waits for each fold before it
-copies the next chunk, so at most one chunk and one panel are alive
-besides R. R is always (n + k) x (n + k); when m < n + k its rows past the
-m-th are zero up to rounding.
+LAPACK table (32-bit integers). On a tensor basis no chunk allocates: the
+two panels are allocated once per fit, a shorter last chunk takes their
+leading entries, and the basis builds each chunk (values, gradients or the
+generator action) in work arrays allocated at its first chunk
+(Dictionary._chunk_evaluate, Dictionary._chunk_action), so a fit's memory
+is R, two panels and one chunk's work arrays, and the allocator is not
+asked for large blocks chunk after chunk. R is always (n + k) x (n + k);
+when m < n + k its rows past the m-th are zero up to rounding.
 
 R is the one statistic of the data, and every estimate keeps it:
 [Psi^T | T^T] = Q R with orthonormal Q, so ||[Psi^T | T^T] v|| = ||R v|| for
@@ -140,18 +145,27 @@ class GeneratorEstimate:
         return self.rank < self.size
 
 
+def _chunk_points(width):
+    """Points per chunk of a fit `width` wide: min(CHUNK, PANEL_ENTRIES // width), at least 1."""
+    return min(CHUNK, max(1, PANEL_ENTRIES // width))
+
+
 def _walk(m, width, chunk):
-    """Yield chunk(sl) for consecutive slices sl of m samples, `width` chunk rows
-    per point: min(CHUNK, PANEL_ENTRIES // width) points a slice, at least one."""
-    rows = min(CHUNK, max(1, PANEL_ENTRIES // width))
+    """Yield chunk(sl) for consecutive slices sl of m samples, _chunk_points(width) points each."""
+    rows = _chunk_points(width)
     for start in range(0, m, rows):
         yield chunk(slice(start, min(start + rows, m)))
 
 
 def _actions(dictionary, sample, diffusion=None):
-    """Chunk sl -> (psi, dpsi); dpsi has the 1/2 a : hess psi term when `diffusion` is given."""
+    """Chunk sl -> (psi, dpsi); dpsi has the 1/2 a : hess psi term when `diffusion` is given.
+
+    One chunk action of the dictionary serves the walk, so a chunk's arrays
+    are overwritten by the next chunk's (tensor bases refill work arrays).
+    """
     x, b, a = sample.points, sample.drift_samples, diffusion
-    return lambda sl: dictionary.generator_action(x[sl], b[sl], None if a is None else a[sl])
+    act = dictionary._chunk_action()
+    return lambda sl: act(x[sl], b[sl], None if a is None else a[sl])
 
 
 # the symbols of a LAPACK routine in numpy's linalg extension and the integer type
@@ -260,29 +274,33 @@ def _fold(R, B, T, work):
 def _factor(chunk, m, width):
     """Triangular factor R of [Psi^T | T^T] over the (psi, T) chunks of _walk(m, width, chunk).
 
-    The calling thread walks the chunks and copies each into a fresh
-    Fortran-ordered panel; one worker thread folds the panel into R while
-    the caller builds the next chunk. The caller waits for the previous
-    fold before it copies, so the folds run in chunk order and at most one
-    chunk and one panel are alive; every array is allocated on the calling
-    thread, and the worker runs nothing but dtpqrt.
+    The calling thread allocates two Fortran-ordered panels (one when a
+    single chunk holds every point) and fills panel i % 2 with chunk i while
+    one worker thread folds chunk i - 1 from the other panel into R. It
+    waits only for fold i - 2 before it refills a panel, and folds run in
+    chunk order, so R is that of the sequential fold. A chunk of r points
+    takes the first width * r entries of its panel, so no chunk allocates;
+    the worker runs nothing but dtpqrt.
     """
     R = np.zeros((width, width), order="F")
     nb = min(TPQRT_BLOCK, width)
     T, work = np.empty((nb, width), order="F"), np.empty(nb * width)
+    points = min(m, _chunk_points(width))
+    panels = [np.empty(width * points) for _ in range(1 if points == m else 2)]
     with ThreadPoolExecutor(max_workers=1) as folder:
-        folding = None
-        for psi, targets in _walk(m, width, chunk):
-            if folding is not None:
-                folding.result()
+        folds = []
+        for i, (psi, targets) in enumerate(_walk(m, width, chunk)):
+            if len(folds) == len(panels):
+                folds.pop(0).result()
             # filled row by row, so its transpose is Fortran-ordered whatever the chunks' order
-            panel = np.empty((width, psi.shape[1]))
+            rows = psi.shape[1]
+            panel = panels[i % len(panels)][: width * rows].reshape(width, rows)
             panel[: psi.shape[0]] = psi
             panel[psi.shape[0] :] = targets
-            folding = folder.submit(_fold, R, panel.T, T, work)
-            del psi, targets, panel  # the walk builds the next chunk without this one
-        if folding is not None:
-            folding.result()
+            folds.append(folder.submit(_fold, R, panel.T, T, work))
+            del psi, targets  # the walk builds the next chunk without this one
+        for fold in folds:
+            fold.result()
     return R
 
 
@@ -427,14 +445,19 @@ def gedmd_reversible(dictionary: Dictionary, sample: SampleSet) -> GeneratorEsti
     x, a = sample.points, sample.diffusion_samples
     n, m = dictionary.size, sample.count
     A = np.zeros((n, n))
+    evaluate = dictionary._chunk_evaluate(gradients=True)
+    products = None  # grad psi a per point, for the first (longest) chunk and the rest
 
     def chunk(sl):
+        nonlocal products
         # A_hat's sum rides along with the walk that feeds the factor
-        blk = dictionary.evaluate(x[sl])
-        grads = blk.gradients
-        Ga = np.einsum("kli,lij->klj", grads, a[sl]).reshape(n, -1)
-        A[:] += Ga @ grads.reshape(n, -1).T
-        return blk.values, blk.values[:0]
+        values, grads = evaluate(x[sl])
+        if products is None or products.size < grads.size:
+            products = np.empty(grads.size)
+        Ga = products[: grads.size].reshape(grads.shape)
+        np.einsum("kli,lij->klj", grads, a[sl], out=Ga)
+        A[:] += Ga.reshape(n, -1) @ grads.reshape(n, -1).T
+        return values, values[:0]
 
     R = _factor(chunk, m, n)
     A_hat = (A + A.T) / (-4.0 * m)
@@ -479,10 +502,8 @@ def edmd_with_log(
     if x.shape != y.shape:
         raise InputError("points and lagged_points must have equal counts")
     n, m = dictionary.size, x.shape[0]
-    est = _fit(
-        lambda sl: (dictionary.values(x[sl]), dictionary.values(y[sl])), m, n, n, dictionary,
-        "edmd-log",
-    )
+    at_x, at_y = dictionary._chunk_evaluate(), dictionary._chunk_evaluate()
+    est = _fit(lambda sl: (at_x(x[sl]), at_y(y[sl])), m, n, n, dictionary, "edmd-log")
     eigs = np.linalg.eigvals(est.M)
     scale = max(np.max(np.abs(eigs)), 1.0)
     on_branch_cut = (np.abs(eigs) <= LOG_BRANCH_TOL * scale) | (

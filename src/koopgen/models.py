@@ -88,9 +88,23 @@ class SdeModel:
         return np.asarray(self.sigma(_check_points(points, self.dimension)), dtype=np.float64)
 
     def diffusion_at(self, points) -> np.ndarray:
-        """a(x) = sigma(x) sigma(x)^T at each point, shape (m, d, d)."""
+        """a(x) = sigma(x) sigma(x)^T at each point, shape (m, d, d).
+
+        A sigma whose leading stride is 0 (one matrix broadcast over the
+        points, as np.broadcast_to gives) yields a read-only broadcast a of
+        one d x d matrix, formed by the same einsum on that one slice.
+        """
         S = self.sigma_at(points)
+        if _constant(S):
+            a = np.einsum("lik,ljk->lij", S[:1], S[:1])
+            return np.broadcast_to(a, (S.shape[0],) + a.shape[1:])
         return np.einsum("lik,ljk->lij", S, S)
+
+
+def _constant(array) -> bool:
+    """True for an array with points along a leading axis of stride 0: one slice
+    broadcast over every point, such as np.broadcast_to makes."""
+    return array.ndim > 0 and array.shape[0] > 0 and array.strides[0] == 0
 
 
 @dataclass
@@ -99,7 +113,10 @@ class SampleSet:
 
     points (m, d) and drift_samples b(x_l) (m, d) are required;
     diffusion_samples holds a(x_l) = sigma sigma^T (m, d, d), or None when
-    absent.
+    absent. A constant diffusion given with leading stride 0 (one d x d
+    matrix broadcast over the points) is kept that way: its one slice is
+    checked and symmetrized, and diffusion_samples stays a read-only
+    zero-stride view of it, so it takes d^2 entries, not m d^2.
     """
 
     points: np.ndarray
@@ -118,10 +135,13 @@ class SampleSet:
             a = np.asarray(self.diffusion_samples, dtype=np.float64)
             if a.shape != (self.count, self.dimension, self.dimension):
                 raise InputError("diffusion_samples must have shape (m, d, d)")
-            if not np.all(np.isfinite(a)):
+            constant = _constant(a)
+            body = a[:1] if constant else a
+            if not np.all(np.isfinite(body)):
                 raise InputError("diffusion_samples contain non-finite entries")
             # enforce exact symmetry; callers provide a = sigma sigma^T
-            self.diffusion_samples = 0.5 * (a + np.transpose(a, (0, 2, 1)))
+            body = 0.5 * (body + np.transpose(body, (0, 2, 1)))
+            self.diffusion_samples = np.broadcast_to(body, a.shape) if constant else body
 
     @property
     def count(self) -> int:
@@ -135,7 +155,8 @@ class SampleSet:
         """Smallest eigenvalue over all diffusion slices (PSD check)."""
         if self.diffusion_samples is None:
             raise InputError("sample set has no diffusion samples")
-        return float(np.min(np.linalg.eigvalsh(self.diffusion_samples)))
+        a = self.diffusion_samples
+        return float(np.min(np.linalg.eigvalsh(a[:1] if _constant(a) else a)))
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +171,7 @@ def ornstein_uhlenbeck(alpha: float = 1.0, beta: float = 4.0) -> SdeModel:
         return -alpha * x
 
     def sigma(x):
-        return np.full((x.shape[0], 1, 1), s)
+        return np.broadcast_to(np.full((1, 1), s), (x.shape[0], 1, 1))
 
     return SdeModel(
         dimension=1,
@@ -272,10 +293,7 @@ def lemon_slice(k: int = 4, beta: float = 1.0) -> SdeModel:
     s = math.sqrt(2.0 / beta)
 
     def sigma(x):
-        S = np.zeros((x.shape[0], 2, 2))
-        S[:, 0, 0] = s
-        S[:, 1, 1] = s
-        return S
+        return np.broadcast_to(s * np.eye(2), (x.shape[0], 2, 2))
 
     return SdeModel(
         dimension=2,

@@ -320,9 +320,8 @@ def sindy_coefficients(dictionary: Dictionary, sample: SampleSet) -> np.ndarray:
     """
     x, b = sample.points, sample.drift_samples
     n, d = dictionary.size, b.shape[1]
-    return _fit(
-        lambda sl: (dictionary.values(x[sl]), b[sl].T), sample.count, n, d, dictionary, "sindy"
-    ).M
+    values = dictionary._chunk_evaluate()
+    return _fit(lambda sl: (values(x[sl]), b[sl].T), sample.count, n, d, dictionary, "sindy").M
 
 
 def _merge_histories(histories: list[list]) -> list:
@@ -382,14 +381,16 @@ def identify(
 
     def drift_chunk(data):
         x, b = data.points, data.drift_samples
-        return lambda sl: (dictionary.values(x[sl]), b[sl].T)
+        values = dictionary._chunk_evaluate()
+        return lambda sl: (values(x[sl]), b[sl].T)
 
     def diffusion_chunk(data):
         # a_ij + (b_i - bhat_i) x_j + (b_j - bhat_j) x_i per point
         x, b, a = data.points, data.drift_samples, data.diffusion_samples
+        values = dictionary._chunk_evaluate()
 
         def chunk(sl):
-            psi, xs = dictionary.values(x[sl]), x[sl]
+            psi, xs = values(x[sl]), x[sl]
             r = b[sl] - psi.T @ drift_coeffs
             T = [a[sl, i, j] + r[:, i] * xs[:, j] + r[:, j] * xs[:, i] for i, j in pairs]
             return psi, np.array(T)

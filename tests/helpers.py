@@ -134,3 +134,23 @@ def svd_lstsq(A, B, cutoff):
     rank = int(np.count_nonzero(s > cutoff * s[0]))
     scale = s[:rank, None] if B.ndim == 2 else s[:rank]
     return Vt[:rank].T @ ((U[:, :rank].T @ B) / scale), rank, s[0] / s[rank - 1]
+
+
+def ou_plant_advance_per_substep(plant, states, u, h, rng):
+    """``ControlledOUPlant.advance`` drawing its noise one sub-step at a time.
+
+    The bitwise reference for the plant, which draws the noise of all nsub
+    sub-steps in one (nsub, R, 1) call on the same Generator stream.
+    """
+    x = np.asarray(states, dtype=float)
+    nsub = max(1, int(round(h / plant.dt)))
+    dt = h / nsub
+    amp = np.sqrt(2.0 / plant.beta * dt) if plant.noise else 0.0
+    u_col = np.broadcast_to(np.asarray(u, dtype=float), (x.shape[0],))[:, None]
+    window = np.empty((x.shape[0], nsub, 1))
+    for k in range(nsub):
+        x = x + (-plant.alpha * (x - u_col)) * dt
+        if plant.noise:
+            x = x + amp * rng.standard_normal(x.shape)
+        window[:, k, :] = x
+    return x, window if plant.noise else x[:, np.newaxis, :]

@@ -122,6 +122,21 @@ def map_fd_hessians(cg_map, x, step=1e-6):
     return out
 
 
+def test_reduced_sample_reads_a_broadcast_diffusion():
+    # the lemon slice's constant diffusion is one matrix broadcast over the points
+    sample = models.exact_sample_set(
+        models.lemon_slice(), models.lemon_slice_invariant_points(400, seed=8)
+    )
+    assert sample.diffusion_samples.strides[0] == 0
+    dense = models.SampleSet(
+        sample.points, sample.drift_samples, np.array(sample.diffusion_samples)
+    )
+    for cg_map in (cg.polar_angle_map(), cg.linear_map([[1.0, 0.5]])):
+        got, want = cg.reduced_sample(cg_map, sample), cg.reduced_sample(cg_map, dense)
+        assert np.array_equal(got.drift_samples, want.drift_samples)
+        assert np.array_equal(got.diffusion_samples, want.diffusion_samples)
+
+
 @pytest.fixture(scope="module")
 def lemon():
     """Invariant lemon-slice sample with the reversible reduced estimate."""

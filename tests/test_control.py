@@ -974,6 +974,25 @@ class TestPlants:
         assert window.shape == (4, 10, 1)
         assert np.array_equal(window[:, -1], new)
 
+    def test_ou_advance_is_bitwise_the_per_substep_draws(self):
+        x = np.linspace(-1.0, 1.0, 200)[:, None]
+        for plant in (ControlledOUPlant(), ControlledOUPlant(alpha=1.3, beta=0.5, noise=False)):
+            for u, h in ((0.5, 0.05), (-1.0, 0.1), (np.linspace(0.0, 1.0, 200), 0.005)):
+                got = plant.advance(x, u, h, np.random.default_rng(7))
+                want = helpers.ou_plant_advance_per_substep(
+                    plant, x, u, h, np.random.default_rng(7)
+                )
+                for g, w in zip(got, want):
+                    assert np.array_equal(g, w)
+
+    def test_ou_sample_set_keeps_one_diffusion_matrix(self):
+        sample = ControlledOUPlant(beta=2.0).sample_set(0.5, [[-2.0, 2.0]], 300, seed=1)
+        a = sample.diffusion_samples
+        assert a.strides[0] == 0 and not a.flags.writeable
+        assert np.array_equal(a, np.ones((300, 1, 1)))
+        deterministic = ControlledOUPlant(noise=False).sample_set(0.5, [[-2.0, 2.0]], 300, 1)
+        assert deterministic.diffusion_samples is None
+
     def test_burgers_stability_guard(self):
         plant = BurgersPlant(dt=0.5)
         with pytest.raises(StabilityError, match="stability"):

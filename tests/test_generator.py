@@ -1,9 +1,11 @@
 import ctypes
 import json
+import subprocess
 import sys
 import threading
 import warnings
 from contextlib import nullcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -368,6 +370,34 @@ def test_tensor_bases_independent_of_work_chunks():
                 assert np.array_equal(whole[k], np.concatenate([p[k] for p in parts], axis=1))
 
 
+@pytest.mark.parametrize(
+    "basis", [Monomials(4, 4), LegendreBasis(4, [(-1.5, 1.5)] * 3)], ids=["monomials", "legendre"]
+)
+@pytest.mark.parametrize("stochastic", [False, True])
+def test_reused_chunk_walks_equal_fresh_calls(basis, stochastic):
+    # one chunk action or evaluation refills the work arrays of its first chunk; a
+    # short last chunk takes their leading entries; results equal fresh calls bitwise
+    m = 700
+    rng = np.random.Generator(np.random.Philox(31))
+    points = rng.uniform(-1.5, 1.5, (m, basis.dimension))
+    drift, diffusion = _random_coefficients(rng, m, basis.dimension)
+    a = diffusion if stochastic else None
+    for length in (256, 300, 699, m):  # short last chunks of 188, 100, 1 points; one chunk
+        act = basis._chunk_action()
+        evaluate = basis._chunk_evaluate(gradients=stochastic)
+        for start in range(0, m, length):
+            sl = slice(start, min(start + length, m))
+            got = act(points[sl], drift[sl], None if a is None else a[sl])
+            want = basis.generator_action(points[sl], drift[sl], None if a is None else a[sl])
+            block = basis.evaluate(points[sl])
+            got_values = evaluate(points[sl])
+            if stochastic:
+                got_values, got_gradients = got_values
+                assert np.array_equal(got_gradients, block.gradients)
+            for got_k, want_k in zip((*got, got_values), (*want, block.values)):
+                assert np.array_equal(got_k, want_k)
+
+
 def test_generator_action_rejects_mismatched_coefficients():
     basis = Monomials(2, 3)
     points = np.zeros((5, 2))
@@ -496,6 +526,24 @@ def test_factor_is_bitwise_the_sequential_fold(width, k, m, order):
     chunks = (chunk(slice(i, i + rows)) for i in range(0, m, rows))
     want = helpers.tpqrt_fold(chunks, width, generator.TPQRT_BLOCK)
     assert np.array_equal(generator._factor(chunk, m, width), want)
+
+
+@pytest.mark.parametrize("m, panels", [(300, 2), (64, 1)])  # five chunks; one chunk
+def test_factor_refills_two_panels(monkeypatch, m, panels):
+    monkeypatch.setattr(generator, "CHUNK", 64)
+    X = np.random.default_rng(8).standard_normal((m, 10))
+    fold, pointers = generator._fold, []
+
+    def spying(R, B, T, work):
+        pointers.append(B.ctypes.data)
+        fold(R, B, T, work)
+
+    monkeypatch.setattr(generator, "_fold", spying)
+    generator._factor(lambda sl: (X[sl, :6].T, X[sl, 6:].T), m, 10)
+    assert len(pointers) == -(-m // 64)
+    # chunk i is folded from panel i % 2; the short last chunk takes its panel's first entries
+    assert len(set(pointers)) == panels
+    assert all(p == pointers[i % panels] for i, p in enumerate(pointers))
 
 
 def test_fold_falls_back_to_scipys_lapack(monkeypatch):
@@ -731,6 +779,71 @@ def test_nonfinite_condition_round_trips_through_json(tmp_path, build, check):
     assert check(back.condition)
     assert back.rank == est.rank
     assert np.array_equal(back.R, est.R)
+
+
+def _constant_and_materialized(m, d=3, seed=29):
+    """One anisotropic OU sample set twice: the diffusion a = B B^T broadcast over
+    the points (leading stride 0), and the same values in an (m, d, d) array."""
+    B = np.eye(d) + 0.3 * np.eye(d, k=-1) + 0.1 * np.eye(d, k=1)
+    points = sample_uniform([[-1.0, 1.0]] * d, m, seed=seed)
+    drift = -points * np.linspace(0.5, 2.0, d)
+    constant = SampleSet(points, drift, np.broadcast_to(B @ B.T, (m, d, d)))
+    materialized = SampleSet(points, drift, np.array(constant.diffusion_samples))
+    assert constant.diffusion_samples.strides[0] == 0
+    assert materialized.diffusion_samples.strides[0] != 0
+    return constant, materialized
+
+
+@pytest.mark.parametrize("fit", [gedmd_stochastic, gedmd_reversible])
+def test_broadcast_diffusion_fits_bitwise_as_materialized(fit):
+    # several chunks and a short last one
+    constant, materialized = _constant_and_materialized(2 * CHUNK + 70)
+    got, want = (fit(Monomials(3, 3), s) for s in (constant, materialized))
+    assert np.array_equal(got.R, want.R)
+    assert np.array_equal(got.M, want.M)
+    assert np.array_equal(got.A_hat, want.A_hat)
+
+
+def test_broadcast_diffusion_identifies_bitwise_as_materialized():
+    constant, materialized = _constant_and_materialized(2 * CHUNK + 70)
+    got, want = (sysid.identify(Monomials(3, 2), s, delta=0.01) for s in (constant, materialized))
+    assert np.array_equal(got.drift_coeffs, want.drift_coeffs)
+    assert np.array_equal(got.diffusion_coeffs, want.diffusion_coeffs)
+    assert got.residuals == want.residuals
+
+
+def test_fits_on_a_broadcast_diffusion_take_few_page_faults():
+    # a fresh interpreter, so that no earlier test has freed the large blocks that
+    # raise glibc's mmap and trim thresholds: a walk that allocated its chunk
+    # arrays afresh took 40-58k minor faults a fit here, a walk through reused
+    # buffers about 600 in the first fit after the warm-up and 1 after it
+    src = Path(generator.__file__).resolve().parents[1]
+    code = (
+        "import resource\n"
+        "import numpy as np\n"
+        "from koopgen import generator, models\n"
+        "from koopgen.dictionaries import Monomials\n"
+        "assert generator.blas_threads(pin=True) in (1, None)\n"
+        "alpha = np.array([1.0, 1.3, 1.7, 2.2])\n"
+        "B = np.array([[0.6, 0, 0, 0], [0.2, 0.5, 0, 0], [0, 0.1, 0.7, 0], [0.1, 0, 0.2, 0.4]])\n"
+        "points = np.random.default_rng(3).uniform(-1.0, 1.0, size=(50_000, 4))\n"
+        "model = models.SdeModel(dimension=4, drift=lambda x: -x * alpha, noise_dim=4,\n"
+        "                        sigma=lambda x: np.broadcast_to(B, (x.shape[0], 4, 4)))\n"
+        "sample = models.exact_sample_set(model, points)\n"
+        "assert sample.diffusion_samples.strides[0] == 0\n"
+        "basis = Monomials(4, 4)\n"
+        "generator.gedmd_stochastic(basis, sample)\n"
+        "for _ in range(3):\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    generator.gedmd_stochastic(basis, sample)\n"
+        "    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True
+    )
+    faults = [int(line) for line in out.stdout.split()]
+    assert len(faults) == 3
+    assert max(faults) < 1000, faults
 
 
 def test_stochastic_fit_builds_no_hessian_tensor(monkeypatch):

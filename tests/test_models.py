@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -30,6 +32,44 @@ def test_ou_drift_sigma_values():
     x = np.array([[0.5], [-2.0]])
     assert np.allclose(ou.drift_at(x), -x)
     assert np.allclose(ou.diffusion_at(x), 0.5 * np.ones((2, 1, 1)))
+
+
+@pytest.mark.parametrize(
+    "model, box",
+    [(ornstein_uhlenbeck(1.0, 4.0), [[-2.0, 2.0]]), (lemon_slice(), [[-1.5, 1.5]] * 2)],
+    ids=["ou", "lemon-slice"],
+)
+def test_constant_noise_keeps_one_diffusion_matrix(model, box):
+    points = sample_uniform(box, 500, seed=3)
+    sample = exact_sample_set(model, points)
+    a = sample.diffusion_samples
+    assert a.shape == (500, model.dimension, model.dimension)
+    assert a.strides[0] == 0 and not a.flags.writeable
+    S = np.array(model.sigma_at(points))  # the same sigma, one copy per point
+    assert S.strides[0] != 0
+    assert np.array_equal(a, np.einsum("lik,ljk->lij", S, S))
+    materialized = SampleSet(points, sample.drift_samples, np.array(a))
+    assert sample.min_diffusion_eigenvalue() == materialized.min_diffusion_eigenvalue()
+    # Euler-Maruyama reads the broadcast sigma as it read the materialized one
+    dense = dataclasses.replace(model, sigma=lambda x: np.array(model.sigma(x)))
+    paths = [integrate_em(m, points[:40], 1e-3, 20, seed=5) for m in (model, dense)]
+    assert np.array_equal(*paths)
+
+
+def test_sample_set_keeps_a_zero_stride_diffusion():
+    a = np.array([[2.0, 0.5], [0.3, 1.0]])
+    points = sample_uniform([[-1.0, 1.0]] * 2, 50, seed=4)
+    sample = SampleSet(points, -points, np.broadcast_to(a, (50, 2, 2)))
+    kept = sample.diffusion_samples
+    assert kept.strides[0] == 0 and not kept.flags.writeable
+    assert np.array_equal(kept[17], 0.5 * (a + a.T))
+    with pytest.raises(ValueError):
+        kept[0, 0, 0] = 1.0
+    for bad in (np.nan, np.inf):
+        broken = a.copy()
+        broken[1, 0] = bad
+        with pytest.raises(InputError, match="non-finite"):
+            SampleSet(points, -points, np.broadcast_to(broken, (50, 2, 2)))
 
 
 def test_ou_invariant_density_normalized():
