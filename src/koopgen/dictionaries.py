@@ -3,7 +3,7 @@
 A dictionary is a finite family of scalar basis functions psi_1, ..., psi_n
 on R^d. Generator estimation needs, at every data point, the values of all
 basis functions and their generator action; every dictionary here forms
-both in closed form, and its gradients and Hessians on request.
+both in closed form, and its gradients on request.
 
 Conventions
 -----------
@@ -12,17 +12,18 @@ Conventions
 * Results are packed into an :class:`EvaluationBlock` with
   ``values`` of shape (n, m), ``gradients`` of shape (n, m, d) and,
   on request, ``hessians`` of shape (n, m, d, d).
-* :meth:`Dictionary.values` returns the (n, m) values alone, bitwise those
-  of :meth:`Dictionary.evaluate`, without building any derivative.
-* Every method evaluates the whole array it is given in one pass, so its
+* A basis implements only two chunk callables, ``_chunk_evaluate`` (values,
+  and gradients on request) and ``_chunk_action`` (values and generator
+  action). The public methods of :class:`Dictionary` are each one call of a
+  fresh one; :meth:`Dictionary.evaluate` builds Hessians from d(d + 1)/2
+  actions under zero drift and diffusion e_i e_j^T + e_j e_i^T, each d_i d_j psi.
+* Every call evaluates the whole array it is given in one pass, so its
   temporaries grow with m; a point's results do not depend on the points
   evaluated with it. The estimators bound m by the panel rule of
   ``generator._walk``: at most ``CHUNK`` points and, for a fit of width w,
-  at most ``PANEL_ENTRIES // w`` points (at least one). A walk evaluates
-  a tensor basis chunk after chunk in one block of work arrays, allocated
-  at its first chunk and refilled for the rest (``_chunk_evaluate`` and
-  ``_chunk_action``); Gaussian bases, and Hessians, are allocated afresh on
-  every call.
+  at most ``PANEL_ENTRIES // w`` points (at least one). A walk calls one
+  chunk callable for every chunk: tensor bases refill work arrays allocated
+  at the first chunk, Gaussian bases allocate afresh.
 * Polynomial-type dictionaries order their terms by total degree first
   (constant term first) and lexicographically descending within a degree,
   so for d = 2: 1, x1, x2, x1^2, x1*x2, x2^2, ...
@@ -158,21 +159,42 @@ def _graded_exponents(dimension: int, max_degree: int) -> np.ndarray:
 class Dictionary:
     """Common interface of all observable dictionaries.
 
-    :meth:`evaluate` returns values and derivatives; :meth:`values` returns
-    the values alone, for callers that read nothing else; and
-    :meth:`generator_action` returns the values with the generator action.
+    A concrete basis implements two chunk callables. ``_chunk_evaluate()``
+    returns a callable points -> values (n, m), and with ``gradients=True``
+    points -> (values, gradients (n, m, d)); ``_chunk_action()`` returns a
+    callable (points, drift, diffusion=None) -> (values, dpsi), as
+    :meth:`generator_action`. Each serves the consecutive chunks of one walk:
+    the arrays returned for a chunk may be overwritten by the next call, and
+    no chunk may be longer than the first. :meth:`values`, :meth:`evaluate`
+    and :meth:`generator_action` are defined here once, each one call of a
+    fresh chunk callable.
     """
 
     dimension: int
     size: int
 
     def evaluate(self, points, with_hessians: bool = False) -> EvaluationBlock:
-        raise NotImplementedError
+        """Values (n, m), gradients (n, m, d) and, on request, Hessians (n, m, d, d).
+
+        Under zero drift and the constant diffusion e_i e_j^T + e_j e_i^T the
+        generator action is d_i d_j psi: one chunk action forms it for each
+        i <= j, written to both [..., i, j] and [..., j, i], so H is symmetric.
+        """
+        values, gradients = self._chunk_evaluate(gradients=True)(points)
+        if not with_hessians:
+            return EvaluationBlock(values, gradients)
+        act, (m, d) = self._chunk_action(), gradients.shape[1:]
+        hessians, unit = np.empty((self.size, m, d, d)), np.eye(d)
+        for i, j in itertools.combinations_with_replacement(range(d), 2):
+            pair = np.outer(unit[i], unit[j])
+            pair = np.broadcast_to(pair + pair.T, (m, d, d))
+            hessians[..., i, j] = hessians[..., j, i] = act(points, np.zeros((m, d)), pair)[1]
+        return EvaluationBlock(values, gradients, hessians)
 
     def values(self, points) -> np.ndarray:
         """``values[k, l] = psi_k(x_l)``, shape (n, m), bitwise as from
-        :meth:`evaluate`; subclasses skip the derivatives."""
-        return self.evaluate(points).values
+        :meth:`evaluate`, without any derivative."""
+        return self._chunk_evaluate()(points)
 
     def generator_action(self, points, drift, diffusion=None):
         """Values and generator action of every basis function at the points.
@@ -195,29 +217,13 @@ class Dictionary:
         Every concrete basis forms the action in closed form and builds no
         Hessian (the carre-du-champ identity, or the Gaussian closed form).
         """
-        raise NotImplementedError
+        return self._chunk_action()(points, drift, diffusion)
 
     def _chunk_evaluate(self, gradients=False):
-        """:meth:`values` (or, with ``gradients``, the values and gradients of
-        :meth:`evaluate`) for the consecutive chunks of one walk.
-
-        The arrays returned for a chunk may be overwritten by the next call,
-        and no chunk may be longer than the first. Tensor bases refill work
-        arrays allocated at the first chunk; here every call allocates.
-        """
-        if not gradients:
-            return self.values
-
-        def evaluate(points):
-            block = self.evaluate(points)
-            return block.values, block.gradients
-
-        return evaluate
+        raise NotImplementedError
 
     def _chunk_action(self):
-        """:meth:`generator_action` for the consecutive chunks of one walk,
-        under the terms of :meth:`_chunk_evaluate`."""
-        return self.generator_action
+        raise NotImplementedError
 
     def labels(self) -> list[str]:
         raise NotImplementedError
@@ -343,12 +349,11 @@ class _SeparableBasis(Dictionary):
             sizes.update(dphi=level, grad=level * self.dimension)
         return sizes
 
-    def _walk(self, tables, values, work, gradients=None, hessians=None) -> None:
-        """Fill values (n, m) and any of gradients (n', m, d) and Hessians
-        (n, m, d, d) block by block along the plan.  Gathers and products go
-        through the buffers of ``work`` (_walk_sizes), the Hessians' through
-        new arrays.  Derivative arrays are zero in row 0; gradients cover the
-        first n' rows, a prefix of each block as its rows ascend."""
+    def _walk(self, tables, values, work, gradients=None) -> None:
+        """Fill values (n, m) and, if given, gradients (n', m, d) block by
+        block along the plan, through the buffers of ``work`` (_walk_sizes).
+        Gradients are zero in row 0 and cover the first n' rows, a prefix of
+        each block as its rows ascend."""
         m, d = values.shape[1], self.dimension
         tables = tables.reshape(len(tables), -1, m)
         values[0] = 1.0
@@ -361,46 +366,18 @@ class _SeparableBasis(Dictionary):
                 dphi = work.view("dphi", (g, m))
                 tables[1].take(factor[:g], axis=0, out=dphi, mode="clip")
                 at = np.arange(g)
-                # psi_p does not depend on x_w: its column and row w are 0
+                # psi_p does not depend on x_w: its entry w is 0
                 grad = work.view("grad", (g, m, d))
                 parent_rows = gradients.reshape(len(gradients), -1)
                 parent_rows.take(parents[:g], axis=0, out=grad.reshape(g, -1), mode="clip")
-                if hessians is not None:
-                    hess = hessians[parents]
-                    hess *= phi[:, :, None, None]
-                    hess[at, :, w, :] = hess[at, :, :, w] = grad * dphi[:, :, None]
-                    hess[at, :, w, w] = psi * tables[2][factor]
-                    hessians[rows] = hess
                 np.multiply(grad, phi[:g, :, None], out=grad)
                 grad[at, :, w[:g]] = np.multiply(psi[:g], dphi, out=dphi)
                 gradients[rows[:g]] = grad
             values[rows] = np.multiply(psi, phi, out=psi)
 
-    def evaluate(self, points, with_hessians: bool = False) -> EvaluationBlock:
-        x = _check_points(points, self.dimension)
-        n, (m, d) = self.size, x.shape
-        order = 2 if with_hessians else 1
-        work = _Work(self._walk_sizes(m, order))
-        values = np.empty((n, m))
-        gradients = np.zeros((n, m, d))
-        hessians = np.zeros((n, m, d, d)) if with_hessians else None
-        self._walk(self._tables_in(x, order, work), values, work, gradients, hessians)
-        return EvaluationBlock(values, gradients, hessians)
-
-    def values(self, points) -> np.ndarray:
-        # the value recurrence of _walk does not read the derivative arrays
-        x = _check_points(points, self.dimension)
-        work = _Work(self._walk_sizes(x.shape[0], 0))
-        values = np.empty((self.size, x.shape[0]))
-        self._walk(self._tables_in(x, 0, work), values, work)
-        return values
-
-    def generator_action(self, points, drift, diffusion=None):
-        x = _check_points(points, self.dimension)
-        b, a = _action_coefficients(drift, diffusion, x.shape)
-        values, dpsi = np.empty((self.size, x.shape[0])), np.empty((self.size, x.shape[0]))
-        self._act(x, b, a, _Work(self._action_sizes(x.shape[0], a is not None)), values, dpsi)
-        return values, dpsi
+    # a binding of its own, so that tracing that wraps each class's evaluate
+    # records one span per call
+    evaluate = Dictionary.evaluate
 
     def _chunk_call(self, sizes, fill):
         """fill(x, *args, work=work) for the consecutive chunks of one walk, x
@@ -724,22 +701,22 @@ class GaussianBasis(Dictionary):
     def _exponential(self, D: np.ndarray) -> np.ndarray:
         return np.exp(-np.sum(D * D, axis=2) / (2.0 * self.bandwidth**2))
 
-    def values(self, points) -> np.ndarray:
-        return self._exponential(self._displacements(_check_points(points, self.dimension)))
+    evaluate = Dictionary.evaluate  # a binding of its own, as in _SeparableBasis
 
-    def evaluate(self, points, with_hessians: bool = False) -> EvaluationBlock:
-        x = _check_points(points, self.dimension)
-        s2 = self.bandwidth**2
-        D = self._displacements(x)  # (n, m, d)
-        values = self._exponential(D)
-        gradients = -(D / s2) * values[:, :, None]
-        hessians = None
-        if with_hessians:
-            outer = D[:, :, :, None] * D[:, :, None, :] / (s2 * s2)
-            hessians = (outer - np.eye(self.dimension) / s2) * values[:, :, None, None]
-        return EvaluationBlock(values, gradients, hessians)
+    def _chunk_evaluate(self, gradients=False):
+        def call(points):
+            D = self._displacements(_check_points(points, self.dimension))  # (n, m, d)
+            values = self._exponential(D)
+            if not gradients:
+                return values
+            return values, -(D / self.bandwidth**2) * values[:, :, None]
 
-    def generator_action(self, points, drift, diffusion=None):
+        return call
+
+    def _chunk_action(self):
+        return self._action
+
+    def _action(self, points, drift, diffusion=None):
         # L psi = psi (-b . D / s^2 + 1/2 D^T a D / s^4 - 1/2 tr a / s^2), D = x - c
         x = _check_points(points, self.dimension)
         b, a = _action_coefficients(drift, diffusion, x.shape)
@@ -783,9 +760,7 @@ class PeriodicGaussianBasis(GaussianBasis):
         raw = super()._displacements(x)
         return raw - P * np.round(raw / P)
 
-    # a binding of its own, not a super() wrapper, so that tracing that wraps
-    # each class's evaluate records one span per call
-    evaluate = GaussianBasis.evaluate
+    evaluate = Dictionary.evaluate  # a binding of its own, as in _SeparableBasis
 
     def labels(self) -> list[str]:
         return [f"gp({c:g})" for c in self.centers[:, 0]]

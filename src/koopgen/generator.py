@@ -31,13 +31,14 @@ releases the GIL for the call (scipy's f2py wrapper holds it, so a thread
 around that would overlap nothing), from the LAPACK that numpy links: its
 ILP64 symbol in numpy's linalg extension, so fitting loads no scipy. Only if
 numpy exports none is it taken, at the first fold, from scipy's Cython
-LAPACK table (32-bit integers). On a tensor basis no chunk allocates: the
-two panels are allocated once per fit, a shorter last chunk takes their
-leading entries, and the basis builds each chunk (values, gradients or the
-generator action) in work arrays allocated at its first chunk
-(Dictionary._chunk_evaluate, Dictionary._chunk_action), so a fit's memory
-is R, two panels and one chunk's work arrays, and the allocator is not
-asked for large blocks chunk after chunk. R is always (n + k) x (n + k);
+LAPACK table (32-bit integers). A walk reads the dictionary through the
+two chunk callables every basis implements (Dictionary._chunk_evaluate for
+values and gradients, Dictionary._chunk_action for the generator action,
+from which even Dictionary.evaluate's Hessians come). On a tensor basis no
+chunk allocates: the two panels are allocated once per fit, a shorter last
+chunk takes their leading entries, and the basis refills work arrays
+allocated at its first chunk, so a fit's memory is R, two panels and one
+chunk's work arrays. R is always (n + k) x (n + k);
 when m < n + k its rows past the m-th are zero up to rounding.
 
 R is the one statistic of the data, and every estimate keeps it:

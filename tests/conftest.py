@@ -12,7 +12,7 @@ assert "scipy.linalg" not in sys.modules, "scipy's OpenBLAS loaded before the th
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from koopgen import generator  # noqa: E402
+from koopgen import cli, generator  # noqa: E402
 from koopgen.control import BurgersPlant, ControlProblem, fit_surrogates, mpc  # noqa: E402
 from koopgen.dictionaries import Monomials  # noqa: E402
 
@@ -62,6 +62,15 @@ def rel_err(approx, exact):
 @pytest.fixture
 def rng():
     return np.random.Generator(np.random.Philox(20260826))
+
+
+@pytest.fixture(scope="session")
+def bundled_outputs(tmp_path_factory):
+    """Every bundled config run once through ``cli.run_experiment``: name -> its output directory."""
+    root = tmp_path_factory.mktemp("bundled")
+    for name, config in cli.bundled_configs().items():
+        cli.run_experiment(config, root / name)
+    return {name: root / name for name in cli.bundled_configs()}
 
 
 @pytest.fixture(scope="session")

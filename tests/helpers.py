@@ -1,5 +1,10 @@
 """Shared numerical oracles for the test suite."""
 
+import csv
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import scipy.integrate
 import scipy.linalg
@@ -154,3 +159,115 @@ def ou_plant_advance_per_substep(plant, states, u, h, rng):
             x = x + amp * rng.standard_normal(x.shape)
         window[:, k, :] = x
     return x, window if plant.noise else x[:, np.newaxis, :]
+
+
+def gaussian_hessians(basis, points):
+    """(D D^T / sigma^4 - I / sigma^2) psi for every Gaussian of ``basis``, shape (n, m, d, d).
+
+    The closed-form Hessian of exp(-||D||^2 / (2 sigma^2)), D = x - c; for a
+    periodic basis D is wrapped to the nearest period image.
+    """
+    x = np.asarray(points, dtype=np.float64).reshape(-1, basis.dimension)
+    D = x[None, :, :] - basis.centers[:, None, :]
+    if hasattr(basis, "period"):
+        D = D - basis.period * np.round(D / basis.period)
+    s2 = basis.bandwidth**2
+    psi = np.exp(-np.sum(D * D, axis=2) / (2.0 * s2))
+    outer = D[:, :, :, None] * D[:, :, None, :] / (s2 * s2)
+    return (outer - np.eye(basis.dimension) / s2) * psi[:, :, None, None]
+
+
+def _number(cell):
+    """A CSV cell or JSON leaf as a finite float, or None if it is not one."""
+    if isinstance(cell, bool) or cell is None:
+        return None
+    try:
+        value = float(cell)
+    except (TypeError, ValueError):
+        return None
+    return value if math.isfinite(value) else None
+
+
+def _csv_cells(path):
+    """(header, {(row, column): cell}) of a CSV file, column by header position."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))
+    return rows[0], {(r, c): cell for r, row in enumerate(rows[1:]) for c, cell in enumerate(row)}
+
+
+def _json_leaves(node, path=()):
+    """Yield (path, leaf) of a JSON document; an object's leaf is its sorted keys
+    and a list's its length, as tuples, so they compare exactly."""
+    if isinstance(node, dict):
+        yield path, ("object", *sorted(node))
+        for key, value in node.items():
+            yield from _json_leaves(value, path + (key,))
+    elif isinstance(node, list):
+        yield path, ("list", len(node))
+        for k, value in enumerate(node):
+            yield from _json_leaves(value, path + (k,))
+    else:
+        yield path, node
+
+
+def _json_cells(path):
+    """{leaf path: leaf} of a JSON file; a manifest loses its numpy version."""
+    document = json.loads(Path(path).read_text("utf-8"))
+    if Path(path).name == "manifest.json":
+        document.pop("numpy", None)
+    return dict(_json_leaves(document))
+
+
+def _column(key, suffix):
+    """The column of a cell: its CSV column, or its JSON path with list indices dropped."""
+    if suffix == ".csv":
+        return key[1]
+    return tuple("*" if isinstance(part, int) else part for part in key)
+
+
+def output_moves(fresh_dir, golden_dir):
+    """Compare two trees of CLI outputs: (moves, mismatches).
+
+    ``moves`` maps each file, by its path relative to the tree, to the
+    largest |a - b| / max(max|column|, 1) over its numeric cells, the maximum
+    taken over the golden column (a CSV column, or a JSON path with its list
+    indices dropped). ``mismatches`` names every other difference: a file in
+    one tree only, a CSV header, a JSON key or list length, a non-numeric
+    cell, a cell numeric in one tree only. A manifest is compared without
+    its numpy version.
+    """
+    fresh_dir, golden_dir = Path(fresh_dir), Path(golden_dir)
+    files = {
+        str(p.relative_to(root)) for root in (fresh_dir, golden_dir)
+        for p in root.rglob("*") if p.is_file()
+    }
+    moves, mismatches = {}, []
+    for name in sorted(files):
+        fresh, golden = fresh_dir / name, golden_dir / name
+        if not (fresh.is_file() and golden.is_file()):
+            mismatches.append(f"{name}: in one tree only")
+            continue
+        suffix = fresh.suffix
+        if suffix == ".csv":
+            (header, new), (golden_header, old) = _csv_cells(fresh), _csv_cells(golden)
+            if header != golden_header:
+                mismatches.append(f"{name}: header {header} != {golden_header}")
+        else:
+            new, old = _json_cells(fresh), _json_cells(golden)
+        scale = {}
+        for key, cell in old.items():
+            value = _number(cell)
+            if value is not None:
+                column = _column(key, suffix)
+                scale[column] = max(scale.get(column, 1.0), abs(value))
+        worst = 0.0
+        for key in sorted(set(new) | set(old), key=str):
+            a, b = new.get(key), old.get(key)
+            x, y = _number(a), _number(b)
+            if x is None or y is None:
+                if a != b or key not in new or key not in old:
+                    mismatches.append(f"{name}: {key} is {a!r}, golden {b!r}")
+                continue
+            worst = max(worst, abs(x - y) / scale[_column(key, suffix)])
+        moves[name] = worst
+    return moves, mismatches

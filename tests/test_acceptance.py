@@ -385,7 +385,7 @@ def test_criterion_09_burgers_step_refinement(burgers_refinement):
     )
 
 
-def test_criterion_10_property_suites(tmp_path):
+def test_criterion_10_property_suites(tmp_path, bundled_outputs):
     failures = []
 
     # dictionary derivatives against central finite differences
@@ -441,14 +441,14 @@ def test_criterion_10_property_suites(tmp_path):
     min_eig = min(np.linalg.eigvalsh(a_clipped[i]).min() for i in range(grid.shape[0]))
     _check(failures, min_eig >= -1e-12, f"clipped diffusion min eigenvalue {min_eig:.2e}")
 
-    # bit-reproducibility of every bundled config under its fixed seed
+    # bit-reproducibility of every bundled config under its fixed seed: a second
+    # run against the session's first (which test_golden also compares)
     unstable = []
     for name, config in cli.bundled_configs().items():
-        outs = [tmp_path / f"{name}_{k}" for k in (0, 1)]
-        manifests = [cli.run_experiment(config, out) for out in outs]
-        artifacts = manifests[0]["artifacts"] + ["manifest.json"]
+        first, again = bundled_outputs[name], tmp_path / name
+        artifacts = cli.run_experiment(config, again)["artifacts"] + ["manifest.json"]
         for artifact in artifacts:
-            if (outs[0] / artifact).read_bytes() != (outs[1] / artifact).read_bytes():
+            if (first / artifact).read_bytes() != (again / artifact).read_bytes():
                 unstable.append(f"{name}/{artifact}")
     _check(failures, not unstable, f"non-reproducible artifacts: {', '.join(unstable)}")
 

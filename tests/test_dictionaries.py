@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import legendre
 
+import helpers
 from conftest import fd_gradient, fd_hessian, rel_err
 from koopgen.dictionaries import (
+    Dictionary,
     GaussianBasis,
     LegendreBasis,
     Monomials,
@@ -255,11 +257,81 @@ def test_evaluation_is_deterministic(rng):
     assert np.array_equal(a.hessians, b.hessians)
 
 
-def test_hessian_symmetry(rng):
-    basis = LegendreBasis(4, [(-2.0, 2.0), (-2.0, 2.0), (-2.0, 2.0)])
-    x = rng.uniform(-1.9, 1.9, (15, 3))
+@pytest.mark.parametrize(
+    "basis",
+    [
+        Monomials(3, 4),
+        LegendreBasis(4, [(-2.0, 2.0), (-2.0, 2.0), (-2.0, 2.0)]),
+        GaussianBasis(np.linspace(-1.0, 1.0, 12).reshape(4, 3), 0.8),
+        PeriodicGaussianBasis(np.linspace(-2.8, 2.8, 9), 0.7, 2 * np.pi),
+    ],
+    ids=["monomials", "legendre", "gaussians", "periodic"],
+)
+def test_hessian_symmetry(basis, rng):
+    x = rng.uniform(-1.9, 1.9, (15, basis.dimension))
     H = basis.evaluate(x, with_hessians=True).hessians
     assert np.array_equal(H, np.transpose(H, (0, 1, 3, 2)))
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [
+        GaussianBasis(np.linspace(-1.0, 1.0, 5).reshape(-1, 1), 0.6),
+        GaussianBasis([[0.0, 0.0], [1.0, -1.0], [0.3, 0.2]], 0.8),
+        GaussianBasis(np.linspace(-1.0, 1.0, 12).reshape(3, 4), 0.9),
+        PeriodicGaussianBasis(np.linspace(-2.8, 2.8, 9), 0.7, 2 * np.pi),
+    ],
+    ids=["gaussians-d1", "gaussians-d2", "gaussians-d4", "periodic"],
+)
+def test_gaussian_hessians_match_closed_form(basis, rng):
+    # built from the generator action; points near +-1.4 wrap around the periodic centers
+    x = rng.uniform(-1.4, 1.4, (30, basis.dimension))
+    H = basis.evaluate(x, with_hessians=True).hessians
+    want = helpers.gaussian_hessians(basis, x)
+    assert np.abs(H - want).max() <= 1e-13 * np.abs(want).max()
+
+
+class _Quadratics(Dictionary):
+    """{1, x, x^2} on R through the two chunk callables alone."""
+
+    dimension, size = 1, 3
+
+    def _chunk_evaluate(self, gradients=False):
+        def evaluate(points):
+            x = np.asarray(points, dtype=np.float64).reshape(-1)
+            values = np.array([np.ones_like(x), x, x * x])
+            if not gradients:
+                return values
+            return values, np.array([np.zeros_like(x), np.ones_like(x), 2.0 * x])[:, :, None]
+
+        return evaluate
+
+    def _chunk_action(self):
+        def act(points, drift, diffusion=None):
+            # L x^2 = 2 b x + a
+            x, b = np.asarray(points).reshape(-1), np.asarray(drift)[:, 0]
+            a = 0.0 if diffusion is None else np.asarray(diffusion)[:, 0, 0]
+            return self._chunk_evaluate()(points), np.array([0.0 * x, b, 2.0 * b * x + a])
+
+        return act
+
+
+def test_chunk_callables_give_every_public_method():
+    basis, x = _Quadratics(), np.array([[2.0], [-1.0]])
+    values = [[1.0, 1.0], [2.0, -1.0], [4.0, 1.0]]
+    assert np.array_equal(basis.values(x), values)
+    block = basis.evaluate(x)
+    assert np.array_equal(block.values, values)
+    assert np.array_equal(block.gradients[:, :, 0], [[0.0, 0.0], [1.0, 1.0], [4.0, -2.0]])
+    assert block.hessians is None
+    hessians = np.broadcast_to(np.array([0.0, 0.0, 2.0])[:, None, None, None], (3, 2, 1, 1))
+    assert np.array_equal(basis.evaluate(x, with_hessians=True).hessians, hessians)
+    drift, diffusion = np.array([[0.5], [3.0]]), np.array([[[4.0]], [[1.0]]])
+    got_values, dpsi = basis.generator_action(x, drift, diffusion)
+    assert np.array_equal(got_values, values)
+    assert np.array_equal(dpsi, [[0.0, 0.0], [0.5, 3.0], [6.0, -5.0]])
+    first_order = basis.generator_action(x, drift)[1]
+    assert np.array_equal(first_order, [[0.0, 0.0], [0.5, 3.0], [2.0, -6.0]])
 
 
 def test_spec_round_trip(rng):
