@@ -247,7 +247,7 @@ def force_matching(
     if m == 0:
         raise InputError("every sample was excluded; force matching has no data")
     z = cg_map(sample.points[kept])
-    values = reduced_basis._chunk_evaluate()
+    values = reduced_basis._chunk_values()
     est = _fit(
         lambda sl: (values(z[sl]), targets[sl].T), m, n, 1, reduced_basis, "force-matching"
     )
@@ -273,11 +273,11 @@ def _stiffness_designs(
     """
     z = np.asarray(points, dtype=float)
     m = z.shape[0]
-    evaluate = reduced_dict._chunk_evaluate(gradients=True)
-    values = diffusion_basis._chunk_evaluate()
+    gradients = reduced_dict._chunk_gradients()
+    values = diffusion_basis._chunk_values()
 
     def chunk_sums(sl):
-        grads = evaluate(z[sl])[1]  # (n, chunk, p)
+        grads = gradients(z[sl])[1]  # (n, chunk, p)
         g = grads.reshape(grads.shape[0], -1)
         chi = values(z[sl])  # (n_t, chunk)
         return np.stack([(g * np.repeat(c, grads.shape[2])) @ g.T for c in chi])

@@ -25,7 +25,7 @@ from .dictionaries import Dictionary
 from .dictionaries import evaluate  # noqa: F401
 from .errors import ConfigError, InputError, StabilityError, warn
 from .generator import gedmd_deterministic, gedmd_stochastic
-from .models import SampleSet, _rng
+from .models import SampleSet, _rng, sample_uniform
 
 __all__ = [
     "SurrogateFamily",
@@ -949,8 +949,6 @@ class ControlledOUPlant:
 
     def sample_set(self, u: float, box, m: int, seed) -> SampleSet:
         """Exact training data for the constant-input system."""
-        from .models import sample_uniform
-
         points = sample_uniform(box, m, seed=seed)
         a = np.broadcast_to(np.full((1, 1), 2.0 / self.beta), (m, 1, 1)) if self.noise else None
         return SampleSet(

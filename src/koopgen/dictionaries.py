@@ -3,7 +3,7 @@
 A dictionary is a finite family of scalar basis functions psi_1, ..., psi_n
 on R^d. Generator estimation needs, at every data point, the values of all
 basis functions and their generator action; every dictionary here forms
-both in closed form, and its gradients on request.
+both in closed form, and derivatives from the action.
 
 Conventions
 -----------
@@ -12,11 +12,11 @@ Conventions
 * Results are packed into an :class:`EvaluationBlock` with
   ``values`` of shape (n, m), ``gradients`` of shape (n, m, d) and,
   on request, ``hessians`` of shape (n, m, d, d).
-* A basis implements only two chunk callables, ``_chunk_evaluate`` (values,
-  and gradients on request) and ``_chunk_action`` (values and generator
-  action). The public methods of :class:`Dictionary` are each one call of a
-  fresh one; :meth:`Dictionary.evaluate` builds Hessians from d(d + 1)/2
-  actions under zero drift and diffusion e_i e_j^T + e_j e_i^T, each d_i d_j psi.
+* A basis implements only two chunk callables, ``_chunk_values`` and
+  ``_chunk_action`` (values and generator action), and each public method
+  of :class:`Dictionary` is one call of a fresh one. Derivatives come from
+  the action: d_i psi under the drift e_i and no diffusion, d_i d_j psi
+  under zero drift and the diffusion e_i e_j^T + e_j e_i^T.
 * Every call evaluates the whole array it is given in one pass, so its
   temporaries grow with m; a point's results do not depend on the points
   evaluated with it. The estimators bound m by the panel rule of
@@ -159,15 +159,14 @@ def _graded_exponents(dimension: int, max_degree: int) -> np.ndarray:
 class Dictionary:
     """Common interface of all observable dictionaries.
 
-    A concrete basis implements two chunk callables. ``_chunk_evaluate()``
-    returns a callable points -> values (n, m), and with ``gradients=True``
-    points -> (values, gradients (n, m, d)); ``_chunk_action()`` returns a
+    A concrete basis implements two chunk callables. ``_chunk_values()``
+    returns a callable points -> values (n, m); ``_chunk_action()`` returns a
     callable (points, drift, diffusion=None) -> (values, dpsi), as
     :meth:`generator_action`. Each serves the consecutive chunks of one walk:
     the arrays returned for a chunk may be overwritten by the next call, and
-    no chunk may be longer than the first. :meth:`values`, :meth:`evaluate`
-    and :meth:`generator_action` are defined here once, each one call of a
-    fresh chunk callable.
+    no chunk may be longer than the first. ``_chunk_gradients()`` and the
+    public :meth:`values`, :meth:`evaluate` and :meth:`generator_action` are
+    defined here once, over those two.
     """
 
     dimension: int
@@ -180,7 +179,7 @@ class Dictionary:
         generator action is d_i d_j psi: one chunk action forms it for each
         i <= j, written to both [..., i, j] and [..., j, i], so H is symmetric.
         """
-        values, gradients = self._chunk_evaluate(gradients=True)(points)
+        values, gradients = self._chunk_gradients()(points)
         if not with_hessians:
             return EvaluationBlock(values, gradients)
         act, (m, d) = self._chunk_action(), gradients.shape[1:]
@@ -194,7 +193,7 @@ class Dictionary:
     def values(self, points) -> np.ndarray:
         """``values[k, l] = psi_k(x_l)``, shape (n, m), bitwise as from
         :meth:`evaluate`, without any derivative."""
-        return self._chunk_evaluate()(points)
+        return self._chunk_values()(points)
 
     def generator_action(self, points, drift, diffusion=None):
         """Values and generator action of every basis function at the points.
@@ -219,11 +218,33 @@ class Dictionary:
         """
         return self._chunk_action()(points, drift, diffusion)
 
-    def _chunk_evaluate(self, gradients=False):
+    def _chunk_values(self):
         raise NotImplementedError
 
     def _chunk_action(self):
         raise NotImplementedError
+
+    def _chunk_gradients(self):
+        """Callable points -> (values (n, m), gradients (n, m, d)) for the chunks of one walk.
+
+        Under the constant drift e_i and no diffusion the generator action is
+        d_i psi: one chunk action forms it for each i, into one buffer sized
+        at the first chunk.
+        """
+        act, buffer, unit = self._chunk_action(), None, np.eye(self.dimension)
+
+        def call(points):
+            nonlocal buffer
+            x = _check_points(points, self.dimension)
+            m, d = x.shape
+            if buffer is None:
+                buffer = np.empty(self.size * m * d)
+            gradients = buffer[: self.size * m * d].reshape(self.size, m, d)
+            for i in range(d):
+                values, gradients[..., i] = act(x, np.broadcast_to(unit[i], (m, d)))
+            return values, gradients
+
+        return call
 
     def labels(self) -> list[str]:
         raise NotImplementedError
@@ -259,8 +280,8 @@ class _SeparableBasis(Dictionary):
     p, e with its last nonzero coordinate w set to 0, so psi_e = psi_p * phi
     with phi = f_{e_w}(x_w) (factors multiply left to right), and each level
     of exponents with equally many nonzero coordinates is gathered and
-    multiplied from the level below, at most LEVEL_BLOCK rows at a time.  Gradients follow d_i psi_e = phi d_i psi_p +
-    delta_iw psi_p phi', and the generator action the carre-du-champ identity
+    multiplied from the level below, at most LEVEL_BLOCK rows at a time. The
+    generator action follows the carre-du-champ identity
     L(fg) = f Lg + g Lf + grad f . a grad g, which needs no Hessians:
     L psi_e = phi L psi_p + psi_p L phi + phi' (a_sym grad psi_p)_w with
     L phi = b_w phi' + 1/2 a_ww phi''.
@@ -277,44 +298,41 @@ class _SeparableBasis(Dictionary):
         self.size = n = E.shape[0]
         self._index = {tuple(e): i for i, e in enumerate(E)}
         # per block of at most LEVEL_BLOCK rows of one level (a level's rows
-        # do not depend on each other): rows, their parents, the coordinate w
-        # each adds, the row of f_{e_w}(x_w) in the stacked tables of _tables,
-        # and the parents' nonzero coordinates (rows, level - 1)
+        # do not depend on each other), _plan holds the rows, their parents
+        # and the row of f_{e_w}(x_w) in the stacked tables of _tables.  The
+        # action needs gradients only of parents: rows below the top degree,
+        # which come first.  _act keeps them block by block at consecutive
+        # positions after row 0's, so a block's gradients are one slice past
+        # its parents'.  Per block _action_plan holds the parents' positions,
+        # the block's first position, the count g of its rows with gradients,
+        # their rows i * d + w in a (g, d, m) array, and per nonzero parent
+        # coordinate i the rows i * d + w of a_sym (d, d, m) and
+        # position(p) * d + i of the gradients (., d, m)
+        d = self.dimension
         nonzero = E != 0
         level = nonzero.sum(axis=1)
-        last = self.dimension - 1 - np.argmax(nonzero[:, ::-1], axis=1)
+        last = d - 1 - np.argmax(nonzero[:, ::-1], axis=1)
         base = E.copy()
         base[np.arange(n), last] = 0
         parent = np.array([self._index[tuple(p)] for p in base], dtype=np.intp)
         factor = last * (self.max_degree + 1) + E[np.arange(n), last]
-        self._plan = []
+        self._low = low = max(1, int(np.searchsorted(E.sum(axis=1), self.max_degree)))
+        position = np.zeros(low, dtype=np.intp)
+        self._plan, self._action_plan, start = [], [], 1
         for k in range(1, level.max() + 1):
             rows = np.flatnonzero(level == k)
             support = np.nonzero(base[rows])[1].reshape(rows.size, k - 1)
             for block in range(0, rows.size, LEVEL_BLOCK):
                 sl = slice(block, block + LEVEL_BLOCK)
-                r = rows[sl]
-                self._plan.append((r, parent[r], factor[r], last[r], support[sl]))
+                r, w = rows[sl], last[rows[sl]]
+                self._plan.append((r, parent[r], factor[r]))
+                g = int(np.searchsorted(r, low))
+                position[r[:g]] = np.arange(start, start + g)
+                at = position[parent[r]]
+                couplings = [(i * d + w, at * d + i) for i in support[sl].T]
+                self._action_plan.append((at, start, g, np.arange(g) * d + w[:g], couplings))
+                start += g
         self._widest = max((rows.size for rows, *_ in self._plan), default=1)
-        # the action needs gradients only of parents: rows below the top
-        # degree, which come first.  _act keeps them block by block at
-        # consecutive positions after row 0's, so a block's gradients are one
-        # slice past its parents'.  Per block: the parents' positions, the
-        # block's first position, the count g of its rows with gradients,
-        # their rows i * d + w in a (g, d, m) array, and per nonzero parent
-        # coordinate i the rows i * d + w of a_sym (d, d, m) and
-        # position(p) * d + i of the gradients (., d, m)
-        d = self.dimension
-        self._low = low = max(1, int(np.searchsorted(E.sum(axis=1), self.max_degree)))
-        position = np.zeros(low, dtype=np.intp)
-        self._action_plan, start = [], 1
-        for rows, parents, _, w, support in self._plan:
-            g = int(np.searchsorted(rows, low))
-            position[rows[:g]] = np.arange(start, start + g)
-            at = position[parents]
-            couplings = [(i * d + w, at * d + i) for i in support.T]
-            self._action_plan.append((at, start, g, np.arange(g) * d + w[:g], couplings))
-            start += g
 
     @property
     def constant_index(self) -> int:
@@ -340,39 +358,16 @@ class _SeparableBasis(Dictionary):
         self._tables(x, tables)
         return tables
 
-    def _walk_sizes(self, m, order):
-        """Buffer entries of _walk and its tables for m points, derivatives to ``order``."""
-        level = self._widest * m
-        sizes = {"tables": (order + 1) * self.dimension * (self.max_degree + 1) * m,
-                 "phi": level, "psi": level}
-        if order:
-            sizes.update(dphi=level, grad=level * self.dimension)
-        return sizes
-
-    def _walk(self, tables, values, work, gradients=None) -> None:
-        """Fill values (n, m) and, if given, gradients (n', m, d) block by
-        block along the plan, through the buffers of ``work`` (_walk_sizes).
-        Gradients are zero in row 0 and cover the first n' rows, a prefix of
-        each block as its rows ascend."""
-        m, d = values.shape[1], self.dimension
-        tables = tables.reshape(len(tables), -1, m)
+    def _walk(self, x, values, work) -> None:
+        """Fill values (n, m) at points x (m, d) block by block along the
+        plan, through the buffers of ``work`` (_chunk_values)."""
+        m = x.shape[0]
+        table = self._tables_in(x, 0, work).reshape(-1, m)
         values[0] = 1.0
-        for rows, parents, factor, w, _ in self._plan:
+        for rows, parents, factor in self._plan:
             phi, psi = (work.view(name, (rows.size, m)) for name in ("phi", "psi"))
-            tables[0].take(factor, axis=0, out=phi, mode="clip")
+            table.take(factor, axis=0, out=phi, mode="clip")
             values.take(parents, axis=0, out=psi, mode="clip")
-            if gradients is not None:
-                g = np.searchsorted(rows, len(gradients))
-                dphi = work.view("dphi", (g, m))
-                tables[1].take(factor[:g], axis=0, out=dphi, mode="clip")
-                at = np.arange(g)
-                # psi_p does not depend on x_w: its entry w is 0
-                grad = work.view("grad", (g, m, d))
-                parent_rows = gradients.reshape(len(gradients), -1)
-                parent_rows.take(parents[:g], axis=0, out=grad.reshape(g, -1), mode="clip")
-                np.multiply(grad, phi[:g, :, None], out=grad)
-                grad[at, :, w[:g]] = np.multiply(psi[:g], dphi, out=dphi)
-                gradients[rows[:g]] = grad
             values[rows] = np.multiply(psi, phi, out=psi)
 
     # a binding of its own, so that tracing that wraps each class's evaluate
@@ -395,20 +390,16 @@ class _SeparableBasis(Dictionary):
 
         return call
 
-    def _chunk_evaluate(self, gradients=False):
-        n, d, order = self.size, self.dimension, int(gradients)
+    def _chunk_values(self):
+        n, factors, level = self.size, self.dimension * (self.max_degree + 1), self._widest
 
         def sizes(m):
-            return {**self._walk_sizes(m, order), "values": n * m, "gradients": order * n * m * d}
+            return {"tables": factors * m, "phi": level * m, "psi": level * m, "values": n * m}
 
         def fill(x, work):
-            m = x.shape[0]
-            values, grads = work.view("values", (n, m)), None
-            if gradients:
-                grads = work.view("gradients", (n, m, d))
-                grads[0] = 0.0
-            self._walk(self._tables_in(x, order, work), values, work, grads)
-            return (values, grads) if gradients else values
+            values = work.view("values", (n, x.shape[0]))
+            self._walk(x, values, work)
+            return values
 
         return self._chunk_call(sizes, fill)
 
@@ -469,7 +460,7 @@ class _SeparableBasis(Dictionary):
             grads[0] = 0.0
         tables = tables.reshape(order + 1, factors, m)
         lphi = lphi.reshape(factors, m)
-        for (rows, parents, factor, _, _), (at, start, g, grad_at, couplings) in zip(
+        for (rows, parents, factor), (at, start, g, grad_at, couplings) in zip(
             self._plan, self._action_plan
         ):
             phi, psi, term, gather = (
@@ -703,15 +694,10 @@ class GaussianBasis(Dictionary):
 
     evaluate = Dictionary.evaluate  # a binding of its own, as in _SeparableBasis
 
-    def _chunk_evaluate(self, gradients=False):
-        def call(points):
-            D = self._displacements(_check_points(points, self.dimension))  # (n, m, d)
-            values = self._exponential(D)
-            if not gradients:
-                return values
-            return values, -(D / self.bandwidth**2) * values[:, :, None]
-
-        return call
+    def _chunk_values(self):
+        return lambda points: self._exponential(
+            self._displacements(_check_points(points, self.dimension))
+        )
 
     def _chunk_action(self):
         return self._action

@@ -32,9 +32,9 @@ around that would overlap nothing), from the LAPACK that numpy links: its
 ILP64 symbol in numpy's linalg extension, so fitting loads no scipy. Only if
 numpy exports none is it taken, at the first fold, from scipy's Cython
 LAPACK table (32-bit integers). A walk reads the dictionary through the
-two chunk callables every basis implements (Dictionary._chunk_evaluate for
-values and gradients, Dictionary._chunk_action for the generator action,
-from which even Dictionary.evaluate's Hessians come). On a tensor basis no
+two chunk callables every basis implements (Dictionary._chunk_values for
+values, Dictionary._chunk_action for the generator action, from which
+gradients and Hessians both come). On a tensor basis no
 chunk allocates: the two panels are allocated once per fit, a shorter last
 chunk takes their leading entries, and the basis refills work arrays
 allocated at its first chunk, so a fit's memory is R, two panels and one
@@ -223,6 +223,12 @@ def _lapack(routine):
     return signature(get_pointer(capsule, get_name(capsule))), ctypes.c_int, "scipy"
 
 
+def _by_reference(integer):
+    """value -> a pointer to value as the LAPACK integer type `integer`, for
+    Fortran, which takes every argument by reference."""
+    return lambda value: ctypes.byref(integer(value))
+
+
 def fold_lapack() -> str:
     """Which LAPACK folds R: "numpy" or "scipy" (see _lapack); the bits of R depend on it."""
     return _lapack("dtpqrt")[2]
@@ -260,11 +266,7 @@ def _fold(R, B, T, work):
     ):
         raise ValueError("dtpqrt needs Fortran-ordered float64 arrays of matching sizes")
     dtpqrt, integer, _ = _lapack("dtpqrt")
-    info = integer()
-
-    def ref(value):
-        return ctypes.byref(integer(value))
-
+    info, ref = integer(), _by_reference(integer)
     dtpqrt(ref(rows), ref(width), ref(0), ref(nb), R.ctypes.data, ref(width),
            B.ctypes.data, ref(max(rows, 1)), T.ctypes.data, ref(nb), work.ctypes.data,
            ctypes.byref(info))
@@ -340,11 +342,7 @@ def _trtrs(A, B, trans=b"N"):
         A = np.asfortranarray(A, dtype=np.float64)
     X = np.array(B.reshape(n, -1), dtype=np.float64, order="F")
     dtrtrs, integer, _ = _lapack("dtrtrs")
-    info = integer()
-
-    def ref(value):
-        return ctypes.byref(integer(value))
-
+    info, ref = integer(), _by_reference(integer)
     dtrtrs(b"U", trans, b"N", ref(n), ref(X.shape[1]), A.ctypes.data,
            ref(max(A.strides[1] // 8, 1)), X.ctypes.data, ref(max(n, 1)),
            ctypes.byref(info), 1, 1, 1)
@@ -446,13 +444,13 @@ def gedmd_reversible(dictionary: Dictionary, sample: SampleSet) -> GeneratorEsti
     x, a = sample.points, sample.diffusion_samples
     n, m = dictionary.size, sample.count
     A = np.zeros((n, n))
-    evaluate = dictionary._chunk_evaluate(gradients=True)
+    gradients = dictionary._chunk_gradients()
     products = None  # grad psi a per point, for the first (longest) chunk and the rest
 
     def chunk(sl):
         nonlocal products
         # A_hat's sum rides along with the walk that feeds the factor
-        values, grads = evaluate(x[sl])
+        values, grads = gradients(x[sl])
         if products is None or products.size < grads.size:
             products = np.empty(grads.size)
         Ga = products[: grads.size].reshape(grads.shape)
@@ -503,7 +501,7 @@ def edmd_with_log(
     if x.shape != y.shape:
         raise InputError("points and lagged_points must have equal counts")
     n, m = dictionary.size, x.shape[0]
-    at_x, at_y = dictionary._chunk_evaluate(), dictionary._chunk_evaluate()
+    at_x, at_y = dictionary._chunk_values(), dictionary._chunk_values()
     est = _fit(lambda sl: (at_x(x[sl]), at_y(y[sl])), m, n, n, dictionary, "edmd-log")
     eigs = np.linalg.eigvals(est.M)
     scale = max(np.max(np.abs(eigs)), 1.0)

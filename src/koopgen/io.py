@@ -214,5 +214,6 @@ def write_schedule_json(path, schedule) -> Path:
 
 def write_manifest(path, config: dict) -> Path:
     """Run manifest: the configuration as given plus the seed in effect, not the
-    defaults, and the numpy version and fold LAPACK that the output bits depend on."""
+    defaults, and the numpy version, fold LAPACK and BLAS thread count that the
+    output bits depend on."""
     return write_json(path, config)

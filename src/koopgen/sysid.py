@@ -320,7 +320,7 @@ def sindy_coefficients(dictionary: Dictionary, sample: SampleSet) -> np.ndarray:
     """
     x, b = sample.points, sample.drift_samples
     n, d = dictionary.size, b.shape[1]
-    values = dictionary._chunk_evaluate()
+    values = dictionary._chunk_values()
     return _fit(lambda sl: (values(x[sl]), b[sl].T), sample.count, n, d, dictionary, "sindy").M
 
 
@@ -381,13 +381,13 @@ def identify(
 
     def drift_chunk(data):
         x, b = data.points, data.drift_samples
-        values = dictionary._chunk_evaluate()
+        values = dictionary._chunk_values()
         return lambda sl: (values(x[sl]), b[sl].T)
 
     def diffusion_chunk(data):
         # a_ij + (b_i - bhat_i) x_j + (b_j - bhat_j) x_i per point
         x, b, a = data.points, data.drift_samples, data.diffusion_samples
-        values = dictionary._chunk_evaluate()
+        values = dictionary._chunk_values()
 
         def chunk(sl):
             psi, xs = values(x[sl]), x[sl]

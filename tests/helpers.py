@@ -161,18 +161,29 @@ def ou_plant_advance_per_substep(plant, states, u, h, rng):
     return x, window if plant.noise else x[:, np.newaxis, :]
 
 
-def gaussian_hessians(basis, points):
-    """(D D^T / sigma^4 - I / sigma^2) psi for every Gaussian of ``basis``, shape (n, m, d, d).
-
-    The closed-form Hessian of exp(-||D||^2 / (2 sigma^2)), D = x - c; for a
-    periodic basis D is wrapped to the nearest period image.
-    """
+def _gaussians(basis, points):
+    """(D, psi, sigma^2) for every Gaussian of ``basis``: psi = exp(-||D||^2 / (2 sigma^2))
+    of shape (n, m) and D = x - c of shape (n, m, d), for a periodic basis
+    wrapped to the nearest period image."""
     x = np.asarray(points, dtype=np.float64).reshape(-1, basis.dimension)
     D = x[None, :, :] - basis.centers[:, None, :]
     if hasattr(basis, "period"):
         D = D - basis.period * np.round(D / basis.period)
     s2 = basis.bandwidth**2
-    psi = np.exp(-np.sum(D * D, axis=2) / (2.0 * s2))
+    return D, np.exp(-np.sum(D * D, axis=2) / (2.0 * s2)), s2
+
+
+def gaussian_gradients(basis, points):
+    """-(D / sigma^2) psi for every Gaussian of ``basis``, shape (n, m, d): the
+    closed-form gradient, with D and psi as in _gaussians."""
+    D, psi, s2 = _gaussians(basis, points)
+    return -(D / s2) * psi[:, :, None]
+
+
+def gaussian_hessians(basis, points):
+    """(D D^T / sigma^4 - I / sigma^2) psi for every Gaussian of ``basis``, shape
+    (n, m, d, d): the closed-form Hessian, with D and psi as in _gaussians."""
+    D, psi, s2 = _gaussians(basis, points)
     outer = D[:, :, :, None] * D[:, :, None, :] / (s2 * s2)
     return (outer - np.eye(basis.dimension) / s2) * psi[:, :, None, None]
 

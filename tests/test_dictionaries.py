@@ -284,11 +284,14 @@ def test_hessian_symmetry(basis, rng):
     ids=["gaussians-d1", "gaussians-d2", "gaussians-d4", "periodic"],
 )
 def test_gaussian_hessians_match_closed_form(basis, rng):
-    # built from the generator action; points near +-1.4 wrap around the periodic centers
+    # both built from the generator action; points near +-1.4 wrap around the periodic centers
     x = rng.uniform(-1.4, 1.4, (30, basis.dimension))
-    H = basis.evaluate(x, with_hessians=True).hessians
-    want = helpers.gaussian_hessians(basis, x)
-    assert np.abs(H - want).max() <= 1e-13 * np.abs(want).max()
+    block = basis.evaluate(x, with_hessians=True)
+    for got, want in (
+        (block.gradients, helpers.gaussian_gradients(basis, x)),
+        (block.hessians, helpers.gaussian_hessians(basis, x)),
+    ):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 class _Quadratics(Dictionary):
@@ -296,22 +299,19 @@ class _Quadratics(Dictionary):
 
     dimension, size = 1, 3
 
-    def _chunk_evaluate(self, gradients=False):
-        def evaluate(points):
+    def _chunk_values(self):
+        def values(points):
             x = np.asarray(points, dtype=np.float64).reshape(-1)
-            values = np.array([np.ones_like(x), x, x * x])
-            if not gradients:
-                return values
-            return values, np.array([np.zeros_like(x), np.ones_like(x), 2.0 * x])[:, :, None]
+            return np.array([np.ones_like(x), x, x * x])
 
-        return evaluate
+        return values
 
     def _chunk_action(self):
         def act(points, drift, diffusion=None):
             # L x^2 = 2 b x + a
             x, b = np.asarray(points).reshape(-1), np.asarray(drift)[:, 0]
             a = 0.0 if diffusion is None else np.asarray(diffusion)[:, 0, 0]
-            return self._chunk_evaluate()(points), np.array([0.0 * x, b, 2.0 * b * x + a])
+            return self._chunk_values()(points), np.array([0.0 * x, b, 2.0 * b * x + a])
 
         return act
 

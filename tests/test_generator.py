@@ -375,26 +375,24 @@ def test_tensor_bases_independent_of_work_chunks():
 )
 @pytest.mark.parametrize("stochastic", [False, True])
 def test_reused_chunk_walks_equal_fresh_calls(basis, stochastic):
-    # one chunk action or evaluation refills the work arrays of its first chunk; a
-    # short last chunk takes their leading entries; results equal fresh calls bitwise
+    # one chunk action, values or gradients callable refills the arrays of its first
+    # chunk; a short last chunk takes their leading entries; results equal fresh calls bitwise
     m = 700
     rng = np.random.Generator(np.random.Philox(31))
     points = rng.uniform(-1.5, 1.5, (m, basis.dimension))
     drift, diffusion = _random_coefficients(rng, m, basis.dimension)
     a = diffusion if stochastic else None
     for length in (256, 300, 699, m):  # short last chunks of 188, 100, 1 points; one chunk
-        act = basis._chunk_action()
-        evaluate = basis._chunk_evaluate(gradients=stochastic)
+        act, values = basis._chunk_action(), basis._chunk_values()
+        gradients = basis._chunk_gradients()
         for start in range(0, m, length):
             sl = slice(start, min(start + length, m))
             got = act(points[sl], drift[sl], None if a is None else a[sl])
             want = basis.generator_action(points[sl], drift[sl], None if a is None else a[sl])
             block = basis.evaluate(points[sl])
-            got_values = evaluate(points[sl])
-            if stochastic:
-                got_values, got_gradients = got_values
-                assert np.array_equal(got_gradients, block.gradients)
-            for got_k, want_k in zip((*got, got_values), (*want, block.values)):
+            got = (*got, values(points[sl]), *gradients(points[sl]))
+            want = (*want, block.values, block.values, block.gradients)
+            for got_k, want_k in zip(got, want, strict=True):
                 assert np.array_equal(got_k, want_k)
 
 
