@@ -17,7 +17,8 @@ import numpy as np
 
 from .dictionaries import Dictionary
 from .errors import InputError, NumericalError, warn
-from .generator import GeneratorEstimate, _fit, _lstsq, _residual, _walk, gedmd_reversible
+from .generator import (GeneratorEstimate, _fit, _lstsq, _regression, _residual, _walk,
+                        gedmd_reversible)
 from .models import SampleSet, SdeModel
 
 JACOBIAN_RANK_TOL = 1e-12  # relative eigenvalue of J^T J below which a point is excluded
@@ -247,10 +248,7 @@ def force_matching(
     if m == 0:
         raise InputError("every sample was excluded; force matching has no data")
     z = cg_map(sample.points[kept])
-    values = reduced_basis._chunk_values()
-    est = _fit(
-        lambda sl: (values(z[sl]), targets[sl].T), m, n, 1, reduced_basis, "force-matching"
-    )
+    est = _fit(_regression(reduced_basis, z, targets), m, n, 1, reduced_basis, "force-matching")
     return ForceMatchResult(
         gradient_coeffs=est.M[0],
         basis=reduced_basis,
@@ -273,16 +271,17 @@ def _stiffness_designs(
     """
     z = np.asarray(points, dtype=float)
     m = z.shape[0]
+    n, p = reduced_dict.size, reduced_dict.dimension
     gradients = reduced_dict._chunk_gradients()
-    values = diffusion_basis._chunk_values()
 
     def chunk_sums(sl):
-        grads = gradients(z[sl])[1]  # (n, chunk, p)
-        g = grads.reshape(grads.shape[0], -1)
-        chi = values(z[sl])  # (n_t, chunk)
-        return np.stack([(g * np.repeat(c, grads.shape[2])) @ g.T for c in chi])
+        grads = np.empty((n, sl.stop - sl.start, p))
+        gradients(z[sl], np.empty(grads.shape[:2]), grads)
+        g = grads.reshape(n, -1)
+        chi = diffusion_basis.values(z[sl])  # (n_t, chunk)
+        return np.stack([(g * np.repeat(c, p)) @ g.T for c in chi])
 
-    return -0.5 / m * sum(_walk(m, reduced_dict.size, chunk_sums))
+    return -0.5 / m * sum(chunk_sums(sl) for sl in _walk(m, n))
 
 
 def _nnls(D, target):

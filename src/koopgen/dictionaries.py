@@ -13,17 +13,19 @@ Conventions
   ``values`` of shape (n, m), ``gradients`` of shape (n, m, d) and,
   on request, ``hessians`` of shape (n, m, d, d).
 * A basis implements only two chunk callables, ``_chunk_values`` and
-  ``_chunk_action`` (values and generator action), and each public method
-  of :class:`Dictionary` is one call of a fresh one. Derivatives come from
-  the action: d_i psi under the drift e_i and no diffusion, d_i d_j psi
-  under zero drift and the diffusion e_i e_j^T + e_j e_i^T.
+  ``_chunk_action`` (values and generator action), which write into arrays
+  the caller passes; each public method of :class:`Dictionary` allocates
+  its results, which own their memory, and fills them by one call of a
+  fresh one. Derivatives come from the action: d_i psi under the drift e_i
+  and no diffusion, d_i d_j psi under zero drift and the diffusion
+  e_i e_j^T + e_j e_i^T.
 * Every call evaluates the whole array it is given in one pass, so its
-  temporaries grow with m; a point's results do not depend on the points
+  work arrays grow with m; a point's results do not depend on the points
   evaluated with it. The estimators bound m by the panel rule of
   ``generator._walk``: at most ``CHUNK`` points and, for a fit of width w,
   at most ``PANEL_ENTRIES // w`` points (at least one). A walk calls one
-  chunk callable for every chunk: tensor bases refill work arrays allocated
-  at the first chunk, Gaussian bases allocate afresh.
+  chunk callable for every chunk: it writes into the fold panel's rows and
+  refills work arrays allocated at the first chunk.
 * Polynomial-type dictionaries order their terms by total degree first
   (constant term first) and lexicographically descending within a degree,
   so for d = 2: 1, x1, x2, x1^2, x1*x2, x2^2, ...
@@ -159,14 +161,14 @@ def _graded_exponents(dimension: int, max_degree: int) -> np.ndarray:
 class Dictionary:
     """Common interface of all observable dictionaries.
 
-    A concrete basis implements two chunk callables. ``_chunk_values()``
-    returns a callable points -> values (n, m); ``_chunk_action()`` returns a
-    callable (points, drift, diffusion=None) -> (values, dpsi), as
-    :meth:`generator_action`. Each serves the consecutive chunks of one walk:
-    the arrays returned for a chunk may be overwritten by the next call, and
-    no chunk may be longer than the first. ``_chunk_gradients()`` and the
-    public :meth:`values`, :meth:`evaluate` and :meth:`generator_action` are
-    defined here once, over those two.
+    A concrete basis implements two chunk callables, which write into (n, m)
+    arrays the caller passes. ``_chunk_values()`` returns a callable
+    (points, values) -> None; ``_chunk_action()`` returns a callable
+    (points, drift, diffusion, values, dpsi) -> None (diffusion None for a
+    first-order action), as :meth:`generator_action`. Each serves the
+    consecutive chunks of one walk and refills the work arrays of its first.
+    ``_chunk_gradients()`` and the public :meth:`values`, :meth:`evaluate`
+    and :meth:`generator_action` are defined here once, over those two.
     """
 
     dimension: int
@@ -176,24 +178,30 @@ class Dictionary:
         """Values (n, m), gradients (n, m, d) and, on request, Hessians (n, m, d, d).
 
         Under zero drift and the constant diffusion e_i e_j^T + e_j e_i^T the
-        generator action is d_i d_j psi: one chunk action forms it for each
-        i <= j, written to both [..., i, j] and [..., j, i], so H is symmetric.
+        generator action is d_i d_j psi: one chunk action writes it for each
+        i <= j into [..., i, j] and copies it to [..., j, i], so H is symmetric.
         """
-        values, gradients = self._chunk_gradients()(points)
+        x = _check_points(points, self.dimension)
+        (m, d), n = x.shape, self.size
+        values, gradients = np.empty((n, m)), np.empty((n, m, d))
+        self._chunk_gradients()(x, values, gradients)
         if not with_hessians:
             return EvaluationBlock(values, gradients)
-        act, (m, d) = self._chunk_action(), gradients.shape[1:]
-        hessians, unit = np.empty((self.size, m, d, d)), np.eye(d)
+        act, hessians, unit = self._chunk_action(), np.empty((n, m, d, d)), np.eye(d)
         for i, j in itertools.combinations_with_replacement(range(d), 2):
             pair = np.outer(unit[i], unit[j])
-            pair = np.broadcast_to(pair + pair.T, (m, d, d))
-            hessians[..., i, j] = hessians[..., j, i] = act(points, np.zeros((m, d)), pair)[1]
+            act(x, np.zeros((m, d)), np.broadcast_to(pair + pair.T, (m, d, d)), values,
+                hessians[..., i, j])
+            hessians[..., j, i] = hessians[..., i, j]
         return EvaluationBlock(values, gradients, hessians)
 
     def values(self, points) -> np.ndarray:
         """``values[k, l] = psi_k(x_l)``, shape (n, m), bitwise as from
         :meth:`evaluate`, without any derivative."""
-        return self._chunk_values()(points)
+        x = _check_points(points, self.dimension)
+        values = np.empty((self.size, x.shape[0]))
+        self._chunk_values()(x, values)
+        return values
 
     def generator_action(self, points, drift, diffusion=None):
         """Values and generator action of every basis function at the points.
@@ -216,7 +224,25 @@ class Dictionary:
         Every concrete basis forms the action in closed form and builds no
         Hessian (the carre-du-champ identity, or the Gaussian closed form).
         """
-        return self._chunk_action()(points, drift, diffusion)
+        x = _check_points(points, self.dimension)
+        values, dpsi = np.empty((self.size, x.shape[0])), np.empty((self.size, x.shape[0]))
+        self._chunk_action()(x, drift, diffusion, values, dpsi)
+        return values, dpsi
+
+    def _chunk_call(self, sizes, fill):
+        """fill(x, *args, work=work) for the chunks of one walk, x the checked points: one
+        _Work of sizes(m, *args) entries for m points serves every chunk up to m points."""
+        work = None
+
+        def call(points, *args):
+            nonlocal work
+            x = _check_points(points, self.dimension)
+            need = sizes(x.shape[0], *args)
+            if work is None or not work.holds(need):
+                work = _Work(need)
+            fill(x, *args, work=work)
+
+        return call
 
     def _chunk_values(self):
         raise NotImplementedError
@@ -225,24 +251,17 @@ class Dictionary:
         raise NotImplementedError
 
     def _chunk_gradients(self):
-        """Callable points -> (values (n, m), gradients (n, m, d)) for the chunks of one walk.
+        """Callable (points, values (n, m), gradients (n, m, d)) -> None for the chunks of one walk.
 
         Under the constant drift e_i and no diffusion the generator action is
-        d_i psi: one chunk action forms it for each i, into one buffer sized
-        at the first chunk.
+        d_i psi: one chunk action writes it for each i into gradients[..., i].
         """
-        act, buffer, unit = self._chunk_action(), None, np.eye(self.dimension)
+        act, unit = self._chunk_action(), np.eye(self.dimension)
 
-        def call(points):
-            nonlocal buffer
+        def call(points, values, gradients):
             x = _check_points(points, self.dimension)
-            m, d = x.shape
-            if buffer is None:
-                buffer = np.empty(self.size * m * d)
-            gradients = buffer[: self.size * m * d].reshape(self.size, m, d)
-            for i in range(d):
-                values, gradients[..., i] = act(x, np.broadcast_to(unit[i], (m, d)))
-            return values, gradients
+            for i in range(self.dimension):
+                act(x, np.broadcast_to(unit[i], x.shape), None, values, gradients[..., i])
 
         return call
 
@@ -353,8 +372,7 @@ class _SeparableBasis(Dictionary):
 
     def _tables_in(self, x, order, work):
         """The tables of x up to derivative ``order``, in the "tables" buffer of ``work``."""
-        shape = (order + 1, self.dimension, self.max_degree + 1, x.shape[0])
-        tables = work.view("tables", shape)
+        tables = work.view("tables", (order + 1, self.dimension, self.max_degree + 1, len(x)))
         self._tables(x, tables)
         return tables
 
@@ -374,48 +392,15 @@ class _SeparableBasis(Dictionary):
     # records one span per call
     evaluate = Dictionary.evaluate
 
-    def _chunk_call(self, sizes, fill):
-        """fill(x, *args, work=work) for the consecutive chunks of one walk, x
-        the checked points: one _Work of sizes(m, *args) entries for m points
-        serves every chunk, since none is longer than the first."""
-        work = None
-
-        def call(points, *args):
-            nonlocal work
-            x = _check_points(points, self.dimension)
-            need = sizes(x.shape[0], *args)
-            if work is None or not work.holds(need):
-                work = _Work(need)
-            return fill(x, *args, work=work)
-
-        return call
-
     def _chunk_values(self):
-        n, factors, level = self.size, self.dimension * (self.max_degree + 1), self._widest
-
-        def sizes(m):
-            return {"tables": factors * m, "phi": level * m, "psi": level * m, "values": n * m}
-
-        def fill(x, work):
-            values = work.view("values", (n, x.shape[0]))
-            self._walk(x, values, work)
-            return values
-
-        return self._chunk_call(sizes, fill)
+        factors, level = self.dimension * (self.max_degree + 1), self._widest
+        return self._chunk_call(
+            lambda m, values: {"tables": factors * m, "phi": level * m, "psi": level * m},
+            self._walk,
+        )
 
     def _chunk_action(self):
-        n = self.size
-
-        def sizes(m, drift, diffusion=None):
-            return {**self._action_sizes(m, diffusion is not None), "values": n * m, "dpsi": n * m}
-
-        def fill(x, drift, diffusion=None, *, work):
-            b, a = _action_coefficients(drift, diffusion, x.shape)
-            values, dpsi = (work.view(name, (n, x.shape[0])) for name in ("values", "dpsi"))
-            self._act(x, b, a, work, values, dpsi)
-            return values, dpsi
-
-        return self._chunk_call(sizes, fill)
+        return self._chunk_call(lambda m, b, a, *_: self._action_sizes(m, a is not None), self._act)
 
     def _action_sizes(self, m, stochastic):
         """Buffer entries of _act for m points, with or without a diffusion."""
@@ -429,9 +414,9 @@ class _SeparableBasis(Dictionary):
                          gradients=self._low * d * m, coupling=level, other=level)
         return sizes
 
-    def _act(self, x, b, a, work, values, dpsi):
-        """Fill values and dpsi (n, m) at points x (m, d) under drift b and
-        diffusion a (or None), through the buffers of ``work`` (_action_sizes).
+    def _act(self, x, drift, diffusion, values, dpsi, work):
+        """Fill values and dpsi (n, m) at points x (m, d) under the drift and
+        the diffusion (or None), through the buffers of ``work`` (_action_sizes).
 
         The carre-du-champ recurrence of the class docstring, block by block:
         gathers are np.take and products ufuncs with out=, so no array is
@@ -441,6 +426,7 @@ class _SeparableBasis(Dictionary):
         gradients are kept as (low, d, m) in the positions of the action plan.
         """
         m, d = x.shape
+        b, a = _action_coefficients(drift, diffusion, x.shape)
         order = 1 if a is None else 2
         factors = d * (self.max_degree + 1)
         tables = self._tables_in(x, order, work)
@@ -686,37 +672,51 @@ class GaussianBasis(Dictionary):
         self.bandwidth = float(bandwidth)
         self.size, self.dimension = c.shape
 
-    def _displacements(self, x: np.ndarray) -> np.ndarray:
-        return x[None, :, :] - self.centers[:, None, :]
+    def _displacements(self, x, D, scratch) -> None:
+        """Fill D (n, m, d) with x - c; ``scratch`` is an (n, m, d) array to overwrite."""
+        np.subtract(x[None, :, :], self.centers[:, None, :], out=D)
 
-    def _exponential(self, D: np.ndarray) -> np.ndarray:
-        return np.exp(-np.sum(D * D, axis=2) / (2.0 * self.bandwidth**2))
+    def _exponential(self, x, values, work):
+        """Fill values (n, m) at x; return the displacements, in the buffers of ``work``."""
+        shape = (self.size, x.shape[0], self.dimension)
+        D, DD = work.view("D", shape), work.view("DD", shape)
+        self._displacements(x, D, DD)
+        exponent = np.sum(np.multiply(D, D, out=DD), axis=2, out=work.view("exponent", shape[:2]))
+        # -x / y and x / -y round alike, so this is exp(-|D|^2 / (2 s^2)) to the bit
+        np.exp(np.divide(exponent, -2.0 * self.bandwidth**2, out=exponent), out=values)
+        return D
 
     evaluate = Dictionary.evaluate  # a binding of its own, as in _SeparableBasis
 
+    def _sizes(self, m, *args):
+        n, d = self.size, self.dimension
+        return {"D": n * m * d, "DD": n * m * d, "exponent": n * m}
+
     def _chunk_values(self):
-        return lambda points: self._exponential(
-            self._displacements(_check_points(points, self.dimension))
-        )
+        return self._chunk_call(self._sizes, self._exponential)
 
     def _chunk_action(self):
-        return self._action
+        return self._chunk_call(self._sizes, self._action)
 
-    def _action(self, points, drift, diffusion=None):
+    def _action(self, x, drift, diffusion, values, dpsi, work):
         # L psi = psi (-b . D / s^2 + 1/2 D^T a D / s^4 - 1/2 tr a / s^2), D = x - c
-        x = _check_points(points, self.dimension)
         b, a = _action_coefficients(drift, diffusion, x.shape)
         s2 = self.bandwidth**2
-        D = self._displacements(x)  # (n, m, d)
-        values = self._exponential(D)
-        rate = np.einsum("li,kli->kl", b, D) / -s2
+        D = self._exponential(x, values, work)  # (n, m, d)
+        # the rate in brackets is formed in dpsi, then multiplied by psi in place
+        rate = np.divide(np.einsum("li,kli->kl", b, D, out=dpsi), -s2, out=dpsi)
         if a is not None:
             # elementwise, so a point's D^T a D does not depend on the points
             # evaluated with it (einsum's batched matmul rounds a lone point differently)
-            d = self.dimension
-            DaD = sum(D[:, :, i] * a[:, i, j] * D[:, :, j] for i in range(d) for j in range(d))
-            rate += 0.5 * DaD / (s2 * s2) - 0.5 * np.trace(a, axis1=1, axis2=2) / s2
-        return values, rate * values
+            DaD, term = work.view("exponent", values.shape), work.view("DD", values.shape)
+            DaD[:] = 0.0
+            for i, j in itertools.product(range(self.dimension), repeat=2):
+                np.multiply(np.multiply(D[:, :, i], a[:, i, j], out=term), D[:, :, j], out=term)
+                np.add(DaD, term, out=DaD)
+            np.divide(np.multiply(0.5, DaD, out=DaD), s2 * s2, out=DaD)
+            trace = 0.5 * np.trace(a, axis1=1, axis2=2) / s2
+            np.add(rate, np.subtract(DaD, trace, out=DaD), out=rate)
+        np.multiply(rate, values, out=rate)
 
     def labels(self) -> list[str]:
         return [
@@ -740,11 +740,11 @@ class PeriodicGaussianBasis(GaussianBasis):
         super().__init__(np.reshape(centers, (-1, 1)), bandwidth)
         self.period = float(period)
 
-    def _displacements(self, x: np.ndarray) -> np.ndarray:
+    def _displacements(self, x, D, scratch) -> None:
         """Displacements wrapped into [-P/2, P/2], shape (n, m, 1)."""
-        P = self.period
-        raw = super()._displacements(x)
-        return raw - P * np.round(raw / P)
+        super()._displacements(x, D, scratch)
+        np.round(np.divide(D, self.period, out=scratch), out=scratch)
+        np.subtract(D, np.multiply(self.period, scratch, out=scratch), out=D)
 
     evaluate = Dictionary.evaluate  # a binding of its own, as in _SeparableBasis
 

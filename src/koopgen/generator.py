@@ -23,23 +23,23 @@ Per chunk the fit folds the chunk into the triangular factor R of
 R on top of the chunk without touching R's zero lower triangle (sequential
 TSQR; Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 2012), in a
 fixed chunk order, so reruns are bitwise identical. The fold overlaps the
-walk: the calling thread builds chunk i and copies it into panel i % 2 of
-two Fortran-ordered panels, while one worker thread folds chunk i - 1 from
-the other panel into R; the caller waits only for fold i - 2 before it
+walk: the calling thread writes chunk i straight into panel i % 2 of two
+Fortran-ordered panels, while one worker thread folds chunk i - 1 from the
+other panel into R; the caller waits only for fold i - 2 before it
 refills a panel. dtpqrt is called by ctypes, which
 releases the GIL for the call (scipy's f2py wrapper holds it, so a thread
 around that would overlap nothing), from the LAPACK that numpy links: its
 ILP64 symbol in numpy's linalg extension, so fitting loads no scipy. Only if
 numpy exports none is it taken, at the first fold, from scipy's Cython
-LAPACK table (32-bit integers). A walk reads the dictionary through the
-two chunk callables every basis implements (Dictionary._chunk_values for
-values, Dictionary._chunk_action for the generator action, from which
-gradients and Hessians both come). On a tensor basis no
-chunk allocates: the two panels are allocated once per fit, a shorter last
-chunk takes their leading entries, and the basis refills work arrays
-allocated at its first chunk, so a fit's memory is R, two panels and one
-chunk's work arrays. R is always (n + k) x (n + k);
-when m < n + k its rows past the m-th are zero up to rounding.
+LAPACK table (32-bit integers). A walk has the dictionary write psi into the
+panel's rows, through the two chunk callables every basis implements
+(Dictionary._chunk_values for values, Dictionary._chunk_action for the
+generator action, from which gradients and Hessians both come), and the
+targets beside it. No chunk allocates or copies: the two panels are
+allocated once per fit, a shorter last chunk takes their leading entries,
+and the basis refills work arrays allocated at its first chunk, so a fit's
+memory is R, two panels and the basis's scratch. R is always (n + k) x
+(n + k); when m < n + k its rows past the m-th are zero up to rounding.
 
 R is the one statistic of the data, and every estimate keeps it:
 [Psi^T | T^T] = Q R with orthonormal Q, so ||[Psi^T | T^T] v|| = ||R v|| for
@@ -151,22 +151,24 @@ def _chunk_points(width):
     return min(CHUNK, max(1, PANEL_ENTRIES // width))
 
 
-def _walk(m, width, chunk):
-    """Yield chunk(sl) for consecutive slices sl of m samples, _chunk_points(width) points each."""
+def _walk(m, width):
+    """Consecutive slices of m samples, _chunk_points(width) points each."""
     rows = _chunk_points(width)
-    for start in range(0, m, rows):
-        yield chunk(slice(start, min(start + rows, m)))
+    return (slice(start, min(start + rows, m)) for start in range(0, m, rows))
 
 
 def _actions(dictionary, sample, diffusion=None):
-    """Chunk sl -> (psi, dpsi); dpsi has the 1/2 a : hess psi term when `diffusion` is given.
-
-    One chunk action of the dictionary serves the walk, so a chunk's arrays
-    are overwritten by the next chunk's (tensor bases refill work arrays).
-    """
+    """fill(sl, panel): psi into panel[:n] and dpsi into panel[n:] by one chunk action;
+    dpsi has the 1/2 a : hess psi term when `diffusion` is given."""
     x, b, a = sample.points, sample.drift_samples, diffusion
-    act = dictionary._chunk_action()
-    return lambda sl: act(x[sl], b[sl], None if a is None else a[sl])
+    act, n = dictionary._chunk_action(), dictionary.size
+    return lambda sl, panel: act(x[sl], b[sl], None if a is None else a[sl], panel[:n], panel[n:])
+
+
+def _regression(dictionary, points, targets):
+    """fill(sl, panel): psi at points[sl] into panel[:n] and targets[sl]^T into panel[n:]."""
+    values, n = dictionary._chunk_values(), dictionary.size
+    return lambda sl, panel: (values(points[sl], panel[:n]), np.copyto(panel[n:], targets[sl].T))
 
 
 # the symbols of a LAPACK routine in numpy's linalg extension and the integer type
@@ -274,16 +276,17 @@ def _fold(R, B, T, work):
         raise NumericalError(f"dtpqrt failed with info = {info.value}")
 
 
-def _factor(chunk, m, width):
-    """Triangular factor R of [Psi^T | T^T] over the (psi, T) chunks of _walk(m, width, chunk).
+def _factor(fill, m, width):
+    """Triangular factor R of [Psi^T | T^T], filled chunk by chunk over _walk(m, width).
 
     The calling thread allocates two Fortran-ordered panels (one when a
-    single chunk holds every point) and fills panel i % 2 with chunk i while
-    one worker thread folds chunk i - 1 from the other panel into R. It
-    waits only for fold i - 2 before it refills a panel, and folds run in
-    chunk order, so R is that of the sequential fold. A chunk of r points
-    takes the first width * r entries of its panel, so no chunk allocates;
-    the worker runs nothing but dtpqrt.
+    single chunk holds every point) and has fill(sl, panel) write chunk i,
+    [psi; T] of the samples sl, into the (width, rows) panel i % 2 while one
+    worker thread folds chunk i - 1 from the other panel into R. It waits
+    only for fold i - 2 before it refills a panel, and folds run in chunk
+    order, so R is that of the sequential fold. A chunk of r points takes
+    the first width * r entries of its panel, so no chunk allocates; the
+    worker runs nothing but dtpqrt.
     """
     R = np.zeros((width, width), order="F")
     nb = min(TPQRT_BLOCK, width)
@@ -292,16 +295,13 @@ def _factor(chunk, m, width):
     panels = [np.empty(width * points) for _ in range(1 if points == m else 2)]
     with ThreadPoolExecutor(max_workers=1) as folder:
         folds = []
-        for i, (psi, targets) in enumerate(_walk(m, width, chunk)):
+        for i, sl in enumerate(_walk(m, width)):
             if len(folds) == len(panels):
                 folds.pop(0).result()
-            # filled row by row, so its transpose is Fortran-ordered whatever the chunks' order
-            rows = psi.shape[1]
-            panel = panels[i % len(panels)][: width * rows].reshape(width, rows)
-            panel[: psi.shape[0]] = psi
-            panel[psi.shape[0] :] = targets
+            # filled row by row, so its transpose is Fortran-ordered
+            panel = panels[i % len(panels)][: width * (sl.stop - sl.start)].reshape(width, -1)
+            fill(sl, panel)
             folds.append(folder.submit(_fold, R, panel.T, T, work))
-            del psi, targets  # the walk builds the next chunk without this one
         for fold in folds:
             fold.result()
     return R
@@ -384,12 +384,12 @@ def _times_gram_pinv(X, R, n, m):
     return m * (X @ (V / s**2)) @ V.T, s.size, condition
 
 
-def _fit(chunk, m, n, k, dictionary, kind):
-    """Streaming least-squares fit of k targets T ~ C^T Psi over _walk(m, n + k, chunk).
+def _fit(fill, m, n, k, dictionary, kind):
+    """Streaming least-squares fit of k targets T ~ C^T Psi, filled as in _factor.
 
     The estimate keeps R; M = C^T, and A_hat = T Psi^T / m is read off R.
     """
-    R = _factor(chunk, m, n + k)
+    R = _factor(fill, m, n + k)
     # Psi^T = Q R11 and T^T = Q R12 + (orthogonal rest), so C = R11^+ R12
     C, rank, condition = _lstsq(R[:n, :n], R[:n, n:])
     return GeneratorEstimate(
@@ -445,18 +445,18 @@ def gedmd_reversible(dictionary: Dictionary, sample: SampleSet) -> GeneratorEsti
     n, m = dictionary.size, sample.count
     A = np.zeros((n, n))
     gradients = dictionary._chunk_gradients()
-    products = None  # grad psi a per point, for the first (longest) chunk and the rest
+    work = None  # grad psi and grad psi a per point, for the first (longest) chunk and the rest
 
-    def chunk(sl):
-        nonlocal products
-        # A_hat's sum rides along with the walk that feeds the factor
-        values, grads = gradients(x[sl])
-        if products is None or products.size < grads.size:
-            products = np.empty(grads.size)
-        Ga = products[: grads.size].reshape(grads.shape)
+    def chunk(sl, values):
+        nonlocal work
+        # A_hat's sum rides along with the walk that writes Psi into the panel
+        size = n * values.shape[1] * x.shape[1]
+        if work is None:
+            work = np.empty((2, size))
+        grads, Ga = (w[:size].reshape(n, values.shape[1], -1) for w in work)
+        gradients(x[sl], values, grads)
         np.einsum("kli,lij->klj", grads, a[sl], out=Ga)
         A[:] += Ga.reshape(n, -1) @ grads.reshape(n, -1).T
-        return values, values[:0]
 
     R = _factor(chunk, m, n)
     A_hat = (A + A.T) / (-4.0 * m)
@@ -501,8 +501,9 @@ def edmd_with_log(
     if x.shape != y.shape:
         raise InputError("points and lagged_points must have equal counts")
     n, m = dictionary.size, x.shape[0]
-    at_x, at_y = dictionary._chunk_values(), dictionary._chunk_values()
-    est = _fit(lambda sl: (at_x(x[sl]), at_y(y[sl])), m, n, n, dictionary, "edmd-log")
+    at = dictionary._chunk_values()
+    est = _fit(lambda sl, panel: (at(x[sl], panel[:n]), at(y[sl], panel[n:])), m, n, n,
+               dictionary, "edmd-log")
     eigs = np.linalg.eigvals(est.M)
     scale = max(np.max(np.abs(eigs)), 1.0)
     on_branch_cut = (np.abs(eigs) <= LOG_BRANCH_TOL * scale) | (

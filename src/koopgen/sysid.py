@@ -14,7 +14,7 @@ import numpy as np
 
 from .dictionaries import Dictionary, Monomials
 from .errors import ClosureError, IdentificationError, InputError, UnsupportedDictionaryError, warn
-from .generator import GeneratorEstimate, _actions, _factor, _fit, _lstsq, _residual
+from .generator import GeneratorEstimate, _actions, _factor, _fit, _lstsq, _regression, _residual
 from .models import SampleSet
 
 CLOSURE_TOL = 1e-8  # relative size of a b_i * x_j coefficient that may leave the basis
@@ -318,10 +318,9 @@ def sindy_coefficients(dictionary: Dictionary, sample: SampleSet) -> np.ndarray:
     It is the streamed fit with the drift as its d targets, under the same
     cutoff, rank rule and rank-deficiency warning as the estimators.
     """
-    x, b = sample.points, sample.drift_samples
-    n, d = dictionary.size, b.shape[1]
-    values = dictionary._chunk_values()
-    return _fit(lambda sl: (values(x[sl]), b[sl].T), sample.count, n, d, dictionary, "sindy").M
+    n, d = dictionary.size, sample.drift_samples.shape[1]
+    fill = _regression(dictionary, sample.points, sample.drift_samples)
+    return _fit(fill, sample.count, n, d, dictionary, "sindy").M
 
 
 def _merge_histories(histories: list[list]) -> list:
@@ -379,23 +378,19 @@ def identify(
     pairs = upper_triangle_pairs(dictionary.dimension)
     histories = []
 
-    def drift_chunk(data):
-        x, b = data.points, data.drift_samples
-        values = dictionary._chunk_values()
-        return lambda sl: (values(x[sl]), b[sl].T)
-
     def diffusion_chunk(data):
         # a_ij + (b_i - bhat_i) x_j + (b_j - bhat_j) x_i per point
         x, b, a = data.points, data.drift_samples, data.diffusion_samples
         values = dictionary._chunk_values()
 
-        def chunk(sl):
-            psi, xs = values(x[sl]), x[sl]
+        def fill(sl, panel):
+            psi, xs = panel[:n], x[sl]
+            values(xs, psi)
             r = b[sl] - psi.T @ drift_coeffs
-            T = [a[sl, i, j] + r[:, i] * xs[:, j] + r[:, j] * xs[:, i] for i, j in pairs]
-            return psi, np.array(T)
+            for row, (i, j) in enumerate(pairs, n):
+                panel[row] = a[sl, i, j] + r[:, i] * xs[:, j] + r[:, j] * xs[:, i]
 
-        return chunk
+        return fill
 
     def fit(chunk_of, k):
         R = _factor(chunk_of(sample), sample.count, n + k)
@@ -403,7 +398,8 @@ def identify(
         histories.append(history)
         return chunk_of, C, R
 
-    walks = [fit(drift_chunk, dictionary.dimension)]
+    walks = [fit(lambda data: _regression(dictionary, data.points, data.drift_samples),
+                 dictionary.dimension)]
     drift_coeffs = walks[0][1]
     diffusion_coeffs = None
     if sample.diffusion_samples is not None:

@@ -362,7 +362,7 @@ class TestLemonSlicePipeline:
         # G_hat is read off the streamed R factor of the values alone
         values = lemon["basis"].evaluate(lemon["rsample"].points).values
         n, m = values.shape
-        P = generator._factor(lambda sl: (values[:, sl], values[:0, sl]), m, n)[:, :n]
+        P = generator._factor(lambda sl, panel: np.copyto(panel, values[:, sl]), m, n)[:, :n]
         assert np.array_equal(lemon["est"].G_hat, P.T @ P / m)
 
 

@@ -300,18 +300,19 @@ class _Quadratics(Dictionary):
     dimension, size = 1, 3
 
     def _chunk_values(self):
-        def values(points):
+        def values(points, out):
             x = np.asarray(points, dtype=np.float64).reshape(-1)
-            return np.array([np.ones_like(x), x, x * x])
+            out[:] = [np.ones_like(x), x, x * x]
 
         return values
 
     def _chunk_action(self):
-        def act(points, drift, diffusion=None):
+        def act(points, drift, diffusion, values, dpsi):
             # L x^2 = 2 b x + a
             x, b = np.asarray(points).reshape(-1), np.asarray(drift)[:, 0]
             a = 0.0 if diffusion is None else np.asarray(diffusion)[:, 0, 0]
-            return self._chunk_values()(points), np.array([0.0 * x, b, 2.0 * b * x + a])
+            self._chunk_values()(points, values)
+            dpsi[:] = [0.0 * x, b, 2.0 * b * x + a]
 
         return act
 
@@ -332,6 +333,38 @@ def test_chunk_callables_give_every_public_method():
     assert np.array_equal(dpsi, [[0.0, 0.0], [0.5, 3.0], [6.0, -5.0]])
     first_order = basis.generator_action(x, drift)[1]
     assert np.array_equal(first_order, [[0.0, 0.0], [0.5, 3.0], [2.0, -6.0]])
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [
+        Monomials(1, 12),
+        Monomials(4, 4),
+        LegendreBasis(4, [(-1.5, 1.5)] * 3),
+        GaussianBasis([[0.1, -0.2], [0.5, 0.3], [-0.4, 0.0]], 0.4),
+        PeriodicGaussianBasis([0.0, 1.0, 2.5], 0.5, 2 * np.pi),
+    ],
+    ids=["monomials-1d", "monomials-4d", "legendre", "gaussian", "periodic-gaussian"],
+)
+def test_results_own_their_memory(basis):
+    # the public methods allocate their results and have the chunk callables write into
+    # them, so no result is a view that keeps a chunk's scratch alive; a walk writes the
+    # same bits into the rows of a fold panel
+    rng = np.random.default_rng(9)
+    m, n, d = 300, basis.size, basis.dimension
+    x = rng.uniform(-1.4, 1.4, (m, d))
+    drift, S = rng.standard_normal((m, d)), rng.standard_normal((m, d, d))
+    diffusion = S @ S.transpose(0, 2, 1)
+    block = basis.evaluate(x, with_hessians=True)
+    action = basis.generator_action(x, drift, diffusion)
+    results = (basis.values(x), *action, block.values, block.gradients, block.hessians)
+    assert all(result.flags.owndata for result in results)
+    panel = np.full((3 * n, m), np.nan)
+    basis._chunk_values()(x, panel[:n])
+    basis._chunk_action()(x, drift, diffusion, panel[n : 2 * n], panel[2 * n :])
+    for got, want in zip(np.split(panel, 3), results, strict=False):
+        assert np.array_equal(got, want)
+    assert np.array_equal(block.values, results[0])
 
 
 def test_spec_round_trip(rng):

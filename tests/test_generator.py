@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from contextlib import nullcontext
 from pathlib import Path
@@ -375,22 +376,27 @@ def test_tensor_bases_independent_of_work_chunks():
 )
 @pytest.mark.parametrize("stochastic", [False, True])
 def test_reused_chunk_walks_equal_fresh_calls(basis, stochastic):
-    # one chunk action, values or gradients callable refills the arrays of its first
-    # chunk; a short last chunk takes their leading entries; results equal fresh calls bitwise
+    # one chunk action, values or gradients callable refills the work arrays of its first
+    # chunk; a short last chunk takes their leading entries; what each writes into the
+    # arrays it is given equals fresh calls bitwise
     m = 700
     rng = np.random.Generator(np.random.Philox(31))
     points = rng.uniform(-1.5, 1.5, (m, basis.dimension))
     drift, diffusion = _random_coefficients(rng, m, basis.dimension)
     a = diffusion if stochastic else None
+    n, d = basis.size, basis.dimension
     for length in (256, 300, 699, m):  # short last chunks of 188, 100, 1 points; one chunk
         act, values = basis._chunk_action(), basis._chunk_values()
         gradients = basis._chunk_gradients()
         for start in range(0, m, length):
             sl = slice(start, min(start + length, m))
-            got = act(points[sl], drift[sl], None if a is None else a[sl])
+            rows = sl.stop - sl.start
+            got = [np.full((n, rows), np.nan) for _ in range(4)] + [np.full((n, rows, d), np.nan)]
+            act(points[sl], drift[sl], None if a is None else a[sl], got[0], got[1])
+            values(points[sl], got[2])
+            gradients(points[sl], got[3], got[4])
             want = basis.generator_action(points[sl], drift[sl], None if a is None else a[sl])
             block = basis.evaluate(points[sl])
-            got = (*got, values(points[sl]), *gradients(points[sl]))
             want = (*want, block.values, block.values, block.gradients)
             for got_k, want_k in zip(got, want, strict=True):
                 assert np.array_equal(got_k, want_k)
@@ -488,7 +494,8 @@ def test_factor_is_triangular_factor_of_stacked_matrix(monkeypatch, m, n, k, chu
     # fewer samples than basis functions: the fit resolves m directions and says so
     expect = pytest.warns(UserWarning, match="rank deficient") if m < n else nullcontext()
     with expect:
-        est = generator._fit(lambda sl: (X[sl, :n].T, X[sl, n:].T), m, n, k, None, "test")
+        fill = _fill_from(lambda sl: (X[sl, :n].T, X[sl, n:].T))
+        est = generator._fit(fill, m, n, k, None, "test")
     R = est.R
     assert est.rank == min(m, n)
     assert R.shape == (n + k, n + k)
@@ -504,6 +511,18 @@ def test_factor_is_triangular_factor_of_stacked_matrix(monkeypatch, m, n, k, chu
 def _panel_rows(width):
     """Points per panel of a width-`width` fit: the walk's row rule."""
     return min(CHUNK, generator.PANEL_ENTRIES // width)
+
+
+def _fill_from(chunk):
+    """fill(sl, panel) for generator._factor: the pair (psi, T) = chunk(sl) written
+    into the panel's leading and trailing rows."""
+
+    def fill(sl, panel):
+        psi, targets = chunk(sl)
+        panel[: len(psi)] = psi
+        panel[len(psi) :] = targets
+
+    return fill
 
 
 @pytest.mark.parametrize("width, k", [(6, 0), (6, 3), (140, 0), (140, 70)])
@@ -523,7 +542,7 @@ def test_factor_is_bitwise_the_sequential_fold(width, k, m, order):
     rows = _panel_rows(width)
     chunks = (chunk(slice(i, i + rows)) for i in range(0, m, rows))
     want = helpers.tpqrt_fold(chunks, width, generator.TPQRT_BLOCK)
-    assert np.array_equal(generator._factor(chunk, m, width), want)
+    assert np.array_equal(generator._factor(_fill_from(chunk), m, width), want)
 
 
 @pytest.mark.parametrize("m, panels", [(300, 2), (64, 1)])  # five chunks; one chunk
@@ -537,11 +556,44 @@ def test_factor_refills_two_panels(monkeypatch, m, panels):
         fold(R, B, T, work)
 
     monkeypatch.setattr(generator, "_fold", spying)
-    generator._factor(lambda sl: (X[sl, :6].T, X[sl, 6:].T), m, 10)
+    generator._factor(_fill_from(lambda sl: (X[sl, :6].T, X[sl, 6:].T)), m, 10)
     assert len(pointers) == -(-m // 64)
     # chunk i is folded from panel i % 2; the short last chunk takes its panel's first entries
     assert len(set(pointers)) == panels
     assert all(p == pointers[i % panels] for i, p in enumerate(pointers))
+
+
+def test_stochastic_fit_holds_r_two_panels_and_the_basis_scratch(monkeypatch):
+    # the walk writes psi and dpsi straight into the fold panels: across _factor a fit
+    # allocates R, two panels, dtpqrt's T and workspace and the basis's _action_sizes
+    # scratch, and no second copy of a chunk (2 n rows doubles, 1.05 MB here)
+    slack = 256 * 1024  # numpy's ufunc buffers and the rest; measured at 0.17 MB
+    basis, m = Monomials(4, 4), 5000
+    rng = np.random.default_rng(12)
+    points = rng.uniform(-1.0, 1.0, (m, 4))
+    B = np.tril(rng.uniform(0.0, 0.5, (4, 4))) + 0.3 * np.eye(4)
+    sample = SampleSet(points=points, drift_samples=-points,
+                       diffusion_samples=np.broadcast_to(B @ B.T, (m, 4, 4)))
+    factor, peaks = generator._factor, []
+
+    def traced(*args):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            R = factor(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        finally:
+            tracemalloc.stop()
+        return R
+
+    monkeypatch.setattr(generator, "_factor", traced)
+    gedmd_stochastic(basis, sample)
+    width = 2 * basis.size
+    rows = _panel_rows(width)
+    nb = generator.TPQRT_BLOCK
+    scratch = sum(basis._action_sizes(rows, True).values())
+    held = 8 * (width * width + 2 * width * rows + 2 * nb * width + scratch)
+    assert peaks[0] <= held + slack
 
 
 def test_fold_falls_back_to_scipys_lapack(monkeypatch):
@@ -556,7 +608,7 @@ def test_fold_falls_back_to_scipys_lapack(monkeypatch):
         return X[sl, :n].T, X[sl, n:].T
 
     def fit():
-        R = generator._factor(chunk, m, width)
+        R = generator._factor(_fill_from(chunk), m, width)
         return R, generator._lstsq(R[:n, :n], R[:n, n:])[0]
 
     for routine in ("dtpqrt", "dtrtrs"):
@@ -615,7 +667,7 @@ def test_factor_raises_a_chunk_error_and_stops_its_fold_thread(monkeypatch):
         return X[:4, sl], X[4:, sl]
 
     with pytest.raises(InputError, match="third chunk"):
-        generator._factor(chunk, 60, 6)
+        generator._factor(_fill_from(chunk), 60, 6)
     assert threading.active_count() == before
 
 
@@ -653,7 +705,7 @@ def test_factor_leaves_chunk_arrays_unchanged(monkeypatch):
     values = np.random.default_rng(3).standard_normal((9, 50))
     before = values.copy()
     for n in (5, 9):
-        generator._factor(lambda sl: (values[:n, sl], values[n:, sl]), 50, 9)
+        generator._factor(_fill_from(lambda sl: (values[:n, sl], values[n:, sl])), 50, 9)
         assert np.array_equal(values, before)
 
 
